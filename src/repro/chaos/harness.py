@@ -29,8 +29,8 @@ would, plus faults. Where each fault point plugs in:
   interleaving accepted version bumps and REJECT-policy conflicts with
   the pipeline's publishes.
 - **serve.*** — a request phase against a :class:`MapService` over the
-  same database: bursts concentrated on one tile, encoded-memo
-  invalidation storms, and admission spikes beyond queue capacity.
+  same database: bursts concentrated on one tile and admission spikes
+  beyond queue capacity.
 - **geometry.*** — corrupt-geometry patches (degenerate lanes, broken
   boundary chains, orphaned regulatory elements) pushed straight at the
   publisher, upstream of nothing but the constraint verify gate; the
@@ -77,7 +77,6 @@ from repro.chaos.faults import (
     SENSOR_DROP,
     SENSOR_DUPLICATE,
     SERVE_HOT_SHARD,
-    SERVE_INVALIDATION_STORM,
     SERVE_SPIKE,
     FaultPlan,
 )
@@ -406,14 +405,11 @@ class ChaosHarness:
         tiles = store.tiles()
         service = MapService(
             server, store, n_workers=2, cache_shards=4, tiles_per_shard=8,
-            policy=AdmissionPolicy(max_queue=32),
-            stale_tile_versions=2)
+            policy=AdmissionPolicy(max_queue=32))
         base_version = server.version
         regressions = 0
-        max_staleness = 0
         futures = []
         hot = plan.point(SERVE_HOT_SHARD)
-        storm = plan.point(SERVE_INVALIDATION_STORM)
         spike = plan.point(SERVE_SPIKE)
         target = self._conflict_target(scenario)
         priorities = (Priority.LOW, Priority.NORMAL, Priority.HIGH)
@@ -423,12 +419,10 @@ class ChaosHarness:
                 # request index advances the stream, so `after` offsets
                 # delay the fault window into the phase as documented.
                 tile = tiles[0] if hot.roll() else tiles[i % len(tiles)]
-                if storm.roll():
-                    service.cache.invalidate_encoded()
                 if i == w.serve_requests // 2 and target is not None and \
-                        (hot.active or storm.active):
-                    # One live version bump mid-storm: with SWR enabled the
-                    # cache may now answer within-bound stale payloads.
+                        hot.active:
+                    # One live version bump mid-burst: responses on both
+                    # sides of it feed the version-regression check.
                     server.ingest(
                         self._rogue_replace(target, "chaos-serve", 0.9),
                         policy=ConflictPolicy.LAST_WRITER_WINS)
@@ -443,10 +437,8 @@ class ChaosHarness:
                         for j in range(flood))
             responses = [f.result(10.0) for f in futures]
         for resp in responses:
-            if resp.ok:
-                if resp.version < base_version:
-                    regressions += 1
-                max_staleness = max(max_staleness, resp.staleness)
+            if resp.ok and resp.version < base_version:
+                regressions += 1
         stats = service.metrics.snapshot()
         stats["admission"] = {
             "admitted": service.queue.admitted.value,
@@ -455,7 +447,6 @@ class ChaosHarness:
             "displaced": service.queue.displaced.value,
         }
         stats["responses"] = len(responses)
-        stats["max_staleness_versions"] = max_staleness
         return stats, regressions
 
     # -- entry points ----------------------------------------------------
@@ -481,7 +472,7 @@ class ChaosHarness:
         serve_stats: Optional[Dict[str, object]] = None
         regressions = 0
         if any(self.plan.active(p) for p in
-               (SERVE_HOT_SHARD, SERVE_INVALIDATION_STORM, SERVE_SPIKE)):
+               (SERVE_HOT_SHARD, SERVE_SPIKE)):
             serve_stats, regressions = self._serve_phase(server, scenario)
 
         invariants = check_invariants(

@@ -1026,9 +1026,8 @@ def _cmd_pack_bench(args: argparse.Namespace) -> int:
     ``--check``:
 
     - bytes/tile of the packed base map stays under the ceiling;
-    - encoded-GetTile throughput from the mmap'd pack beats the
-      object-encode path (cold encode memo every request) by the
-      required factor;
+    - an encoded GetTile answered from the pack is a zero-copy slice of
+      the mmap (its throughput is reported, not gated);
     - a synthetic pack with at least ``--target-elements`` elements
       cold-starts (open + one tile decode) inside the budget, with
       exactly one decode — proof there is no hidden full-map decode;
@@ -1046,6 +1045,7 @@ def _cmd_pack_bench(args: argparse.Namespace) -> int:
     from repro.serve.api import GetTile
     from repro.serve.service import MapService
     from repro.storage import TileStore, load_map
+    from repro.storage.tilestore import _count_elements
     from repro.update.distribution import MapDistributionServer
 
     hdmap = load_map(args.map)
@@ -1054,66 +1054,56 @@ def _cmd_pack_bench(args: argparse.Namespace) -> int:
     if not tiles:
         print("PACK BENCH FAILED: map has no tiles", file=sys.stderr)
         return 1
-    workdir = tempfile.mkdtemp(prefix="pack-bench-")
-    pack_path = os.path.join(workdir, "base.pack")
-    store.to_pack(pack_path)
-    packed = TileStore.from_pack(pack_path)
     bytes_per_tile = store.total_bytes() / len(tiles)
-    print(f"packed {hdmap.name}: {len(tiles)} tiles, "
-          f"{bytes_per_tile / 1024:.1f} KB/tile, "
-          f"{os.path.getsize(pack_path) / 1024:.1f} KB pack file")
 
-    # -- encoded-GetTile throughput: object-encode path vs pack slices --
-    def sweep(service: MapService, cold: bool) -> float:
+    with tempfile.TemporaryDirectory(prefix="pack-bench-") as workdir:
+        pack_path = os.path.join(workdir, "base.pack")
+        store.to_pack(pack_path)
+        print(f"packed {hdmap.name}: {len(tiles)} tiles, "
+              f"{bytes_per_tile / 1024:.1f} KB/tile, "
+              f"{os.path.getsize(pack_path) / 1024:.1f} KB pack file")
+
+        # -- encoded-GetTile throughput from pack slices ----------------
+        packed = TileStore.from_pack(pack_path)
         requests = [GetTile(tile=tiles[i % len(tiles)], encoded=True)
                     for i in range(args.requests)]
+        server = MapDistributionServer(hdmap.copy())
+        with packed.pack_reader, \
+                MapService(server, packed, n_workers=args.workers) as service:
+            t0 = time.perf_counter()
+            for request in requests:
+                response = service.request(request)
+                assert response.ok, response.error
+            pack_tps = args.requests / (time.perf_counter() - t0)
+            response = service.request(GetTile(tile=tiles[0], encoded=True))
+            zero_copy = isinstance(response.payload, memoryview) \
+                and response.payload.obj is packed.pack_reader.buffer.obj
+            del response  # a live view would keep the mmap open past close
+        print(f"encoded GetTile: pack {pack_tps:,.0f} req/s "
+              f"(zero-copy payload: {zero_copy})")
+
+        # -- cold start of a >= target-elements pack --------------------
+        big_path = os.path.join(workdir, "big.pack")
+        blob = store.encoded_view(max(tiles, key=store.blob_bytes))
+        per_blob = max(1, _count_elements(blob))
+        n_copies = max(1, -(-args.target_elements // per_blob))
+        with PackWriter(big_path, tile_size=args.tile_size) as writer:
+            for i in range(n_copies):
+                writer.add(TileId(i % 4096, i // 4096), blob,
+                           n_elements=per_blob)
+            writer.publish()
         t0 = time.perf_counter()
-        for request in requests:
-            response = service.request(request)
-            assert response.ok, response.error
-            if cold:
-                # cold cache: force the next request to re-serialize,
-                # which is what every distinct-tile miss costs.
-                service.cache.invalidate_encoded()
-        return args.requests / (time.perf_counter() - t0)
-
-    server = MapDistributionServer(hdmap.copy())
-    with MapService(server, store, n_workers=args.workers) as service:
-        object_tps = sweep(service, cold=True)
-    server = MapDistributionServer(hdmap.copy())
-    with MapService(server, packed, n_workers=args.workers) as service:
-        pack_tps = sweep(service, cold=False)
-        response = service.request(GetTile(tile=tiles[0], encoded=True))
-        zero_copy = isinstance(response.payload, memoryview) \
-            and response.payload.obj is packed.pack_reader.buffer.obj
-    speedup = pack_tps / object_tps if object_tps > 0 else float("inf")
-    print(f"encoded GetTile: object-encode {object_tps:,.0f} req/s, "
-          f"pack {pack_tps:,.0f} req/s -> {speedup:.1f}x "
-          f"(zero-copy payload: {zero_copy})")
-
-    # -- cold start of a >= target-elements pack ------------------------
-    big_path = os.path.join(workdir, "big.pack")
-    blob = store._blobs[max(tiles, key=store.blob_bytes)]
-    from repro.storage.tilestore import _count_elements
-    per_blob = max(1, _count_elements(blob))
-    n_copies = max(1, -(-args.target_elements // per_blob))
-    with PackWriter(big_path, tile_size=args.tile_size) as writer:
-        for i in range(n_copies):
-            writer.add(TileId(i % 4096, i // 4096), blob,
-                       n_elements=per_blob)
-        writer.publish()
-    t0 = time.perf_counter()
-    reader = PackReader(big_path)
-    shard = reader.load(reader.tiles()[0])
-    cold_start_s = time.perf_counter() - t0
-    cold_elements = reader.total_elements
-    cold_decodes = int(reader.decodes.value)
-    assert shard is not None
-    reader.close()
-    print(f"cold start: {cold_elements:,} elements "
-          f"({os.path.getsize(big_path) / 1e6:.1f} MB pack) open + one "
-          f"tile decode in {cold_start_s * 1e3:.1f} ms, "
-          f"{cold_decodes} decode(s)")
+        reader = PackReader(big_path)
+        shard = reader.load(reader.tiles()[0])
+        cold_start_s = time.perf_counter() - t0
+        cold_elements = reader.total_elements
+        cold_decodes = int(reader.decodes.value)
+        assert shard is not None
+        reader.close()
+        print(f"cold start: {cold_elements:,} elements "
+              f"({os.path.getsize(big_path) / 1e6:.1f} MB pack) open + one "
+              f"tile decode in {cold_start_s * 1e3:.1f} ms, "
+              f"{cold_decodes} decode(s)")
 
     # -- delta wire vs pickled SyncDelta --------------------------------
     working = hdmap.copy()
@@ -1138,9 +1128,7 @@ def _cmd_pack_bench(args: argparse.Namespace) -> int:
         "map": hdmap.name,
         "tiles": len(tiles),
         "bytes_per_tile": bytes_per_tile,
-        "object_encode_tps": object_tps,
         "pack_tps": pack_tps,
-        "speedup": speedup,
         "zero_copy": zero_copy,
         "cold_start_s": cold_start_s,
         "cold_elements": cold_elements,
@@ -1158,9 +1146,6 @@ def _cmd_pack_bench(args: argparse.Namespace) -> int:
         if bytes_per_tile > args.max_bytes_per_tile:
             failures.append(f"bytes/tile {bytes_per_tile:.0f} above "
                             f"{args.max_bytes_per_tile:.0f}")
-        if speedup < args.min_speedup:
-            failures.append(f"speedup {speedup:.2f}x below "
-                            f"{args.min_speedup:g}x")
         if not zero_copy:
             failures.append("encoded GetTile payload is not a pack "
                             "mmap slice")
@@ -1455,14 +1440,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pack = sub.add_parser(
         "pack-bench",
-        help="measure pack-store serving: throughput, cold start, delta")
+        help="measure pack-store serving: zero-copy, cold start, delta")
     pack.add_argument("map")
     pack.add_argument("--tile-size", type=float, default=250.0)
     pack.add_argument("--requests", type=int, default=300,
-                      help="encoded GetTile requests per serving path")
+                      help="encoded GetTile requests in the pack sweep")
     pack.add_argument("--workers", type=int, default=1,
-                      help="MapService workers (1 isolates per-request "
-                           "serialization cost)")
+                      help="MapService workers behind the pack sweep")
     pack.add_argument("--target-elements", type=int, default=1_000_000,
                       help="minimum element count of the cold-start pack")
     pack.add_argument("--delta-ops", type=int, default=20,
@@ -1471,8 +1455,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="machine-readable report path")
     pack.add_argument("--check", action="store_true",
                       help="fail unless every bound below is met")
-    pack.add_argument("--min-speedup", type=float, default=5.0,
-                      help="required pack/object-encode throughput ratio")
     pack.add_argument("--max-bytes-per-tile", type=float, default=65536,
                       help="ceiling on mean encoded tile size")
     pack.add_argument("--cold-start-budget-s", type=float, default=2.0,

@@ -20,7 +20,6 @@ from repro.cluster.router import (
 )
 from repro.cluster.rpc import (
     PipelinedConnection,
-    RpcConnection,
     RpcError,
     ShardDead,
     ShardTimeout,
@@ -34,7 +33,6 @@ __all__ = [
     "LocalShard",
     "PipelinedConnection",
     "ProcessShard",
-    "RpcConnection",
     "RpcError",
     "ShardBackend",
     "ShardConfig",

@@ -450,7 +450,6 @@ class ClusterRouter:
                  n_workers: int = 2,
                  service_latency_s: float = 0.0,
                  storage_latency_s: float = 0.0,
-                 stale_tile_versions: int = 0,
                  call_timeout_s: float = 10.0,
                  lease_s: float = 2.0,
                  start_method: str = "fork",
@@ -493,8 +492,7 @@ class ClusterRouter:
         self._name = hdmap.name
         self._shard_knobs = dict(
             n_workers=n_workers, service_latency_s=service_latency_s,
-            storage_latency_s=storage_latency_s,
-            stale_tile_versions=stale_tile_versions)
+            storage_latency_s=storage_latency_s)
 
         self._scheme = TileScheme(tile_size)
         full_store = TileStore.build(hdmap, tile_size)
@@ -558,8 +556,8 @@ class ClusterRouter:
         self._inflight = 0
         self._inflight_peak = 0
         self._inflight_lock = threading.Lock()
-        # In-progress coalesced GetTiles keyed by (tile, encoded,
-        # max_staleness); leaders insert, followers wait.
+        # In-progress coalesced GetTiles keyed by (tile, encoded);
+        # leaders insert, followers wait.
         self._flights: Dict[Tuple, _Flight] = {}
         self._flight_lock = threading.Lock()
         self._shard_latency: Dict[str, LatencyHistogram] = {}
@@ -571,7 +569,7 @@ class ClusterRouter:
         self.telemetry_events = Counter()
         self.telemetry_dropped = Counter()
         self.telemetry_harvests = Counter()
-        self._late_discards_retired = 0
+        self._late_discards_retired = Counter()
         self.telemetry = TelemetryHarvester(
             self, interval_s=telemetry_interval_s
             if telemetry_interval_s is not None else 1.0,
@@ -712,7 +710,7 @@ class ClusterRouter:
     def _retire_connection(self, shard: Any) -> None:
         """Fold a dying connection's late-discard count into the running
         total so ``cluster.rpc.late_discards`` survives the restart."""
-        self._late_discards_retired += getattr(shard, "late_discards", 0)
+        self._late_discards_retired.add(getattr(shard, "late_discards", 0))
 
     def _restart_primary_locked(self, handle: _ShardHandle) -> None:
         old = handle.primary
@@ -979,7 +977,7 @@ class ClusterRouter:
         read path, so the legacy baseline skips it."""
         if not self.pipeline:
             return self._read(self.owner_of_tile(request.tile), request)
-        key = (request.tile, request.encoded, request.max_staleness)
+        key = (request.tile, request.encoded)
         with self._flight_lock:
             flight = self._flights.get(key)
             leader = flight is None
@@ -1317,8 +1315,7 @@ class ClusterRouter:
             out = Response(
                 status=response.status, payload=response.payload,
                 version=self.version if response.ok else response.version,
-                latency_s=latency, error=response.error,
-                staleness=response.staleness)
+                latency_s=latency, error=response.error)
             if span.context is not None:
                 span.set("status", out.status.value)
                 span.set("version", out.version)
@@ -1462,7 +1459,7 @@ class ClusterRouter:
     def late_discards_total(self) -> int:
         """Late replies dropped across all connections, ever — live
         counts plus the totals retired with restarted connections."""
-        total = self._late_discards_retired
+        total = self._late_discards_retired.value
         for handle in self._handles:
             for shard in [handle.primary] + list(handle.replicas):
                 total += getattr(shard, "late_discards", 0)

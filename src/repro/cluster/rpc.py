@@ -14,8 +14,8 @@ kinds exist:
   untraced stream is byte-identical to the pre-tracing wire format.
   Replies carry ``("ok", result)`` or ``("err", message)``.
 - ``KIND_RAW_RESPONSE`` (1): an OK reply whose payload is raw bytes —
-  a fixed ``!qidB`` meta block (served version, staleness, handler
-  latency, trace flags) followed by the payload verbatim. Shards use
+  a fixed ``!qdB`` meta block (served version, handler latency, trace
+  flags) followed by the payload verbatim. Shards use
   this to forward encoded-tile pack slices to the router without a
   pickle round-trip: the payload ``memoryview`` is written straight
   from the mmap to the socket and never copied into a pickle buffer.
@@ -28,17 +28,13 @@ timed out on a slow shard and moved on can recognise and discard the
 late reply instead of mis-attributing it to the next request — without
 that, one slow reply would desynchronise the connection forever.
 
-Two connection disciplines share the wire format:
-
-- :class:`RpcConnection` — lockstep, one request in flight (kept for
-  tools and tests that want the simplest possible client);
-- :class:`PipelinedConnection` — many requests in flight on one socket.
-  Senders serialize on a send lock; a dedicated reader thread matches
-  every reply to its waiting caller by the echoed id. A caller that
-  times out abandons its id, so the late reply is dropped by the reader
-  (``late_discards``) without desynchronising anyone else, and replies
-  may legally arrive out of order (the shard side answers ``serve`` ops
-  as its worker pool finishes them).
+The client end is :class:`PipelinedConnection` — many requests in
+flight on one socket. Senders serialize on a send lock; a dedicated
+reader thread matches every reply to its waiting caller by the echoed
+id. A caller that times out abandons its id, so the late reply is
+dropped by the reader (``late_discards``) without desynchronising anyone
+else, and replies may legally arrive out of order (the shard side
+answers ``serve`` ops as its worker pool finishes them).
 
 Failure taxonomy (what the router's failover logic keys on):
 
@@ -69,9 +65,9 @@ KIND_PICKLE = 0
 KIND_RAW_RESPONSE = 1
 
 #: meta block of a raw response: served version (signed — REJECTED/SHED
-#: carry −1), staleness in versions, handler latency in seconds, trace
-#: flags (bit 0: handled inside the request's propagated trace)
-_RAW_META = struct.Struct("!qidB")
+#: carry −1), handler latency in seconds, trace flags (bit 0: handled
+#: inside the request's propagated trace)
+_RAW_META = struct.Struct("!qdB")
 
 _TRACE_FLAG_SAMPLED = 1
 
@@ -110,8 +106,7 @@ def send_raw_response(sock: socket.socket, request_id: int,
     """
     payload = memoryview(response.payload)
     flags = _TRACE_FLAG_SAMPLED if sampled else 0
-    meta = _RAW_META.pack(response.version, response.staleness,
-                          response.latency_s, flags)
+    meta = _RAW_META.pack(response.version, response.latency_s, flags)
     try:
         sock.sendall(_HEADER.pack(request_id, KIND_RAW_RESPONSE,
                                   _RAW_META.size + payload.nbytes) + meta)
@@ -149,54 +144,15 @@ def recv_frame(sock: socket.socket) -> Tuple[int, Any]:
     if kind == KIND_RAW_RESPONSE:
         if length < _RAW_META.size:
             raise ShardDead(f"short raw frame ({length} bytes)")
-        version, staleness, latency_s, flags = _RAW_META.unpack(
-            raw[:_RAW_META.size])
+        version, latency_s, flags = _RAW_META.unpack(raw[:_RAW_META.size])
         response = Response(
             Status.OK, payload=raw[_RAW_META.size:], version=version,
-            latency_s=latency_s, staleness=staleness)
+            latency_s=latency_s)
         response.trace_sampled = bool(flags & _TRACE_FLAG_SAMPLED)
         return request_id, ("ok", response)
     if kind != KIND_PICKLE:
         raise ShardDead(f"unknown frame kind {kind}")
     return request_id, pickle.loads(raw)
-
-
-class RpcConnection:
-    """The router's end of one shard socket: lockstep request/reply.
-
-    One request is in flight at a time (callers serialize through the
-    shard handle's lock). Late replies from a previous timed-out request
-    are recognised by id and discarded, so a timeout does not poison the
-    stream for the caller that follows.
-    """
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._next_id = 1
-
-    def call(self, op: str, payload: Any = None,
-             timeout_s: Optional[float] = None,
-             trace_ctx: Any = None) -> Any:
-        request_id = self._next_id
-        self._next_id += 1
-        self._sock.settimeout(timeout_s)
-        body = (op, payload) if trace_ctx is None \
-            else (op, payload, trace_ctx)
-        send_frame(self._sock, request_id, body)
-        while True:
-            reply_id, body = recv_frame(self._sock)
-            if reply_id != request_id:
-                continue  # stale reply from a timed-out predecessor
-            status, result = body
-            if status == "err":
-                raise RpcError(str(result))
-            return result
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
 
 
 class _Waiter:
@@ -216,8 +172,7 @@ class PipelinedConnection:
     Any number of threads may :meth:`call` concurrently. Each call takes
     a fresh request id, registers a waiter, and sends under the send
     lock; the reader thread delivers every reply to its waiter by the
-    echoed id. The failure taxonomy is unchanged from the lockstep
-    connection:
+    echoed id. The failure taxonomy:
 
     - a call that sees no reply inside its own deadline raises
       :class:`ShardTimeout` and *abandons* its id — when the reply

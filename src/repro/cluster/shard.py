@@ -60,7 +60,6 @@ class ShardConfig:
     n_workers: int = 2
     service_latency_s: float = 0.0
     storage_latency_s: float = 0.0
-    stale_tile_versions: int = 0
     name: str = "shard"
     #: pack-backed mode: instead of shipping ``blobs`` through the fork,
     #: every shard mmaps the same shared pack file and sees only its
@@ -86,8 +85,7 @@ class ShardBackend:
             self.server, store,
             n_workers=config.n_workers,
             service_latency_s=config.service_latency_s,
-            storage_latency_s=config.storage_latency_s,
-            stale_tile_versions=config.stale_tile_versions)
+            storage_latency_s=config.storage_latency_s)
         for patch in config.replay:
             # The journal stores *effective* patches — the ops the dead
             # primary actually applied after conflict resolution — so

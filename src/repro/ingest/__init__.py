@@ -38,7 +38,7 @@ Failure behavior under injected faults is certified by
 from repro.ingest.breaker import CircuitBreaker, StageCircuitOpen
 from repro.ingest.bus import ObservationBus
 from repro.ingest.fleetsource import FleetObservationSource, SourceReport
-from repro.ingest.metrics import Gauge, IngestMetrics
+from repro.ingest.metrics import IngestMetrics
 from repro.ingest.observation import (
     Observation,
     ObservationBatch,
@@ -63,6 +63,7 @@ from repro.ingest.stages import (
     VerifyStage,
 )
 from repro.ingest.verify import QuarantineStore, VerifyGate
+from repro.obs.metrics import Gauge
 
 __all__ = [
     "AssociateStage",

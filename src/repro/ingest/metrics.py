@@ -1,9 +1,10 @@
 """End-to-end observability of the ingestion pipeline.
 
-Reuses the shared thread-safe :class:`Counter` / :class:`Gauge` /
-:class:`LatencyHistogram` primitives from :mod:`repro.obs.metrics`
-(``Gauge`` used to be defined here and is re-exported for backward
-compatibility) and adds the two surfaces the maintenance loop needs:
+Reuses the shared thread-safe :class:`~repro.obs.metrics.Counter` /
+:class:`~repro.obs.metrics.Gauge` /
+:class:`~repro.obs.metrics.LatencyHistogram` primitives from
+:mod:`repro.obs.metrics` and adds the two surfaces the maintenance loop
+needs:
 per-stage latency histograms (where in validate -> associate -> fuse ->
 classify -> emit does time go), kept *per worker* and aggregated with
 :meth:`LatencyHistogram.merge` at export time, and the *map-freshness
@@ -24,7 +25,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.validation import ALL_CONSTRAINTS
-from repro.obs.metrics import (  # noqa: F401  (compatibility re-exports)
+from repro.obs.metrics import (
     FRESHNESS_BOUNDS,
     Counter,
     Gauge,

@@ -13,8 +13,7 @@ JSON.
 
 Import discipline: this module is stdlib-only and must never import
 back into the rest of ``repro`` — the serving, ingest, and perf layers
-all import it (``repro.serve.metrics`` and ``repro.ingest.metrics``
-re-export the primitives for backward compatibility).
+all import it.
 """
 
 from __future__ import annotations

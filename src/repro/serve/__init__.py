@@ -7,11 +7,10 @@ adds the serving layer between them and the fleet:
 
 - :mod:`repro.serve.api` — typed request/response messages
   (``GetTile``, ``SpatialQuery``, ``ChangesSince``, ``IngestPatch``,
-  ``Snapshot``) with priorities, status codes, and an opt-in
-  ``GetTile.max_staleness`` bound for degraded-mode reads;
+  ``Snapshot``) with priorities and status codes;
 - :mod:`repro.serve.cache` — :class:`ShardedTileCache`, a sharded,
-  read-write-locked tile cache with a per-``(tile, version)`` encoded
-  memo and stale-while-revalidate serving under a staleness bound;
+  read-write-locked cache of decoded tiles (an *encoded* tile payload
+  is the stored blob, ``TileStore.encoded_view``, and bypasses it);
 - :mod:`repro.serve.admission` — :class:`AdmissionController`: bounded
   queueing with backpressure (reject on overflow, optionally displacing
   older low-priority work for high-priority arrivals) and load shedding
@@ -20,15 +19,15 @@ adds the serving layer between them and the fleet:
   latency histograms, outcome counters, and the served map-freshness
   lag (primitives live in :mod:`repro.obs.metrics`);
 - :mod:`repro.serve.service` — the worker-pool :class:`MapService` tying
-  the above together (``stale_tile_versions`` sets the service-wide
-  stale-while-revalidate default);
+  the above together;
 - :mod:`repro.serve.fleet` — a synthetic-vehicle load generator and report.
 
-Degradation under injected faults (hot shards, invalidation storms,
-request spikes) is certified by :mod:`repro.chaos`; ``docs/OPERATIONS.md``
+Degradation under injected faults (hot shards, request spikes) is
+certified by :mod:`repro.chaos`; ``docs/OPERATIONS.md``
 maps the observable symptoms to these knobs.
 """
 
+from repro.obs.metrics import Counter, LatencyHistogram
 from repro.serve.admission import AdmissionController, AdmissionPolicy
 from repro.serve.api import (
     ChangesSince,
@@ -43,7 +42,7 @@ from repro.serve.api import (
 )
 from repro.serve.cache import RWLock, ShardedTileCache
 from repro.serve.fleet import FleetReport, FleetSimulator, VehicleReport
-from repro.serve.metrics import Counter, LatencyHistogram, ServiceMetrics
+from repro.serve.metrics import ServiceMetrics
 from repro.serve.service import MapService
 
 __all__ = [

@@ -27,8 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Optional
 
+from repro.obs.metrics import Counter
 from repro.serve.api import Priority
-from repro.serve.metrics import Counter
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.tiles import TileId
 from repro.core.versioning import MapPatch
@@ -62,25 +62,17 @@ class Request:
 class GetTile(Request):
     """Fetch one tile of the static base map.
 
-    With ``encoded=True`` the response payload is the serialized tile
-    blob (bytes) rather than the decoded :class:`~repro.core.hdmap.HDMap`;
-    repeat requests are answered from the serving cache's per-version
-    encoded-payload memo without re-serializing.
-
-    ``max_staleness`` bounds stale-while-revalidate serving of encoded
-    payloads: a cached blob built at a version up to that many versions
-    behind the current one may be served (the response's ``staleness``
-    says how far behind the payload actually is, and the tile is marked
-    so the next request re-encodes it fresh). ``None`` defers to the
-    service-wide ``stale_tile_versions`` default; ``0`` demands an
-    exactly-current payload.
+    With ``encoded=True`` the response payload is the stored tile blob
+    (``TileStore.encoded_view``: bytes, or a zero-copy ``memoryview`` of
+    the pack mmap) rather than the decoded
+    :class:`~repro.core.hdmap.HDMap`. Tiles are immutable, so the blob
+    is the same at every served version.
     """
 
     tile: TileId
     priority: Priority = Priority.NORMAL
     request_id: int = field(default_factory=lambda: next(_request_ids))
     encoded: bool = False
-    max_staleness: Optional[int] = None
 
 
 @dataclass
@@ -135,11 +127,6 @@ class Response:
     ``version`` is the database version the request was served at (−1 when
     the request never reached a handler, e.g. REJECTED/SHED). ``latency_s``
     spans submit → completion, so it includes queueing delay.
-
-    ``staleness`` is the explicit per-tile staleness bound surfaced by
-    stale-while-revalidate tile serving: how many versions behind
-    ``version`` the returned payload was built at (0 everywhere except
-    encoded ``GetTile`` answered from a within-bound stale memo entry).
     """
 
     status: Status
@@ -147,7 +134,6 @@ class Response:
     version: int = -1
     latency_s: float = 0.0
     error: str = ""
-    staleness: int = 0
 
     @property
     def ok(self) -> bool:

@@ -11,10 +11,8 @@ path. A CPython dict store of an int is atomic under the GIL, so hits can
 refresh recency without upgrading to the write lock; eviction (under the
 write lock) removes the least-recently-touched tile.
 
-Encoded-payload builds are single-flight: concurrent requests for the
-same ``(tile, version)`` collapse onto one encoder invocation — followers
-wait on the builder's result instead of serializing the tile N times
-(the ``coalesced`` counter says how often that saved an encode).
+Only *decoded* tiles live here. An encoded tile payload is the stored blob
+(``TileStore.encoded_view``) and never passes through the cache.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.hdmap import HDMap
 from repro.core.tiles import TileId
@@ -74,40 +72,13 @@ class RWLock:
                 self._cond.notify_all()
 
 
-#: Sentinel distinguishing "builder has not published yet / failed" from
-#: a legitimate ``None`` result (absent tile).
-_PENDING = object()
-
-
-class _EncodeFlight:
-    """One in-progress encode; followers wait on ``done`` and share
-    ``result``. ``_PENDING`` after ``done`` means the builder raised —
-    waiters take another lap and one of them becomes the new builder."""
-
-    __slots__ = ("done", "result")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result = _PENDING
-
-
 class _Shard:
-    __slots__ = ("lock", "items", "recency", "encoded", "revalidate",
-                 "building")
+    __slots__ = ("lock", "items", "recency")
 
     def __init__(self) -> None:
         self.lock = RWLock()
         self.items: Dict[TileId, Optional[HDMap]] = {}
         self.recency: Dict[TileId, int] = {}
-        # Serialized payloads keyed (tile, version): repeat encoded reads of
-        # an unchanged tile skip re-serialization entirely.
-        self.encoded: Dict[Tuple[TileId, int], bytes] = {}
-        # Tiles that served a stale payload and owe the next reader a
-        # fresh re-encode (the "revalidate" half of stale-while-revalidate).
-        self.revalidate: Set[TileId] = set()
-        # Single-flight: (tile, version) -> the in-progress encode that
-        # concurrent requesters wait on instead of duplicating the build.
-        self.building: Dict[Tuple[TileId, int], _EncodeFlight] = {}
 
 
 class ShardedTileCache:
@@ -124,10 +95,6 @@ class ShardedTileCache:
         self.hits = Counter()
         self.misses = Counter()
         self.evictions = Counter()
-        self.serialization_hits = Counter()
-        self.serialization_builds = Counter()
-        self.serialization_stale_hits = Counter()
-        self.coalesced = Counter()
 
     def _shard_for(self, tile: TileId) -> _Shard:
         return self._shards[hash((tile.tx, tile.ty)) % len(self._shards)]
@@ -171,156 +138,6 @@ class ShardedTileCache:
                 value = shard.items[tile]
         return value, False
 
-    def get_encoded(self, tile: TileId, version: int,
-                    encoder: Callable[[HDMap], bytes]) -> Optional[bytes]:
-        """Serialized tile payload, memoized per ``(tile, version)``.
-
-        A hit returns the cached blob under the shared lock without touching
-        the encoder. On a miss the decoded tile is fetched through
-        :meth:`get` and encoded *outside* every lock. Concurrent misses on
-        the same ``(tile, version)`` are **single-flight**: one caller
-        builds, the rest wait on its result (counted in ``coalesced``), so
-        a hot tile is never encoded twice at once. Returns None for tiles
-        the loader does not have.
-        """
-        return self.get_encoded_swr(tile, version, encoder, 0)[0]
-
-    def get_encoded_swr(self, tile: TileId, version: int,
-                        encoder: Callable[[HDMap], bytes],
-                        max_staleness: int = 0
-                        ) -> Tuple[Optional[bytes], int]:
-        """:meth:`get_encoded` with a stale-while-revalidate bound.
-
-        Returns ``(payload, staleness)`` where ``staleness`` is how many
-        versions behind ``version`` the payload was built at. With
-        ``max_staleness > 0``, a miss at the current version may be
-        answered from the newest memoized payload up to that many
-        versions old — the encoder is skipped entirely on the serving
-        path — and the tile is marked for revalidation: the *next*
-        encoded read re-encodes fresh (and drops the superseded
-        versions), so a tile serves at most one burst of stale reads per
-        version bump and staleness never exceeds the bound.
-        """
-        span = TRACER.span("serve.cache.get_encoded")
-        if span.context is None:
-            return self._get_encoded(tile, version, encoder, max_staleness)
-        with span:
-            payload, staleness = self._get_encoded(tile, version, encoder,
-                                                   max_staleness)
-            span.set("tile", str(tile))
-            span.set("version", version)
-            if staleness:
-                span.set("staleness", staleness)
-            return payload, staleness
-
-    def _find_stale(self, shard: _Shard, tile: TileId, version: int,
-                    max_staleness: int) -> Tuple[Optional[bytes], int]:
-        """Newest within-bound older payload of ``tile`` (caller holds
-        the read lock); ``(None, 0)`` when there is none."""
-        best_version = -1
-        best_payload: Optional[bytes] = None
-        for (t, v), blob in shard.encoded.items():
-            if t == tile and v < version and version - v <= max_staleness \
-                    and v > best_version:
-                best_version, best_payload = v, blob
-        if best_payload is None:
-            return None, 0
-        return best_payload, version - best_version
-
-    def _get_encoded(self, tile: TileId, version: int,
-                     encoder: Callable[[HDMap], bytes],
-                     max_staleness: int = 0) -> Tuple[Optional[bytes], int]:
-        shard = self._shard_for(tile)
-        key = (tile, version)
-        while True:
-            with shard.lock.read():
-                payload = shard.encoded.get(key)
-                if payload is not None:
-                    self.serialization_hits.add()
-                    return payload, 0
-                if max_staleness > 0 and tile not in shard.revalidate:
-                    stale, staleness = self._find_stale(shard, tile, version,
-                                                        max_staleness)
-                else:
-                    stale, staleness = None, 0
-            if stale is not None:
-                with shard.lock.write():
-                    shard.revalidate.add(tile)
-                self.serialization_stale_hits.add()
-                return stale, staleness
-            # Single-flight: claim the builder slot for this
-            # (tile, version), or wait on whoever already holds it.
-            with shard.lock.write():
-                payload = shard.encoded.get(key)
-                if payload is not None:
-                    self.serialization_hits.add()
-                    return payload, 0
-                flight = shard.building.get(key)
-                builder = flight is None
-                if builder:
-                    flight = _EncodeFlight()
-                    shard.building[key] = flight
-            if not builder:
-                flight.done.wait()
-                if flight.result is not _PENDING:
-                    self.coalesced.add()
-                    return flight.result, 0
-                continue  # the builder raised; take another lap
-            try:
-                payload = self._build_encoded(shard, tile, key, encoder)
-                flight.result = payload
-                return payload, 0
-            finally:
-                with shard.lock.write():
-                    shard.building.pop(key, None)
-                flight.done.set()
-
-    def _build_encoded(self, shard: _Shard, tile: TileId,
-                       key: Tuple[TileId, int],
-                       encoder: Callable[[HDMap], bytes]
-                       ) -> Optional[bytes]:
-        """The single-flight builder's leg: load, encode (outside every
-        lock), install. Returns None for tiles the loader lacks."""
-        decoded = self.get(tile)
-        if decoded is None:
-            return None
-        payload = encoder(decoded)
-        self.serialization_builds.add()
-        version = key[1]
-        with shard.lock.write():
-            existing = shard.encoded.get(key)
-            if existing is not None:
-                shard.revalidate.discard(tile)
-                return existing
-            shard.encoded[key] = payload
-            # A fresh build supersedes every older version of this tile.
-            for old in [k for k in shard.encoded
-                        if k[0] == tile and k[1] < version]:
-                del shard.encoded[old]
-            shard.revalidate.discard(tile)
-            # Bound the memo like the decoded side; dict order is insertion
-            # order, so the oldest entry (stalest version first) goes.
-            while len(shard.encoded) > self.tiles_per_shard:
-                shard.encoded.pop(next(iter(shard.encoded)))
-        return payload
-
-    def invalidate_encoded(self,
-                           tiles: Optional[List[TileId]] = None) -> None:
-        """Drop encoded payloads (all, or those of specific tiles)."""
-        if tiles is None:
-            for shard in self._shards:
-                with shard.lock.write():
-                    shard.encoded.clear()
-                    shard.revalidate.clear()
-            return
-        wanted = set(tiles)
-        for tile in wanted:
-            shard = self._shard_for(tile)
-            with shard.lock.write():
-                for key in [k for k in shard.encoded if k[0] in wanted]:
-                    del shard.encoded[key]
-                shard.revalidate.discard(tile)
-
     def invalidate(self, tiles: Optional[List[TileId]] = None) -> None:
         """Drop specific tiles (or everything when ``tiles`` is None)."""
         if tiles is None:
@@ -328,17 +145,12 @@ class ShardedTileCache:
                 with shard.lock.write():
                     shard.items.clear()
                     shard.recency.clear()
-                    shard.encoded.clear()
-                    shard.revalidate.clear()
             return
         for tile in tiles:
             shard = self._shard_for(tile)
             with shard.lock.write():
                 shard.items.pop(tile, None)
                 shard.recency.pop(tile, None)
-                for key in [k for k in shard.encoded if k[0] == tile]:
-                    del shard.encoded[key]
-                shard.revalidate.discard(tile)
 
     def resident_tiles(self) -> List[TileId]:
         out: List[TileId] = []
@@ -360,8 +172,4 @@ class ShardedTileCache:
             "evictions": self.evictions.value,
             "hit_rate": self.hit_rate,
             "resident": len(self.resident_tiles()),
-            "serialization_hits": self.serialization_hits.value,
-            "serialization_builds": self.serialization_builds.value,
-            "serialization_stale_hits": self.serialization_stale_hits.value,
-            "coalesced": self.coalesced.value,
         }

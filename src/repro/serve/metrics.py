@@ -1,10 +1,9 @@
-"""Serving metrics: thread-safe counters and latency histograms.
+"""Serving metrics: the per-service :class:`ServiceMetrics` aggregate.
 
-The primitives (:class:`Counter`, :class:`Gauge`,
-:class:`LatencyHistogram`, and the shared bucket bounds) live in
-:mod:`repro.obs.metrics` — the unified observability layer — and are
-re-exported here for backward compatibility; this module keeps the
-serving-specific :class:`ServiceMetrics` aggregate. The service keeps
+The primitives (:class:`~repro.obs.metrics.Counter`,
+:class:`~repro.obs.metrics.LatencyHistogram`, the shared bucket bounds)
+live in :mod:`repro.obs.metrics` — the unified observability layer; this
+module keeps only the serving-specific aggregate. The service keeps
 one :class:`LatencyHistogram` and a counter per request kind plus global
 admission counters, which together give the per-request-type latency
 distribution, QPS, and error/shed rates of a run, and the whole
@@ -18,11 +17,9 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional, Tuple
 
-from repro.obs.metrics import (  # noqa: F401  (compatibility re-exports)
-    DEFAULT_BOUNDS,
+from repro.obs.metrics import (
     FRESHNESS_BOUNDS,
     Counter,
-    Gauge,
     LatencyHistogram,
     MetricsRegistry,
 )
@@ -155,10 +152,9 @@ class ServiceMetrics:
     def snapshot(self) -> Dict[str, object]:
         """as_dict() plus the attached cache's counters.
 
-        The ``cache`` section carries the serving cache's decode counters
-        and the serialization-memo ``serialization_hits`` /
-        ``serialization_builds`` split, making encoded-payload memoization
-        observable per service.
+        The ``cache`` section carries the serving cache's decoded-tile
+        counters (``hits`` / ``misses`` / ``evictions`` / ``hit_rate`` /
+        ``resident``).
         """
         out = self.as_dict()
         if self._cache is not None:
@@ -180,7 +176,7 @@ class ServiceMetrics:
         - ``serve.freshness``
         - ``serve.latency.<kind>`` (histogram per request kind)
         - ``serve.requests.<kind>.<status>`` (outcome counters)
-        - ``serve.cache.hits|misses|evictions|serialization_hits|...``
+        - ``serve.cache.hits|misses|evictions|hit_rate|resident``
         """
         registry.register(f"{prefix}.rejected", self.rejected)
         registry.register(f"{prefix}.shed", self.shed)

@@ -53,7 +53,6 @@ from repro.serve.api import (
 )
 from repro.serve.cache import ShardedTileCache
 from repro.serve.metrics import ServiceMetrics
-from repro.storage.binary import encode_map
 from repro.storage.tilestore import TileStore
 from repro.update.distribution import MapDistributionServer
 
@@ -84,24 +83,14 @@ class MapService:
                  storage_latency_s: float = 0.0,
                  service_latency_s: float = 0.0,
                  registry: Optional[MetricsRegistry] = None,
-                 stale_tile_versions: int = 0,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if stale_tile_versions < 0:
-            raise ValueError("stale_tile_versions must be >= 0")
         self.server = server
         self.store = store
         self.n_workers = n_workers
         self.storage_latency_s = storage_latency_s
         self.service_latency_s = service_latency_s
-        #: default stale-while-revalidate bound for encoded GetTile:
-        #: 0 = always re-encode at the current version (strict), N > 0 =
-        #: an encoded payload up to N versions old may be served (with
-        #: the lag surfaced as Response.staleness) while the tile is
-        #: marked for re-encoding — the graceful-degradation mode for
-        #: publish-heavy / invalidation-storm conditions.
-        self.stale_tile_versions = stale_tile_versions
         self._clock = clock
         self.cache = ShardedTileCache(self._fetch_tile, cache_shards,
                                       tiles_per_shard)
@@ -116,9 +105,6 @@ class MapService:
                               self.spatial_tiles_scanned)
             if store.pack_backed:
                 store.pack_reader.register_into(registry)
-        # Encoded payloads are keyed by served version; a published patch
-        # advances the version, so drop the now-stale memo entries eagerly.
-        server.add_listener(self._on_ingest_publish)
         self.queue = AdmissionController(policy, on_shed=self._shed_item,
                                          clock=clock)
         self._threads: List[threading.Thread] = []
@@ -202,10 +188,9 @@ class MapService:
             if self.service_latency_s > 0:
                 time.sleep(self.service_latency_s)
             try:
-                payload, version, staleness = self._dispatch(item.request)
+                payload, version = self._dispatch(item.request)
                 latency = self._clock() - item.submitted_at
-                response = Response(Status.OK, payload, version, latency,
-                                    staleness=staleness)
+                response = Response(Status.OK, payload, version, latency)
             except HDMapError as exc:
                 latency = self._clock() - item.submitted_at
                 response = Response(Status.ERROR, latency_s=latency,
@@ -230,49 +215,33 @@ class MapService:
             time.sleep(self.storage_latency_s)
         return self.store.load_tile(tile)
 
-    def _on_ingest_publish(self, version: int, patch) -> None:
-        # Strict mode drops the (now-stale) encoded memo eagerly. In
-        # stale-while-revalidate mode the old payloads are the degradation
-        # budget: they stay servable within the staleness bound and are
-        # superseded on the next fresh build instead.
-        if self.stale_tile_versions == 0:
-            self.cache.invalidate_encoded()
-
     def _dispatch(self, request: Request):
-        """(payload, served version, payload staleness-in-versions)."""
+        """(payload, served version)."""
         if isinstance(request, GetTile):
             version = self.server.version
             if request.encoded:
-                if self.store.pack_backed:
-                    # Zero-copy fast path: the payload is a memoryview
-                    # slice of the pack mmap — no encode, no cache memo,
-                    # no per-request copy. Pack payloads are the static
-                    # base map, byte-stable across versions, so the SWR
-                    # staleness contract is trivially met at 0.
-                    return self.store.encoded_view(request.tile), version, 0
-                bound = request.max_staleness \
-                    if request.max_staleness is not None \
-                    else self.stale_tile_versions
-                payload, staleness = self.cache.get_encoded_swr(
-                    request.tile, version, encode_map, bound)
-                return payload, version, staleness
-            return self.cache.get(request.tile), version, 0
+                # The payload is the stored blob itself (a zero-copy mmap
+                # slice for pack-backed stores): tiles are the static base
+                # map, byte-stable across versions, so there is nothing to
+                # encode, memoize or invalidate.
+                return self.store.encoded_view(request.tile), version
+            return self.cache.get(request.tile), version
         if isinstance(request, SpatialQuery):
-            return self._spatial(request), self.server.version, 0
+            return self._spatial(request), self.server.version
         if isinstance(request, ChangesSince):
             delta = self.server.delta_since(request.since_version)
             if request.encoded:
                 from repro.pack.delta import encode_delta
-                return encode_delta(delta), delta.version, 0
-            return delta, delta.version, 0
+                return encode_delta(delta), delta.version
+            return delta, delta.version
         if isinstance(request, IngestPatch):
             result = self.server.ingest(request.patch)
             version = result.version if result.version is not None \
                 else self.server.version
-            return result, version, 0
+            return result, version
         if isinstance(request, Snapshot):
             snapshot = self.server.snapshot()
-            return snapshot, snapshot.version, 0
+            return snapshot, snapshot.version
         raise HDMapError(f"unknown request type {type(request).__name__}")
 
     def _spatial(self, request: SpatialQuery) -> list:

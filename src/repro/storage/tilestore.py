@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -243,14 +243,18 @@ class TileStore:
             return self._has_tile(tile)
         return tile in self._blobs
 
-    def encoded_view(self, tile: TileId) -> Optional[memoryview]:
-        """Zero-copy encoded payload for ``tile``.
+    def encoded_view(self, tile: TileId
+                     ) -> Optional[Union[bytes, memoryview]]:
+        """The encoded payload of ``tile``: its stored blob, uncopied.
 
-        Only pack-backed stores return a view (a slice of the mmap);
-        dict-backed stores return ``None`` so the serve layer keeps its
-        per-request encode + cache path.
+        This is *the* definition of an encoded tile payload for both
+        backends — the ``bytes`` object a dict-backed store holds, or a
+        ``memoryview`` slice of the mmap for a pack-backed one. ``None``
+        for tiles the store lacks.
         """
-        if self._pack is None or not self._has_tile(tile):
+        if self._pack is None:
+            return self._blobs.get(tile)
+        if not self._has_tile(tile):
             return None
         return self._pack.get(tile)
 

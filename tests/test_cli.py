@@ -153,3 +153,20 @@ class TestObsCli:
         out = capsys.readouterr().out
         assert "ingest.enqueue" in out
         assert "ingest.batch" in out
+
+
+class TestDocsConsistency:
+    def test_handbooks_name_only_live_metrics_knobs_and_flags(self):
+        """``tools/check_docs.py`` in-process: a handbook naming a deleted
+        metric, constructor argument or CLI flag fails tier-1, not only
+        the CI lint job."""
+        import importlib.util
+        import os
+
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "tools", "check_docs.py")
+        spec = importlib.util.spec_from_file_location("check_docs", path)
+        check_docs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_docs)
+
+        assert check_docs.main() == 0  # stale references are printed

@@ -278,6 +278,34 @@ class TestFailoverAndRestart:
             assert client.is_consistent()
 
 
+    def test_concurrent_retirements_lose_no_late_discard(self, city):
+        """Handles restart under *per-handle* locks, so two can retire a
+        connection at once; the folded total must not drop an update."""
+        import sys
+        from types import SimpleNamespace
+
+        n_threads, per_thread = 8, 2000
+        dying = SimpleNamespace(late_discards=1)
+        with _local_router(city) as router:
+            def retire():
+                for _ in range(per_thread):
+                    router._retire_connection(dying)
+
+            threads = [threading.Thread(target=retire)
+                       for _ in range(n_threads)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert router.late_discards_total() == n_threads * per_thread
+
+
 class TestRebalance:
     def test_growth_moves_only_rehashed_tiles(self, city):
         with _local_router(city) as router:

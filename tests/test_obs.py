@@ -119,18 +119,6 @@ class TestLatencyHistogramMerge:
         assert m.as_dict()["stage_latency"]["fuse"]["count"] == 3
 
 
-class TestGaugeCompat:
-    def test_gauge_moved_to_obs_and_reexported(self):
-        from repro.ingest import Gauge as ingest_pkg_gauge
-        from repro.ingest.metrics import Gauge as ingest_gauge
-        from repro.obs.metrics import Gauge as obs_gauge
-        from repro.serve.metrics import Gauge as serve_gauge
-        assert obs_gauge is Gauge
-        assert ingest_gauge is obs_gauge
-        assert ingest_pkg_gauge is obs_gauge
-        assert serve_gauge is obs_gauge
-
-
 # ----------------------------------------------------------------------
 class TestMetricsRegistry:
     def test_register_and_snapshot(self):

@@ -256,8 +256,12 @@ class TestTileStorePackMode:
     def test_encoded_view_only_when_packed(self, city_store, pack_path):
         packed = TileStore.from_pack(pack_path)
         tile = city_store.tiles()[0]
-        assert bytes(packed.encoded_view(tile)) == city_store._blobs[tile]
-        assert city_store.encoded_view(tile) is None
+        view = packed.encoded_view(tile)
+        assert isinstance(view, memoryview)
+        assert bytes(view) == city_store._blobs[tile]
+        # a dict-backed store hands out the stored blob itself, no view
+        assert city_store.encoded_view(tile) is city_store._blobs[tile]
+        assert city_store.encoded_view(TileId(99, 99)) is None
 
     def test_visible_subset(self, city_store, pack_path):
         subset = city_store.tiles()[:2]
@@ -292,13 +296,40 @@ class TestPackServing:
         with MapService(server, packed, n_workers=2) as service:
             tile = city_store.tiles()[0]
             response = service.request(GetTile(tile=tile, encoded=True))
-            assert response.ok and response.staleness == 0
+            assert response.ok
             assert isinstance(response.payload, memoryview)
             assert response.payload.obj is packed.pack_reader.buffer.obj
             assert bytes(response.payload) == city_store._blobs[tile]
             missing = service.request(GetTile(tile=TileId(99, 99),
                                               encoded=True))
             assert missing.ok and missing.payload is None
+
+    def test_encoded_gettile_is_stored_blob_on_both_backends(
+            self, city, city_store, pack_path):
+        """Dict- and pack-backed services answer the same bytes — the
+        stored blob — before and after a version bump, cache untouched."""
+        packed = TileStore.from_pack(pack_path)
+        for store in (city_store, packed):
+            working = city.copy()
+            server = MapDistributionServer(working)
+            with MapService(server, store, n_workers=1) as service:
+                for bump in (False, True):
+                    if bump:
+                        patch = MapPatch(source="probe", confidence=0.9)
+                        patch.add(TrafficSign(
+                            id=working.new_id("pk-sign"),
+                            position=np.array([5.0, 5.0]),
+                            sign_type=SignType.STOP))
+                        assert service.request(IngestPatch(patch=patch)).ok
+                    for tile in city_store.tiles():
+                        response = service.request(
+                            GetTile(tile=tile, encoded=True))
+                        assert response.ok
+                        assert response.version == int(bump)
+                        assert bytes(response.payload) \
+                            == city_store._blobs[tile]
+                assert service.cache.hits.value == 0
+                assert service.cache.misses.value == 0
 
     def test_decoded_gettile_still_served(self, city, pack_path):
         packed = TileStore.from_pack(pack_path)
@@ -333,12 +364,12 @@ class TestPackServing:
 class TestRawRpcFrames:
     def _serve(self, dispatch):
         ours, theirs = socket.socketpair()
-        from repro.cluster.rpc import RpcConnection, serve_connection
+        from repro.cluster.rpc import PipelinedConnection, serve_connection
 
         thread = threading.Thread(target=serve_connection,
                                   args=(theirs, dispatch), daemon=True)
         thread.start()
-        return RpcConnection(ours)
+        return PipelinedConnection(ours)
 
     def test_raw_response_roundtrip(self, city_store, pack_path):
         reader = PackReader(pack_path)
@@ -347,13 +378,13 @@ class TestRawRpcFrames:
 
         def dispatch(op, payload):
             return Response(Status.OK, payload=view, version=7,
-                            latency_s=0.125, staleness=2)
+                            latency_s=0.125)
 
         conn = self._serve(dispatch)
         response = conn.call("tile")
         assert isinstance(response, Response)
         assert bytes(response.payload) == bytes(view)
-        assert (response.version, response.staleness) == (7, 2)
+        assert response.version == 7
         assert response.latency_s == pytest.approx(0.125)
         conn.call("shutdown")
         conn.close()

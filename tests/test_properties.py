@@ -158,3 +158,31 @@ class TestBinaryCodecProperty:
         assert len(originals) == len(decoded)
         for a, b in zip(originals, decoded):
             assert np.allclose(a.position, b.position, atol=0.006)
+
+
+class TestTileBlobCanonical:
+    """A stored tile blob is the canonical encoding of its decoded tile.
+
+    ``GetTile(encoded=True)`` answers the blob as stored, with no
+    re-encode; that is only the same payload a decode + ``encode_map``
+    would produce because this round trip is the identity on bytes.
+    """
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([100.0, 150.0, 250.0, 500.0]),
+           st.sampled_from([100.0, 150.0, 200.0]))
+    @settings(deadline=None, max_examples=15)
+    def test_reencoding_a_tile_reproduces_its_blob(
+            self, seed, blocks_x, blocks_y, tile_size, block_size):
+        from repro.storage import TileStore, decode_map, encode_map
+        from repro.world import generate_grid_city
+
+        city = generate_grid_city(np.random.default_rng(seed), blocks_x,
+                                  blocks_y, block_size=block_size)
+        store = TileStore.build(city, tile_size=tile_size)
+        assert store.tiles()
+        for tile in store.tiles():
+            blob = store._blobs[tile]
+            assert encode_map(decode_map(blob)) == blob

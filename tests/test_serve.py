@@ -235,83 +235,6 @@ class TestShardedTileCache:
             t.join()
         assert not errors
 
-    def test_invalidate_mid_encoded_build_is_safe(self, city):
-        from repro.storage.binary import encode_map
-
-        store = TileStore.build(city, tile_size=150.0)
-        cache = ShardedTileCache(store.load_tile, n_shards=2,
-                                 tiles_per_shard=8)
-        tile = store.tiles()[0]
-        encoding = threading.Event()
-        invalidated = threading.Event()
-
-        def encoder(hdmap):
-            encoding.set()
-            assert invalidated.wait(timeout=5.0)
-            return encode_map(hdmap)
-
-        result = {}
-
-        def build():
-            result["payload"] = cache.get_encoded(tile, 1, encoder)
-
-        builder = threading.Thread(target=build)
-        builder.start()
-        assert encoding.wait(timeout=5.0)
-        # The encoder runs outside every shard lock, so invalidating the
-        # tile mid-build must neither deadlock nor corrupt the memo.
-        cache.invalidate_encoded([tile])
-        invalidated.set()
-        builder.join(timeout=5.0)
-        assert not builder.is_alive()
-        assert result["payload"] == encode_map(store.load_tile(tile))
-        # The racing build installs (tile, 1) after the invalidation; a
-        # read at the bumped version must rebuild, not serve that entry.
-        assert cache.get_encoded(tile, 2, lambda m: b"v2") == b"v2"
-        assert cache.serialization_builds.value == 2
-
-    def test_concurrent_encodes_collapse_to_one_build(self, city):
-        import time
-
-        from repro.storage.binary import encode_map
-
-        store = TileStore.build(city, tile_size=150.0)
-        cache = ShardedTileCache(store.load_tile, n_shards=2,
-                                 tiles_per_shard=8)
-        tile = store.tiles()[0]
-        builds = []
-        entered = threading.Event()
-        release = threading.Event()
-
-        def encoder(hdmap):
-            builds.append(tile)
-            entered.set()
-            assert release.wait(timeout=5.0)
-            return encode_map(hdmap)
-
-        n = 6
-        payloads = [None] * n
-
-        def one(slot):
-            payloads[slot] = cache.get_encoded(tile, 1, encoder)
-
-        threads = [threading.Thread(target=one, args=(s,))
-                   for s in range(n)]
-        threads[0].start()
-        assert entered.wait(timeout=5.0)  # the leader is inside the encoder
-        for t in threads[1:]:
-            t.start()
-        time.sleep(0.3)  # followers park on the in-flight build
-        release.set()
-        for t in threads:
-            t.join()
-        want = encode_map(store.load_tile(tile))
-        assert payloads == [want] * n
-        assert len(builds) == 1
-        assert cache.serialization_builds.value == 1
-        assert cache.coalesced.value == n - 1
-        assert cache.as_dict()["coalesced"] == n - 1
-
     def test_rwlock_excludes_writers(self):
         lock = RWLock()
         log = []
