@@ -6,13 +6,13 @@ tile ownership moves as capacity grows. This bench exercises
 :mod:`repro.cluster` end-to-end on the synthetic substrate:
 
 - **throughput scaling** — aggregate ``GetTile`` throughput at 2 shards
-  must clear 1.5x the single-shard run. The probe pins the router to the
-  lockstep discipline (``pipeline=False``: one outstanding call per
-  shard, no replicas, no coalescing), so N shards admit exactly N
-  concurrent simulated service sleeps and the sweep isolates
-  routing-tier scaling even on one core. The concurrent read path's own
-  speedups (replica round-robin, pipelined scatter-gather, single-flight
-  coalescing) are gated separately in ``bench_s08_readpath.py``;
+  must clear 1.5x the single-shard run. Clients are shard-pinned on
+  disjoint tile slices (:func:`repro.cluster.read_throughput`, so
+  nothing coalesces) and outnumber the service slots, so N shards x 2
+  workers admit exactly 2N concurrent simulated service sleeps and the
+  sweep isolates routing-tier scaling even on one core. Replica
+  round-robin, scatter-gather and single-flight coalescing are gated
+  in ``bench_s08_readpath.py``;
 - **failover** — killing a shard mid-read must be absorbed by a replica
   or a journal restart, never surfaced to the caller;
 - **chaos certification** — the ``shard`` fault class (crash, slow
@@ -22,58 +22,29 @@ tile ownership moves as capacity grows. This bench exercises
   byte-identical to a plain single-node service run.
 """
 
-import threading
-import time
-
 import numpy as np
 from conftest import once
 
 from repro.chaos import ClusterChaosHarness, ClusterWorkload, FaultPlan
 from repro.chaos.faults import curated_matrix
-from repro.cluster import ClusterRouter
+from repro.cluster import ClusterRouter, read_throughput
 from repro.eval import ResultTable
-from repro.serve.api import GetTile
 from repro.world import generate_grid_city
 
 _SEED = 7
 _REQUESTS = 240
-_CLIENTS = 4
+_CLIENTS = 8
 _SERVICE_LATENCY_S = 0.02
 
 
 def _throughput(city, n_shards: int) -> float:
-    # lockstep discipline: the per-shard-serialized baseline this bench
-    # was written against (the pipelined path is S8's to gate)
     router = ClusterRouter(city, n_shards=n_shards, tile_size=120.0,
                            transport="process", n_workers=2,
-                           service_latency_s=_SERVICE_LATENCY_S,
-                           pipeline=False)
+                           service_latency_s=_SERVICE_LATENCY_S)
     try:
-        by_shard = {}
-        for tile in router.tiles():
-            by_shard.setdefault(router.owner_of_tile(tile), []).append(tile)
-        shard_tiles = [by_shard[s] for s in sorted(by_shard)]
-        share = _REQUESTS // _CLIENTS
-        failures = [0] * _CLIENTS
-
-        def worker(me: int) -> None:
-            tiles = shard_tiles[me % len(shard_tiles)]
-            for k in range(share):
-                response = router.request(
-                    GetTile(tile=tiles[k % len(tiles)], encoded=True))
-                if not response.ok:
-                    failures[me] += 1
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(_CLIENTS)]
-        t0 = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - t0
-        assert not sum(failures)
-        return share * _CLIENTS / elapsed
+        throughput, errors, _ = read_throughput(router, _REQUESTS, _CLIENTS)
+        assert errors == 0
+        return throughput
     finally:
         router.close()
 

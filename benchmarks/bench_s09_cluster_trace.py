@@ -9,8 +9,8 @@ bench certifies the *distributed* claims from ``repro.cluster``:
   meaningfully move median read-round latency. Rounds are interleaved
   traced/untraced so machine drift hits both modes equally; the gate is
   deliberately loose (local transport, tiny rounds amplify noise) —
-  the tight 5% gate runs against the process transport in
-  ``cluster-bench --trace-sample-rate`` under CI;
+  the real-cost number over the process transport is the macrobench
+  ``obs.trace.full_sampling_slowdown`` row;
 - **reconstruction** — after a harvest, one guaranteed-sampled
   ``GetTile`` must reconstruct as a single verify-clean span tree whose
   parent chain crosses the transport: ``cluster.request.GetTile ->
@@ -18,11 +18,10 @@ bench certifies the *distributed* claims from ``repro.cluster``:
 """
 
 import statistics
-import threading
 
 from conftest import once
 
-from repro.cluster import ClusterRouter
+from repro.cluster import ClusterRouter, read_throughput
 from repro.eval import ResultTable
 from repro.obs import TRACER, configure_tracing, verify_spans
 from repro.serve.api import GetTile
@@ -32,28 +31,14 @@ _ROUNDS = 20
 _REQUESTS_PER_ROUND = 60
 _CLIENTS = 4
 _SERVICE_LATENCY_S = 0.002
-_MAX_OVERHEAD = 0.25  # loose local-transport gate; CI gates 5% (process)
+_MAX_OVERHEAD = 0.25  # loose: local transport, tiny rounds
 
 
-def _read_round(router, tiles):
-    import time
-
-    share = _REQUESTS_PER_ROUND // _CLIENTS
-
-    def worker(me):
-        for k in range(share):
-            response = router.request(
-                GetTile(tile=tiles[(me + k) % len(tiles)], encoded=True))
-            assert response.ok, response.error
-
-    threads = [threading.Thread(target=worker, args=(i,))
-               for i in range(_CLIENTS)]
-    t0 = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return time.perf_counter() - t0
+def _read_round(router):
+    _, errors, elapsed = read_throughput(router, _REQUESTS_PER_ROUND,
+                                         _CLIENTS)
+    assert errors == 0
+    return elapsed
 
 
 def _experiment(rng):
@@ -66,14 +51,14 @@ def _experiment(rng):
     elapsed = {"off": [], "on": []}
     try:
         tiles = sorted(router.tiles())
-        _read_round(router, tiles)  # warmup
+        _read_round(router)  # warmup
         for _ in range(_ROUNDS):
             for mode in ("off", "on"):
                 if mode == "on":
                     configure_tracing(enabled=True, sample_rate=0.01)
                 else:
                     TRACER.configure(enabled=False)
-                elapsed[mode].append(_read_round(router, tiles))
+                elapsed[mode].append(_read_round(router))
 
         # One fully sampled request, then harvest and reconstruct.
         configure_tracing(enabled=True, sample_rate=1.0, reset=True)

@@ -191,18 +191,14 @@ class ClusterChaosHarness:
             configure_tracing(enabled=True,
                               sample_rate=w.trace_sample_rate)
         t_start = time.perf_counter()
-        # pipeline/replica_reads explicitly on: the invariants are
-        # certified against the concurrent read path (kill-mid-pipeline,
-        # replica-served reads under the version floor), not the legacy
-        # lockstep baseline. With tracing on, the telemetry harvester
-        # pulls shard rings in the background so shard-side
-        # fault_injected events (the slow fault fires inside the shard
-        # process) land in the merged log before the report is built.
+        # With tracing on, the telemetry harvester pulls shard rings in
+        # the background so shard-side fault_injected events (the slow
+        # fault fires inside the shard process) land in the merged log
+        # before the report is built.
         router = ClusterRouter(
             self.hdmap, n_shards=w.n_shards, tile_size=w.tile_size,
             replicas=w.replicas, transport=w.transport,
             call_timeout_s=w.call_timeout_s, lease_s=w.lease_s,
-            pipeline=True, replica_reads=True,
             telemetry_interval_s=0.5 if tracing else None)
         try:
             crash = self.plan.point(CLUSTER_SHARD_CRASH)

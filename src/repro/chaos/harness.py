@@ -38,7 +38,7 @@ would, plus faults. Where each fault point plugs in:
   constraint-clean served map.
 
 Determinism contract: the whole stream is submitted to the bus *before*
-the stage workers start (the ingest-bench idiom), submission is
+the stage workers start (as ``bench_s02_ingest.py`` does), submission is
 sequential per vehicle, and the default workload runs one worker — so
 batch boundaries, fusion order, and published patches are a pure
 function of (workload seed, fault plan). A run with an inert plan
@@ -462,8 +462,8 @@ class ChaosHarness:
                                   self.plan.point(PUBLISH_TRANSIENT))
         pipe = self._build_pipeline(proxy, hooked=True)
         source = self._source(scenario)
-        # Ingest-bench idiom: the bus is fully loaded before the stage
-        # workers start, so batching is a pure function of the stream.
+        # The bus is fully loaded before the stage workers start, so
+        # batching is a pure function of the stream.
         self._submit_all(pipe, source, server, scenario)
         with _quiet_injected_crashes():
             pipe.start()

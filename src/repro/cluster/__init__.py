@@ -10,7 +10,11 @@ fails over shards from that journal. See ``DESIGN.md`` ("Cluster") for
 the ownership/failover walkthrough.
 """
 
-from repro.cluster.client import ClusterDelta, ClusterMapClient
+from repro.cluster.client import (
+    ClusterDelta,
+    ClusterMapClient,
+    read_throughput,
+)
 from repro.cluster.router import (
     ClusterRouter,
     LocalShard,
@@ -40,5 +44,6 @@ __all__ = [
     "ShardTimeout",
     "TelemetryHarvester",
     "estimate_clock_offset",
+    "read_throughput",
     "shard_main",
 ]

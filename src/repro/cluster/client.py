@@ -18,12 +18,15 @@ changes may overshoot, the state never diverges.
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.core.changes import MapChange
 from repro.core.hdmap import HDMap
 from repro.errors import ClusterError
+from repro.serve.api import GetTile
 from repro.update.distribution import SyncDelta
 
 if TYPE_CHECKING:  # circular at runtime: router builds ClusterDelta
@@ -126,3 +129,47 @@ class ClusterMapClient:
         merged, _ = self.router.bootstrap()
         local_ids = {e.id for e in self.local.elements()}
         return {e.id for e in merged.elements()} == local_ids
+
+
+def read_throughput(router: "ClusterRouter", requests: int,
+                    clients: int) -> Tuple[float, int, float]:
+    """Closed-loop encoded-GetTile load against a live router; returns
+    ``(req/s, errors, elapsed_s)``.
+
+    Clients are pinned to one shard and walk *disjoint* subsets of its
+    tiles, so two clients never issue the same tile concurrently — the
+    router's single-flight coalescing cannot share responses and the
+    number measures backend capacity, nothing else.
+    """
+    by_shard: Dict[int, list] = {}
+    for tile in router.tiles():
+        by_shard.setdefault(router.owner_of_tile(tile), []).append(tile)
+    shard_tiles = [by_shard[s] for s in sorted(by_shard)]
+    n_lists = len(shard_tiles)
+    errors = [0] * clients
+    share = [requests // clients] * clients
+    for i in range(requests % clients):
+        share[i] += 1
+
+    def worker(me: int) -> None:
+        tiles = shard_tiles[me % n_lists]
+        rank = me // n_lists
+        peers = len(range(me % n_lists, clients, n_lists))
+        mine = tiles[rank % len(tiles)::peers] or \
+            [tiles[rank % len(tiles)]]
+        for k in range(share[me]):
+            tile = mine[k % len(mine)]
+            if not router.request(GetTile(tile=tile, encoded=True)).ok:
+                errors[me] += 1
+
+    threads = [threading.Thread(target=worker, args=(i,),
+                                name=f"bench-client-{i}")
+               for i in range(clients)]
+    t0 = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    elapsed = time.perf_counter() - t0
+    return (requests / elapsed if elapsed > 0 else 0.0,
+            sum(errors), elapsed)

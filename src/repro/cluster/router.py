@@ -41,8 +41,7 @@ floor**: a reply below the shard version this router has already
 observed is discarded (``cluster.read.replica_lag``) and the read
 retries on the primary, so replica scaling never weakens version
 monotonicity. Identical concurrent GetTiles coalesce into a single
-flight (``cluster.read.coalesced``). ``pipeline=False`` restores the
-legacy lockstep discipline as a measurement baseline.
+flight (``cluster.read.coalesced``).
 
 Reads fail over to a replica when the primary dies mid-call; writes
 restart the primary first (replicas receive acked patches synchronously,
@@ -456,9 +455,7 @@ class ClusterRouter:
                  registry: Optional[MetricsRegistry] = None,
                  pack_path: Optional[str] = None,
                  journal_warn_threshold: int = 10_000,
-                 pipeline: bool = True,
                  replica_reads: bool = True,
-                 scatter: str = "concurrent",
                  clock: Callable[[], float] = time.monotonic,
                  telemetry_interval_s: Optional[float] = None,
                  telemetry_batch: int = 512) -> None:
@@ -468,25 +465,15 @@ class ClusterRouter:
             raise ClusterError("replicas must be >= 0")
         if transport not in ("process", "local"):
             raise ClusterError(f"unknown transport {transport!r}")
-        if scatter not in ("concurrent", "serial"):
-            raise ClusterError(f"unknown scatter mode {scatter!r}")
         self.n_shards = n_shards
         self.replicas = replicas
         self.transport = transport
         self.call_timeout_s = call_timeout_s
         self.lease_s = lease_s
-        #: ``pipeline=False`` restores the legacy one-outstanding-call-
-        #: per-shard read discipline (the handle lock held across the
-        #: RPC) — the measurement baseline ``cluster-bench --pipeline``
-        #: compares against. Writes serialize either way.
-        self.pipeline = pipeline
         #: route eligible reads round-robin across primary + replicas
         #: (guarded by the per-request version floor); ``False`` keeps
         #: replicas failover-only.
         self.replica_reads = replica_reads
-        #: scatter-gather dispatch: ``"concurrent"`` issues all shard
-        #: calls at once and joins; ``"serial"`` iterates (baseline).
-        self.scatter = scatter
         self._start_method = start_method
         self._clock = clock
         self._name = hdmap.name
@@ -836,12 +823,6 @@ class ClusterRouter:
         live replicas when eligible, else pin to the primary. Never
         raises — routing failure becomes an ERROR response."""
         handle = self._handles[index]
-        if not self.pipeline:
-            # Legacy lockstep discipline: one outstanding read per
-            # shard, the handle lock held across the RPC (the baseline
-            # `cluster-bench --pipeline` measures against).
-            with handle.lock:
-                return self._read_primary(index, request)
         if (self.replica_reads and handle.replicas
                 and isinstance(request, _REPLICA_READ_KINDS)):
             with handle.lock:
@@ -921,9 +902,7 @@ class ClusterRouter:
                     return response
             shard = self._ensure_primary_locked(handle)
         # The RPC itself runs outside the handle lock: the pipelined
-        # connection multiplexes any number of concurrent calls. (Under
-        # pipeline=False the caller holds the RLock around this whole
-        # method, restoring the serialized discipline.)
+        # connection multiplexes any number of concurrent calls.
         try:
             response = self._call(shard, "serve", request,
                                   timeout_s=self.call_timeout_s,
@@ -973,10 +952,7 @@ class ClusterRouter:
     def _get_tile(self, request: GetTile) -> Response:
         """Single-flight GetTile: identical concurrent requests collapse
         onto one shard read, and followers return the leader's response
-        object — byte-identical by construction. Part of the concurrent
-        read path, so the legacy baseline skips it."""
-        if not self.pipeline:
-            return self._read(self.owner_of_tile(request.tile), request)
+        object — byte-identical by construction."""
         key = (request.tile, request.encoded)
         with self._flight_lock:
             flight = self._flights.get(key)
@@ -1006,24 +982,22 @@ class ClusterRouter:
 
     def _scatter(self, indices: List[int],
                  fn: Callable[[int], Response]) -> Dict[int, Response]:
-        """Run ``fn`` once per shard index — all at once unless
-        configured ``scatter="serial"`` — never raising: a failure
-        becomes that shard's ERROR response."""
+        """Run ``fn`` once per shard index, all at once (a single index
+        runs inline), never raising: a failure becomes that shard's
+        ERROR response."""
         def run_one(i: int) -> Response:
             try:
                 return fn(i)
             except Exception as exc:  # defensive: fn should not raise
                 return Response(Status.ERROR, error=str(exc))
 
-        results: Dict[int, Response] = {}
-        if self.scatter == "serial" or len(indices) == 1:
-            for i in indices:
-                results[i] = run_one(i)
-            return results
+        if len(indices) == 1:
+            return {indices[0]: run_one(indices[0])}
 
         # Fresh threads start with an empty contextvar; re-attach the
         # caller's trace so every scattered shard call parents under it.
         ctx = TRACER.current()
+        results: Dict[int, Response] = {}
 
         def run(i: int) -> None:
             with attach_context(ctx):
@@ -1238,8 +1212,8 @@ class ClusterRouter:
         owner, n_shards = self._owner, self.n_shards
         deltas: Dict[int, SyncDelta] = {}
         versions: Dict[int, int] = {}
-        # Every shard's ChangesSince goes out at once (subject to the
-        # scatter mode); the merge below runs in shard order either way.
+        # Every shard's ChangesSince goes out at once; the merge below
+        # runs in shard order.
         responses = self._scatter(
             list(range(n_shards)),
             lambda i: self._read(

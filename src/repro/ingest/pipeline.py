@@ -153,8 +153,8 @@ class IngestPipeline:
         # The mandatory constraint gate between fuse and publish
         # (ROADMAP item 4): one VerifyGate shared by the verify stage
         # and the publisher backstop, so direct publisher callers (e.g.
-        # chaos harnesses) cannot route around it. `verify=False` exists
-        # only to measure the gate's own overhead (ingest-bench A/B).
+        # chaos harnesses) cannot route around it. `verify=False` builds
+        # an ungated pipeline, for measuring the gate's own cost only.
         self.verify_gate: Optional[VerifyGate] = None
         if verify:
             self.verify_gate = VerifyGate(

@@ -8,9 +8,8 @@ before it may reach the map database. A patch with any ERROR-severity
 — written to a journaled :class:`QuarantineStore` with its full
 structured violation report — never silently dropped, and never
 published. Clean patches pass with microsecond-scale added latency
-(the patch-scoped ``check_patch`` never scans the whole map), so the
-gate holds the ≤10% publish-overhead budget `ingest-bench --verify`
-enforces in CI.
+(the patch-scoped ``check_patch`` never scans the whole map; the
+macrobench ``ingest.stage.verify_us`` row records the stage's cost).
 
 The gate is enforced twice, deliberately:
 

@@ -140,20 +140,6 @@ class TestObsCli:
         assert main(["obs", "trace", "--input", str(spans),
                      "--trace-id", "nope"]) == 1
 
-    def test_trace_sample_roundtrip_ingest_bench(self, map_file, tmp_path,
-                                                 capsys):
-        spans = tmp_path / "spans.jsonl"
-        assert main(["ingest-bench", str(map_file), "--workers", "1",
-                     "--vehicles", "2", "--routes", "1", "--route", "300",
-                     "--trace-sample", str(spans),
-                     "--trace-sample-rate", "1.0"]) == 0
-        assert spans.exists()
-        assert main(["obs", "trace", "--input", str(spans),
-                     "--limit", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "ingest.enqueue" in out
-        assert "ingest.batch" in out
-
 
 class TestDocsConsistency:
     def test_handbooks_name_only_live_metrics_knobs_and_flags(self):

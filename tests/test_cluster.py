@@ -238,6 +238,15 @@ class TestChangesSinceMerge:
             assert client.sync() == 18
             assert client.is_consistent()
 
+    def test_broadcast_has_every_shard_call_in_flight_at_once(self, city):
+        # A counter, not a wall clock: every shard call parks 50 ms in
+        # the injected service cost, so a scatter that walked the shards
+        # one after another could never see more than one in flight.
+        with _local_router(city, n_shards=4,
+                           service_latency_s=0.05) as router:
+            assert router.request(ChangesSince(since_version=0)).ok
+            assert router.stats()["inflight_peak"] >= 4
+
     def test_client_skips_stale_shard_deltas(self, city):
         with _local_router(city) as router:
             client = ClusterMapClient(router)
@@ -539,22 +548,6 @@ class TestGetTileCoalescing:
             want = store._blobs[tile]
             assert all(p == want for p in payloads)
             assert router.read_coalesced.value >= 1
-
-    def test_legacy_lockstep_router_never_coalesces(self, city):
-        store = TileStore.build(city, 120.0)
-        with _local_router(city, pipeline=False,
-                           service_latency_s=0.02) as router:
-            tile = store.tiles()[0]
-            threads = [threading.Thread(
-                target=lambda: router.request(
-                    GetTile(tile=tile, encoded=True)))
-                for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert router.read_coalesced.value == 0
-            assert router.replica_hits.value == 0
 
 
 class TestProcessTransport:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import ChaosReport, InvariantResult, check_served_map_clean
-from repro.core import MapPatch
+from repro.core import MapPatch, SignType, TrafficSign
 from repro.core.elements import ElementId, Lane, LaneBoundary
 from repro.core.regulatory import RegulatoryElement, RuleType
 from repro.core.validation import (
@@ -193,6 +193,35 @@ class TestGateEnforcement:
             key="t:bad:3",
             patch=MapPatch(source="t", confidence=0.9).add(_lane())))
         assert repaired.published
+
+    def test_clean_publish_stream_passes_whole_then_corrupt_quarantines(self):
+        city = _city()
+        server = MapDistributionServer(city.copy())
+        pipe = IngestPipeline(server, n_workers=1, n_partitions=1)
+        # No conflation: every sign is its own ingest.
+        pipe.publisher.add_conflation_radius = 0.0
+        min_x, min_y, max_x, max_y = city.bounds()
+        rng = np.random.default_rng(7)
+        n = 200
+        for i in range(n):
+            sign = TrafficSign(
+                id=server.new_element_id("sign"),
+                position=np.array([rng.uniform(min_x, max_x),
+                                   rng.uniform(min_y, max_y)]),
+                sign_type=SignType.DIRECTION)
+            assert pipe.publisher.publish(ConfirmedPatch(
+                key=f"t:stream:{i}",
+                patch=MapPatch(source="t", confidence=0.9).add(sign))
+            ).published
+        verify = pipe.stats()["verify"]
+        assert verify["passed"] == n
+        assert verify["quarantined"] == 0
+        # The gate that just waved 200 through still rejects geometry.
+        assert pipe.publisher.publish(ConfirmedPatch(
+            key="t:stream:corrupt",
+            patch=MapPatch(source="t", confidence=0.9).add(
+                _degenerate_lane()))).quarantined
+        assert pipe.stats()["verify"]["quarantined"] == 1
 
     def test_verified_patches_are_not_rechecked(self):
         server = MapDistributionServer(_city().copy())
