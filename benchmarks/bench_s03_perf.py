@@ -5,9 +5,13 @@ frozen pre-optimization twin (:mod:`repro.perf.reference`) in one
 process, on one pinned fixture world. Shape assertions: batched polyline
 projection must be >= 3x the scalar per-point loop on 1k points, repeated
 ``LidarScanner.scan`` at a fixed pose cell must be >= 2x the re-cropping
-original, and every headline kernel must report a sane median/p95. The
-equivalence side (bit-identical outputs on the same rng stream) lives in
-``tests/test_perf.py``; this bench only certifies the speed.
+original, the index-cursor tile codec must decode >= 2x faster than the
+``BytesIO`` twin *while a second thread decodes beside it* (decode runs on
+GIL-sharing service workers; a serial number does not predict serving)
+and encode >= 2x faster, and every headline kernel must report a sane
+median/p95. The equivalence side (bit-identical outputs on the same rng
+stream, byte-identical blobs) lives in ``tests/test_perf.py``; this bench
+only certifies the speed.
 """
 
 from conftest import once
@@ -41,6 +45,21 @@ def test_s03_hot_path_kernels(benchmark, rng):
     table.add("grid query ticket-sort vs repr-sort", ">= 1x",
               f"{speedups['grid.query_box']:.2f}x",
               ok=speedups["grid.query_box"] >= 1.0)
+
+    us = {name: 1e6 * r.median_s for name, r in by_name.items()}
+    table.add("tile decode under two threads vs BytesIO twin", ">= 2x",
+              f"{speedups['codec.decode_tile_2thr']:.2f}x "
+              f"({us['codec.decode_tile_2thr_reference']:.0f} -> "
+              f"{us['codec.decode_tile_2thr']:.0f} us/tile; alone "
+              f"{speedups['codec.decode_tile']:.2f}x, "
+              f"{us['codec.decode_tile_reference']:.0f} -> "
+              f"{us['codec.decode_tile']:.0f} us)",
+              ok=speedups["codec.decode_tile_2thr"] >= 2.0)
+    table.add("tile encode vs BytesIO twin", ">= 2x",
+              f"{speedups['codec.encode_tile']:.2f}x "
+              f"({us['codec.encode_tile_reference']:.0f} -> "
+              f"{us['codec.encode_tile']:.0f} us/tile)",
+              ok=speedups["codec.encode_tile"] >= 2.0)
 
     for name in HEADLINE_KERNELS:
         r = by_name[name]

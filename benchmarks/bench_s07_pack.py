@@ -30,7 +30,7 @@ from repro.pack import PackReader, PackWriter, encode_delta
 from repro.serve.api import GetTile
 from repro.serve.service import MapService
 from repro.storage import TileStore
-from repro.storage.tilestore import _count_elements
+from repro.storage.binary import element_count
 from repro.update.distribution import MapDistributionServer
 from repro.eval import ResultTable
 from repro.world import generate_grid_city
@@ -70,7 +70,7 @@ def _experiment(tmp_path):
 
     # replicate the heaviest blob until the directory holds >= 1M elements
     blob = store._blobs[max(tiles, key=store.blob_bytes)]
-    per_blob = max(1, _count_elements(blob))
+    per_blob = max(1, element_count(blob))
     big_path = str(tmp_path / "big.pack")
     with PackWriter(big_path, tile_size=250.0) as writer:
         for i in range(-(-_TARGET_ELEMENTS // per_blob)):

@@ -10,10 +10,9 @@ to the local element count.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from typing import Callable, Dict, Generic, Hashable, Iterable, List, Set, Tuple, TypeVar
-
-import numpy as np
 
 from repro.errors import GeometryError
 from repro.perf.instrument import timed
@@ -21,6 +20,12 @@ from repro.perf.instrument import timed
 K = TypeVar("K", bound=Hashable)
 
 Bounds = Tuple[float, float, float, float]
+
+#: Most cells one key may cover. A real element spans a handful; bounds
+#: decoded from corrupt bytes or sent in a hostile patch can span
+#: billions, and enumerating them would exhaust memory long before it
+#: finished (256 x 256 cells is a 25 km square on the map's 100 m grid).
+MAX_CELLS_PER_KEY = 65_536
 
 
 class GridIndex(Generic[K]):
@@ -50,7 +55,7 @@ class GridIndex(Generic[K]):
         return key in self._bounds
 
     def _cell_of(self, x: float, y: float) -> Tuple[int, int]:
-        return int(np.floor(x / self.cell_size)), int(np.floor(y / self.cell_size))
+        return math.floor(x / self.cell_size), math.floor(y / self.cell_size)
 
     def _cells_for_bounds(self, bounds: Bounds) -> Iterable[Tuple[int, int]]:
         min_x, min_y, max_x, max_y = bounds
@@ -61,16 +66,30 @@ class GridIndex(Generic[K]):
                 yield (cx, cy)
 
     def insert(self, key: K, bounds: Bounds) -> None:
-        """Insert (or re-insert) ``key`` covering ``bounds``."""
+        """Insert (or re-insert) ``key`` covering ``bounds``.
+
+        Inverted, non-finite, or absurdly large bounds (more than
+        :data:`MAX_CELLS_PER_KEY` cells) raise :class:`GeometryError`
+        and leave the index as it was.
+        """
+        min_x, min_y, max_x, max_y = bounds
+        if not (min_x <= max_x and min_y <= max_y
+                and math.isfinite(min_x) and math.isfinite(min_y)
+                and math.isfinite(max_x) and math.isfinite(max_y)):
+            raise GeometryError(f"invalid bounds {bounds}")
+        cx0, cy0 = self._cell_of(min_x, min_y)
+        cx1, cy1 = self._cell_of(max_x, max_y)
+        if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) > MAX_CELLS_PER_KEY:
+            raise GeometryError(
+                f"bounds {bounds} cover more than {MAX_CELLS_PER_KEY} cells")
         if key in self._bounds:
             self.remove(key)
-        min_x, min_y, max_x, max_y = bounds
-        if max_x < min_x or max_y < min_y:
-            raise GeometryError(f"invalid bounds {bounds}")
         self._bounds[key] = bounds
         self._order[key] = next(self._ticket)
-        for cell in self._cells_for_bounds(bounds):
-            self._cells[cell].add(key)
+        cells = self._cells
+        for cx in range(cx0, cx1 + 1):
+            for cy in range(cy0, cy1 + 1):
+                cells[(cx, cy)].add(key)
 
     def remove(self, key: K) -> None:
         bounds = self._bounds.pop(key, None)

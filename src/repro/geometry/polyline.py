@@ -31,7 +31,7 @@ class Polyline:
     and no zero-length segments.
     """
 
-    __slots__ = ("_pts", "_seg_len", "_cum_len")
+    __slots__ = ("_pts", "_seg_len", "_cum")
 
     def __init__(self, points: Iterable[Sequence[float]]) -> None:
         pts = np.asarray(list(points) if not isinstance(points, np.ndarray) else points,
@@ -40,21 +40,31 @@ class Polyline:
             raise GeometryError(f"polyline needs an (N, 2) array, got {pts.shape}")
         if pts.shape[0] < 2:
             raise GeometryError("polyline needs at least two vertices")
-        seg = np.diff(pts, axis=0)
+        seg = pts[1:] - pts[:-1]
         seg_len = np.hypot(seg[:, 0], seg[:, 1])
-        if np.any(seg_len <= 0.0):
+        if seg_len.min() <= 0.0:
             # Drop duplicate consecutive vertices rather than failing: noisy
             # extraction pipelines produce them routinely.
             keep = np.concatenate(([True], seg_len > 0.0))
             pts = pts[keep]
             if pts.shape[0] < 2:
                 raise GeometryError("polyline degenerate after removing duplicates")
-            seg = np.diff(pts, axis=0)
+            seg = pts[1:] - pts[:-1]
             seg_len = np.hypot(seg[:, 0], seg[:, 1])
         pts.setflags(write=False)
         self._pts = pts
         self._seg_len = seg_len
-        self._cum_len = np.concatenate(([0.0], np.cumsum(seg_len)))
+        self._cum = None
+
+    @property
+    def _cum_len(self) -> np.ndarray:
+        """Station of every vertex, built on first arc-length use: a
+        polyline decoded from a tile is mostly only ever bounds-tested."""
+        cum = self._cum
+        if cum is None:
+            cum = self._cum = np.concatenate(
+                ([0.0], np.cumsum(self._seg_len)))
+        return cum
 
     # ------------------------------------------------------------------
     # Basic accessors

@@ -10,6 +10,9 @@ CLI subcommand and the CI perf-smoke gate.
 
 from __future__ import annotations
 
+import statistics
+import threading
+import time
 from concurrent.futures import wait
 from typing import Callable, Dict, List, Tuple
 
@@ -25,6 +28,7 @@ from repro.perf.runner import BenchResult, run_bench
 from repro.sensors.lidar import LidarScanner
 from repro.serve import GetTile, MapService, SpatialQuery
 from repro.storage import TileStore
+from repro.storage.binary import decode_map, encode_map
 from repro.update.distribution import MapDistributionServer
 from repro.world import generate_grid_city
 
@@ -33,6 +37,7 @@ HEADLINE_KERNELS: Tuple[str, ...] = (
     "polyline.project_batch",
     "lidar.scan",
     "grid.query_box",
+    "codec.decode_tile",
 )
 
 #: Pinned fixture seed — keep stable so baselines stay comparable.
@@ -79,6 +84,25 @@ def run_perf_suite(repetitions: int = 20, warmup: int = 3
         result = run_bench(name, fn, repetitions=repetitions, warmup=warmup)
         results.append(result)
         return result
+
+    def bench_pair(name: str, fn: Callable[[], object],
+                   twin: Callable[[], object], per: int) -> None:
+        """Time ``fn`` and its frozen ``twin`` in alternation, so host
+        drift lands on both, and report the median per-pair ratio. Each
+        call does ``per`` operations; samples are per operation."""
+        for _ in range(warmup):
+            fn()
+            twin()
+        new, ref = BenchResult(name), BenchResult(f"{name}_reference")
+        for _ in range(repetitions):
+            for result, call in ((new, fn), (ref, twin)):
+                start = time.perf_counter()
+                call()
+                result.samples_s.append(
+                    (time.perf_counter() - start) / per)
+        results.extend((new, ref))
+        speedups[name] = statistics.median(
+            r / max(n, 1e-12) for n, r in zip(new.samples_s, ref.samples_s))
 
     REGISTRY.reset()
     REGISTRY.enable()
@@ -159,6 +183,44 @@ def run_perf_suite(repetitions: int = 20, warmup: int = 3
             lambda: reference.query_box_repr_sorted(index, query))
         speedups["grid.query_box"] = (grid_ref.median_s
                                       / max(grid.median_s, 1e-12))
+
+        # -- tile codec: index-cursor reader/writer vs the BytesIO twins --
+        # Every 4th tile of macrobench's ``local_spatial_drive`` tile set
+        # (6x6-block city, 100 m tiles). Decode runs on MapService's
+        # GIL-sharing worker threads, so the number that predicts serving
+        # is the two-thread one: the same tile list decoded by two
+        # threads at once, wall per decode.
+        drive = TileStore.build(
+            generate_grid_city(np.random.default_rng(_SEED), 6, 6),
+            tile_size=100.0)
+        blobs = [drive.encoded_view(t) for t in drive.tiles()[::4]]
+        shards = [decode_map(blob) for blob in blobs]
+
+        def decode_all(decode) -> None:
+            for blob in blobs:
+                decode(blob)
+
+        def decode_all_2thr(decode) -> None:
+            pair = [threading.Thread(target=decode_all, args=(decode,))
+                    for _ in range(2)]
+            for thread in pair:
+                thread.start()
+            for thread in pair:
+                thread.join()
+
+        bench_pair("codec.decode_tile",
+                   lambda: decode_all(decode_map),
+                   lambda: decode_all(reference.decode_map_reference),
+                   per=len(blobs))
+        bench_pair("codec.decode_tile_2thr",
+                   lambda: decode_all_2thr(decode_map),
+                   lambda: decode_all_2thr(reference.decode_map_reference),
+                   per=2 * len(blobs))
+        bench_pair("codec.encode_tile",
+                   lambda: [encode_map(m) for m in shards],
+                   lambda: [reference.encode_map_reference(m)
+                            for m in shards],
+                   per=len(shards))
 
         # -- serving: GetTile / SpatialQuery under worker concurrency -----
         store = TileStore.build(city, tile_size=150.0)

@@ -9,15 +9,16 @@ discarding the laser point cloud and keeping only delta-coded vector data
 - zlib entropy coding over the whole payload.
 
 Round-trips everything :func:`repro.storage.geojson.map_to_dict` handles,
-at centimetre precision.
+at centimetre precision. :class:`BodyReader` / :class:`BodyWriter` are the
+one reader and writer; the ``HDDL`` delta wire is built from them too.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from io import BytesIO
-from typing import BinaryIO, Iterable, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from repro.core.elements import (
 from repro.core.hdmap import HDMap
 from repro.core.ids import ElementId
 from repro.core.regulatory import RegulatoryElement, RuleType
-from repro.errors import StorageError
+from repro.errors import GeometryError, MapModelError, StorageError
 from repro.geometry.polyline import Polyline
 
 MAGIC = b"HDMV"
@@ -63,124 +64,226 @@ _TYPE_TAGS = {
 _TAG_TYPES = {v: k for k, v in _TYPE_TAGS.items()}
 
 
+_HEADER = struct.Struct("<BI")
+_F32 = struct.Struct("<f")
+
+
+@contextmanager
+def corrupt_body_as_storage_error(what: str) -> Iterator[None]:
+    """Everything a hostile body can raise — out of the reader or out of
+    building and adding an element — leaves as ``StorageError``."""
+    try:
+        yield
+    except (struct.error, IndexError, UnicodeDecodeError, ValueError,
+            KeyError, OverflowError, GeometryError, MapModelError) as exc:
+        raise StorageError(f"corrupt {what} body: {exc}") from exc
+
+
 # ----------------------------------------------------------------------
-# Varint primitives
+# Body reader / writer (shared by HDMV tiles and HDDL deltas)
 # ----------------------------------------------------------------------
-def _zigzag(n: int) -> int:
-    return (n << 1) ^ (n >> 63)
+class BodyReader:
+    """Index cursor over an inflated HDMV/HDDL body: no stream object,
+    no per-byte allocation. Running off the end raises ``IndexError`` /
+    ``struct.error`` (see :func:`corrupt_body_as_storage_error`); every
+    count is checked against the bytes that remain *before* anything is
+    allocated or looped over, so a corrupt count cannot exhaust memory.
+    """
+
+    __slots__ = ("buf", "pos", "kinds")
+
+    def __init__(self, buf: bytes) -> None:
+        self.buf = buf
+        self.pos = 0
+        self.kinds: List[str] = []
+
+    def byte(self) -> int:
+        value = self.buf[self.pos]
+        self.pos += 1
+        return value
+
+    def varint(self) -> int:
+        buf = self.buf
+        pos = self.pos
+        byte = buf[pos]
+        pos += 1
+        out = byte & 0x7F
+        shift = 7
+        while byte > 0x7F:
+            if shift > 63:
+                raise StorageError("varint longer than 10 bytes")
+            byte = buf[pos]
+            pos += 1
+            out |= (byte & 0x7F) << shift
+            shift += 7
+        self.pos = pos
+        return out
+
+    def svarint(self) -> int:
+        n = self.varint()
+        return (n >> 1) ^ -(n & 1)
+
+    def count(self, min_bytes: int = 1) -> int:
+        """A record count whose records take at least ``min_bytes`` each."""
+        n = self.varint()
+        if n * min_bytes > len(self.buf) - self.pos:
+            raise StorageError(f"count {n} exceeds the bytes remaining")
+        return n
+
+    def f32(self) -> float:
+        value = _F32.unpack_from(self.buf, self.pos)[0]
+        self.pos += 4
+        return value
+
+    def string(self) -> str:
+        n = self.count()
+        self.pos += n
+        return self.buf[self.pos - n:self.pos].decode()
+
+    def kind_table(self) -> None:
+        self.kinds = [self.string() for _ in range(self.count())]
+
+    def point(self) -> np.ndarray:
+        return np.array([self.svarint(), self.svarint()],
+                        dtype=float) * QUANTUM
+
+    def id(self) -> Optional[ElementId]:
+        tag = self.varint()
+        if tag == 0:
+            return None
+        return ElementId(self.kinds[tag - 1], self.varint())
+
+    def id_list(self) -> List[ElementId]:
+        ids = [self.id() for _ in range(self.count())]
+        return [eid for eid in ids if eid is not None]
+
+    def polyline(self) -> Polyline:
+        """One loop per polyline: zig-zag decode and accumulate Python
+        ints into a flat list, then cross into numpy once — never per
+        point (decode runs on GIL-sharing threads; DESIGN.md item 4)."""
+        n = self.count(2)
+        buf = self.buf
+        pos = self.pos
+        flat: List[int] = []
+        append = flat.append
+        prev = cur = 0  # last value of the other / of this coordinate
+        for _ in range(2 * n):
+            # varint(), inlined; nearly every delta is one or two bytes
+            out = buf[pos]
+            pos += 1
+            if out > 0x7F:
+                byte = buf[pos]
+                pos += 1
+                out = (out & 0x7F) | (byte << 7)
+                if byte > 0x7F:
+                    out &= 0x3FFF
+                    shift = 14
+                    while byte > 0x7F:
+                        if shift > 63:
+                            raise StorageError("varint longer than 10 bytes")
+                        byte = buf[pos]
+                        pos += 1
+                        out |= (byte & 0x7F) << shift
+                        shift += 7
+            prev, cur = cur + ((out >> 1) ^ -(out & 1)), prev
+            append(prev)
+        self.pos = pos
+        points = np.array(flat, dtype=float).reshape(n, 2)
+        points *= QUANTUM
+        return Polyline(points)
 
 
-def _unzigzag(n: int) -> int:
-    return (n >> 1) ^ -(n & 1)
+class BodyWriter:
+    """Mirror of :class:`BodyReader`: one ``bytearray``, appended bytewise."""
 
+    __slots__ = ("buf", "append", "kinds")
 
-def _write_varint(buf: BytesIO, n: int) -> None:
-    if n < 0:
-        raise StorageError("varint must be non-negative")
-    while True:
-        byte = n & 0x7F
-        n >>= 7
-        if n:
-            buf.write(bytes([byte | 0x80]))
-        else:
-            buf.write(bytes([byte]))
+    def __init__(self) -> None:
+        self.buf = bytearray()
+        self.append = self.buf.append
+        self.kinds: Dict[str, int] = {}
+
+    def varint(self, n: int) -> None:
+        if n < 0:
+            raise StorageError("varint must be non-negative")
+        append = self.append
+        while n > 0x7F:
+            append((n & 0x7F) | 0x80)
+            n >>= 7
+        append(n)
+
+    def svarint(self, n: int) -> None:
+        self.varint((n << 1) ^ (n >> 63))
+
+    def f32(self, value: float) -> None:
+        self.buf += _F32.pack(value)
+
+    def string(self, text: str) -> None:
+        raw = text.encode()
+        self.varint(len(raw))
+        self.buf += raw
+
+    def kind_table(self, kinds: Iterable[str]) -> None:
+        kinds = sorted(kinds)
+        self.kinds = {kind: i + 1 for i, kind in enumerate(kinds)}
+        self.varint(len(kinds))
+        for kind in kinds:
+            self.string(kind)
+
+    def point(self, position: np.ndarray) -> None:
+        self.svarint(int(round(float(position[0]) / QUANTUM)))
+        self.svarint(int(round(float(position[1]) / QUANTUM)))
+
+    def id(self, eid: Optional[ElementId]) -> None:
+        if eid is None:
+            self.append(0)
             return
+        self.varint(self.kinds[eid.kind])
+        self.varint(eid.num)
+
+    def id_list(self, ids: Iterable[ElementId]) -> None:
+        ids = list(ids)
+        self.varint(len(ids))
+        for eid in ids:
+            self.id(eid)
+
+    def polyline(self, line: Polyline) -> None:
+        """Zig-zag deltas computed once in numpy, emitted from a list."""
+        q = np.round(line.points / QUANTUM).astype(np.int64)
+        self.varint(q.shape[0])
+        delta = q.copy()
+        delta[1:] -= q[:-1]
+        zigzag = ((delta << 1) ^ (delta >> 63)).view(np.uint64)
+        append = self.append
+        for n in zigzag.ravel().tolist():
+            while n > 0x7F:
+                append((n & 0x7F) | 0x80)
+                n >>= 7
+            append(n)
+
+    def seal(self, magic: bytes, version: int, level: int) -> bytes:
+        """Deflate the body and frame it: magic, version, payload length."""
+        payload = zlib.compress(self.buf, level)
+        return magic + _HEADER.pack(version, len(payload)) + payload
 
 
-def _read_varint(buf: BytesIO) -> int:
-    shift = 0
-    out = 0
-    while True:
-        raw = buf.read(1)
-        if not raw:
-            raise StorageError("truncated varint")
-        byte = raw[0]
-        out |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return out
-        shift += 7
-
-
-def _write_svarint(buf: BytesIO, n: int) -> None:
-    _write_varint(buf, _zigzag(n))
-
-
-def _read_svarint(buf: BytesIO) -> int:
-    return _unzigzag(_read_varint(buf))
-
-
-# ----------------------------------------------------------------------
-# Field helpers
-# ----------------------------------------------------------------------
-def _write_polyline(buf: BytesIO, line: Polyline) -> None:
-    q = np.round(line.points / QUANTUM).astype(np.int64)
-    _write_varint(buf, q.shape[0])
-    prev = np.zeros(2, dtype=np.int64)
-    for row in q:
-        _write_svarint(buf, int(row[0] - prev[0]))
-        _write_svarint(buf, int(row[1] - prev[1]))
-        prev = row
-
-
-def _read_polyline(buf: BytesIO) -> Polyline:
-    n = _read_varint(buf)
-    pts = np.zeros((n, 2), dtype=np.int64)
-    prev = np.zeros(2, dtype=np.int64)
-    for i in range(n):
-        prev = prev + np.array([_read_svarint(buf), _read_svarint(buf)])
-        pts[i] = prev
-    return Polyline(pts.astype(float) * QUANTUM)
-
-
-def _write_point(buf: BytesIO, position: np.ndarray) -> None:
-    _write_svarint(buf, int(round(float(position[0]) / QUANTUM)))
-    _write_svarint(buf, int(round(float(position[1]) / QUANTUM)))
-
-
-def _read_point(buf: BytesIO) -> np.ndarray:
-    return np.array([_read_svarint(buf), _read_svarint(buf)], dtype=float) * QUANTUM
-
-
-def _write_id(buf: BytesIO, eid: Optional[ElementId],
-              kinds: List[str]) -> None:
-    if eid is None:
-        _write_varint(buf, 0)
-        return
-    _write_varint(buf, kinds.index(eid.kind) + 1)
-    _write_varint(buf, eid.num)
-
-
-def _read_id(buf: BytesIO, kinds: List[str]) -> Optional[ElementId]:
-    tag = _read_varint(buf)
-    if tag == 0:
-        return None
-    return ElementId(kinds[tag - 1], _read_varint(buf))
-
-
-def _write_id_list(buf: BytesIO, ids: Iterable[ElementId],
-                   kinds: List[str]) -> None:
-    ids = list(ids)
-    _write_varint(buf, len(ids))
-    for eid in ids:
-        _write_id(buf, eid, kinds)
-
-
-def _read_id_list(buf: BytesIO, kinds: List[str]) -> List[ElementId]:
-    n = _read_varint(buf)
-    out = []
-    for _ in range(n):
-        eid = _read_id(buf, kinds)
-        if eid is not None:
-            out.append(eid)
-    return out
-
-
-def _write_f32(buf: BytesIO, value: float) -> None:
-    buf.write(struct.pack("<f", value))
-
-
-def _read_f32(buf: BytesIO) -> float:
-    return float(struct.unpack("<f", buf.read(4))[0])
+def open_body(data, magic: bytes, version: int, what: str) -> BodyReader:
+    """Check the 9-byte frame of an HDMV/HDDL blob and inflate its payload
+    (fed to zlib as a ``memoryview`` slice: no copy of an mmap'd tile)."""
+    view = memoryview(data)
+    if len(view) < 9:
+        raise StorageError(f"truncated {what} header")
+    if view[:4] != magic:
+        raise StorageError(f"bad magic; not an {what} blob")
+    got, length = _HEADER.unpack_from(view, 4)
+    if got != version:
+        raise StorageError(f"unsupported {what} version {got}")
+    if len(view) < 9 + length:
+        raise StorageError(f"truncated {what} payload")
+    try:
+        return BodyReader(zlib.decompress(view[9:9 + length]))
+    except zlib.error as exc:
+        raise StorageError(f"corrupt {what} payload: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -192,145 +295,140 @@ _SIGN_TYPES = list(SignType)
 _RULE_TYPES = list(RuleType)
 
 
-def _encode_element(buf: BytesIO, element: MapElement,
-                    kinds: List[str]) -> None:
+def encode_element(w: BodyWriter, element: MapElement) -> None:
     tag = _TYPE_TAGS.get(type(element))
     if tag is None:
         raise StorageError(f"cannot encode {type(element).__name__}")
-    buf.write(bytes([tag]))
-    _write_id(buf, element.id, kinds)
+    w.append(tag)
+    w.id(element.id)
     if isinstance(element, Node):
-        _write_point(buf, element.position)
+        w.point(element.position)
     elif isinstance(element, LaneBoundary):
-        buf.write(bytes([_BOUNDARY_TYPES.index(element.boundary_type)]))
-        _write_f32(buf, element.reflectivity)
-        _write_polyline(buf, element.line)
+        w.append(_BOUNDARY_TYPES.index(element.boundary_type))
+        w.f32(element.reflectivity)
+        w.polyline(element.line)
     elif isinstance(element, Lane):
-        buf.write(bytes([_LANE_TYPES.index(element.lane_type)]))
-        _write_f32(buf, element.width)
-        _write_f32(buf, element.speed_limit)
-        _write_id(buf, element.left_boundary, kinds)
-        _write_id(buf, element.right_boundary, kinds)
-        _write_id(buf, element.segment, kinds)
-        _write_polyline(buf, element.centerline)
+        w.append(_LANE_TYPES.index(element.lane_type))
+        w.f32(element.width)
+        w.f32(element.speed_limit)
+        w.id(element.left_boundary)
+        w.id(element.right_boundary)
+        w.id(element.segment)
+        w.polyline(element.centerline)
     elif isinstance(element, RoadSegment):
-        _write_id(buf, element.start_node, kinds)
-        _write_id(buf, element.end_node, kinds)
-        _write_id_list(buf, element.forward_lanes, kinds)
-        _write_id_list(buf, element.backward_lanes, kinds)
-        _write_polyline(buf, element.reference_line)
+        w.id(element.start_node)
+        w.id(element.end_node)
+        w.id_list(element.forward_lanes)
+        w.id_list(element.backward_lanes)
+        w.polyline(element.reference_line)
     elif isinstance(element, TrafficSign):
-        buf.write(bytes([_SIGN_TYPES.index(element.sign_type)]))
-        has_value = element.value is not None
-        buf.write(bytes([1 if has_value else 0]))
-        if has_value:
-            _write_f32(buf, float(element.value))
-        _write_f32(buf, element.facing)
-        _write_f32(buf, element.height)
-        _write_f32(buf, element.reflectivity)
-        _write_point(buf, element.position)
+        w.append(_SIGN_TYPES.index(element.sign_type))
+        _write_optional_f32(w, element.value)
+        w.f32(element.facing)
+        w.f32(element.height)
+        w.f32(element.reflectivity)
+        w.point(element.position)
     elif isinstance(element, TrafficLight):
-        _write_f32(buf, element.facing)
+        w.f32(element.facing)
         for part in element.cycle:
-            _write_f32(buf, part)
-        _write_f32(buf, element.phase_offset)
-        _write_f32(buf, element.height)
-        _write_point(buf, element.position)
+            w.f32(part)
+        w.f32(element.phase_offset)
+        w.f32(element.height)
+        w.point(element.position)
     elif isinstance(element, (Pole, RoadMarking)):
-        _write_f32(buf, element.height)
-        _write_f32(buf, element.reflectivity)
-        _write_point(buf, element.position)
+        w.f32(element.height)
+        w.f32(element.reflectivity)
+        w.point(element.position)
         if isinstance(element, RoadMarking):
-            raw = element.marking_type.encode()
-            _write_varint(buf, len(raw))
-            buf.write(raw)
+            w.string(element.marking_type)
     elif isinstance(element, Crosswalk):
-        _write_polyline(buf, Polyline(element.polygon))
+        w.polyline(Polyline(element.polygon))
     elif isinstance(element, StopLine):
-        _write_polyline(buf, element.line)
+        w.polyline(element.line)
     elif isinstance(element, RegulatoryElement):
-        buf.write(bytes([_RULE_TYPES.index(element.rule_type)]))
-        has_value = element.value is not None
-        buf.write(bytes([1 if has_value else 0]))
-        if has_value:
-            _write_f32(buf, float(element.value))
-        _write_id_list(buf, element.lanes, kinds)
-        _write_id_list(buf, element.evidence, kinds)
-        _write_id_list(buf, element.yields_to, kinds)
+        w.append(_RULE_TYPES.index(element.rule_type))
+        _write_optional_f32(w, element.value)
+        w.id_list(element.lanes)
+        w.id_list(element.evidence)
+        w.id_list(element.yields_to)
 
 
-def _decode_element(buf: BytesIO, kinds: List[str]) -> MapElement:
-    tag = buf.read(1)[0]
+def _write_optional_f32(w: BodyWriter, value: Optional[float]) -> None:
+    w.append(0 if value is None else 1)
+    if value is not None:
+        w.f32(float(value))
+
+
+def decode_element(r: BodyReader) -> MapElement:
+    tag = r.byte()
     element_type = _TAG_TYPES.get(tag)
     if element_type is None:
         raise StorageError(f"unknown element tag {tag}")
-    eid = _read_id(buf, kinds)
+    eid = r.id()
     if eid is None:
         raise StorageError("element record with null id")
     if element_type is Node:
-        return Node(id=eid, position=_read_point(buf))
+        return Node(id=eid, position=r.point())
     if element_type is LaneBoundary:
-        btype = _BOUNDARY_TYPES[buf.read(1)[0]]
-        refl = _read_f32(buf)
-        return LaneBoundary(id=eid, line=_read_polyline(buf),
+        btype = _BOUNDARY_TYPES[r.byte()]
+        refl = r.f32()
+        return LaneBoundary(id=eid, line=r.polyline(),
                             boundary_type=btype, reflectivity=refl)
     if element_type is Lane:
-        ltype = _LANE_TYPES[buf.read(1)[0]]
-        width = _read_f32(buf)
-        limit = _read_f32(buf)
-        left = _read_id(buf, kinds)
-        right = _read_id(buf, kinds)
-        segment = _read_id(buf, kinds)
-        return Lane(id=eid, centerline=_read_polyline(buf),
+        ltype = _LANE_TYPES[r.byte()]
+        width = r.f32()
+        limit = r.f32()
+        left = r.id()
+        right = r.id()
+        segment = r.id()
+        return Lane(id=eid, centerline=r.polyline(),
                     left_boundary=left, right_boundary=right, width=width,
                     lane_type=ltype, speed_limit=limit, segment=segment)
     if element_type is RoadSegment:
-        start = _read_id(buf, kinds)
-        end = _read_id(buf, kinds)
-        fwd = _read_id_list(buf, kinds)
-        bwd = _read_id_list(buf, kinds)
+        start = r.id()
+        end = r.id()
+        fwd = r.id_list()
+        bwd = r.id_list()
         return RoadSegment(id=eid, start_node=start, end_node=end,
-                           reference_line=_read_polyline(buf),
+                           reference_line=r.polyline(),
                            forward_lanes=fwd, backward_lanes=bwd)
     if element_type is TrafficSign:
-        stype = _SIGN_TYPES[buf.read(1)[0]]
-        value = _read_f32(buf) if buf.read(1)[0] else None
-        facing = _read_f32(buf)
-        height = _read_f32(buf)
-        refl = _read_f32(buf)
-        return TrafficSign(id=eid, position=_read_point(buf), sign_type=stype,
+        stype = _SIGN_TYPES[r.byte()]
+        value = r.f32() if r.byte() else None
+        facing = r.f32()
+        height = r.f32()
+        refl = r.f32()
+        return TrafficSign(id=eid, position=r.point(), sign_type=stype,
                            value=value, facing=facing, height=height,
                            reflectivity=refl)
     if element_type is TrafficLight:
-        facing = _read_f32(buf)
-        cycle = (_read_f32(buf), _read_f32(buf), _read_f32(buf))
-        phase = _read_f32(buf)
-        height = _read_f32(buf)
-        return TrafficLight(id=eid, position=_read_point(buf), facing=facing,
+        facing = r.f32()
+        cycle = (r.f32(), r.f32(), r.f32())
+        phase = r.f32()
+        height = r.f32()
+        return TrafficLight(id=eid, position=r.point(), facing=facing,
                             cycle=cycle, phase_offset=phase, height=height)
     if element_type is Pole:
-        height = _read_f32(buf)
-        refl = _read_f32(buf)
-        return Pole(id=eid, position=_read_point(buf), height=height,
+        height = r.f32()
+        refl = r.f32()
+        return Pole(id=eid, position=r.point(), height=height,
                     reflectivity=refl)
     if element_type is RoadMarking:
-        height = _read_f32(buf)
-        refl = _read_f32(buf)
-        position = _read_point(buf)
-        n = _read_varint(buf)
-        marking_type = buf.read(n).decode()
+        r.f32()  # height: a marking lies on the asphalt, always 0
+        refl = r.f32()
+        position = r.point()
         return RoadMarking(id=eid, position=position, reflectivity=refl,
-                           marking_type=marking_type)
+                           marking_type=r.string())
     if element_type is Crosswalk:
-        return Crosswalk(id=eid, polygon=_read_polyline(buf).points.copy())
+        return Crosswalk(id=eid, polygon=r.polyline().points.copy())
     if element_type is StopLine:
-        return StopLine(id=eid, line=_read_polyline(buf))
+        return StopLine(id=eid, line=r.polyline())
     if element_type is RegulatoryElement:
-        rtype = _RULE_TYPES[buf.read(1)[0]]
-        value = _read_f32(buf) if buf.read(1)[0] else None
-        lanes = _read_id_list(buf, kinds)
-        evidence = _read_id_list(buf, kinds)
-        yields_to = _read_id_list(buf, kinds)
+        rtype = _RULE_TYPES[r.byte()]
+        value = r.f32() if r.byte() else None
+        lanes = r.id_list()
+        evidence = r.id_list()
+        yields_to = r.id_list()
         return RegulatoryElement(id=eid, rule_type=rtype, value=value,
                                  lanes=lanes, evidence=evidence,
                                  yields_to=yields_to)
@@ -340,7 +438,7 @@ def _decode_element(buf: BytesIO, kinds: List[str]) -> MapElement:
 # ----------------------------------------------------------------------
 # Whole-map codec
 # ----------------------------------------------------------------------
-def _referenced_ids(element: MapElement) -> List[Optional[ElementId]]:
+def referenced_ids(element: MapElement) -> List[Optional[ElementId]]:
     """All element ids this element refers to (cross-tile refs included)."""
     if isinstance(element, Lane):
         return [element.left_boundary, element.right_boundary,
@@ -360,31 +458,29 @@ def encode_map(hdmap: HDMap, simplify_tolerance: float = 0.0) -> bytes:
     ``simplify_tolerance`` > 0 applies Douglas-Peucker to every polyline
     first — the lossy knob Li et al. turn to hit their 100 KB/mile.
     """
-    kinds_set = {e.id.kind for e in hdmap.elements()}
-    for element in hdmap.elements():
-        for ref in _referenced_ids(element):
-            if ref is not None:
-                kinds_set.add(ref.kind)
-    kinds = sorted(kinds_set)
-    body = BytesIO()
-    name_raw = hdmap.name.encode()
-    _write_varint(body, len(name_raw))
-    body.write(name_raw)
-    _write_varint(body, hdmap.version)
-    _write_varint(body, len(kinds))
-    for kind in kinds:
-        raw = kind.encode()
-        _write_varint(body, len(raw))
-        body.write(raw)
     elements = list(hdmap.elements())
-    _write_varint(body, len(elements))
+    kinds = {e.id.kind for e in elements}
+    for element in elements:
+        kinds.update(ref.kind for ref in referenced_ids(element)
+                     if ref is not None)
+    body = BodyWriter()
+    body.string(hdmap.name)
+    body.varint(hdmap.version)
+    body.kind_table(kinds)
+    body.varint(len(elements))
     for element in elements:
         if simplify_tolerance > 0:
             element = _simplified(element, simplify_tolerance)
-        _encode_element(body, element, kinds)
-    payload = zlib.compress(body.getvalue(), level=9)
-    header = MAGIC + struct.pack("<BI", VERSION, len(payload))
-    return header + payload
+        encode_element(body, element)
+    return body.seal(MAGIC, VERSION, level=9)
+
+
+def _read_map_prefix(body: BodyReader) -> Tuple[str, int, int]:
+    """Map name, map version and element count; fills the kind table."""
+    name = body.string()
+    version = body.varint()
+    body.kind_table()
+    return name, version, body.count(2)
 
 
 def decode_map(data) -> HDMap:
@@ -393,40 +489,25 @@ def decode_map(data) -> HDMap:
 
     Truncated, corrupt, or bad-magic input raises
     :class:`~repro.errors.StorageError` — raw ``struct.error`` /
-    ``zlib.error`` / ``IndexError`` never escape, so callers can treat
-    every undecodable blob uniformly.
+    ``zlib.error`` / ``IndexError`` / ``GeometryError`` never escape, so
+    callers can treat every undecodable blob uniformly.
     """
-    data = bytes(data)
-    if len(data) < 9:
-        raise StorageError("truncated HDMV header")
-    if data[:4] != MAGIC:
-        raise StorageError("bad magic; not an HDMV blob")
-    version, length = struct.unpack("<BI", data[4:9])
-    if version != VERSION:
-        raise StorageError(f"unsupported binary version {version}")
-    if len(data) < 9 + length:
-        raise StorageError("truncated HDMV payload")
-    try:
-        body = BytesIO(zlib.decompress(data[9:9 + length]))
-    except zlib.error as exc:
-        raise StorageError(f"corrupt HDMV payload: {exc}") from exc
-    try:
-        name = body.read(_read_varint(body)).decode()
-        map_version = _read_varint(body)
-        n_kinds = _read_varint(body)
-        kinds = [body.read(_read_varint(body)).decode()
-                 for _ in range(n_kinds)]
+    body = open_body(data, MAGIC, VERSION, "HDMV")
+    with corrupt_body_as_storage_error("HDMV"):
+        name, version, n_elements = _read_map_prefix(body)
         hdmap = HDMap(name)
-        hdmap.version = map_version
-        n = _read_varint(body)
-        for _ in range(n):
-            hdmap.add(_decode_element(body, kinds))
+        hdmap.version = version
+        for _ in range(n_elements):
+            hdmap.add(decode_element(body))
         return hdmap
-    except StorageError:
-        raise
-    except (struct.error, IndexError, UnicodeDecodeError,
-            ValueError, KeyError) as exc:
-        raise StorageError(f"corrupt HDMV body: {exc}") from exc
+
+
+def element_count(blob) -> int:
+    """Element count of an HDMV blob from its body prefix (name, version,
+    kinds table, count varint) — no per-element decode."""
+    body = open_body(blob, MAGIC, VERSION, "HDMV")
+    with corrupt_body_as_storage_error("HDMV"):
+        return _read_map_prefix(body)[2]
 
 
 def _simplified(element: MapElement, tolerance: float) -> MapElement:

@@ -21,7 +21,7 @@ from repro.core.elements import Lane, MapElement, PointLandmark
 from repro.core.hdmap import HDMap
 from repro.core.tiles import TileId, TileScheme
 from repro.errors import StorageError
-from repro.storage.binary import decode_map, encode_map
+from repro.storage.binary import decode_map, element_count, encode_map
 
 
 @dataclass
@@ -81,22 +81,6 @@ class TileStoreStats:
             "hits": hits,
             "hit_rate": hits / total if total else 0.0,
         }
-
-
-def _count_elements(blob: bytes) -> int:
-    """Element count of an HDMV blob from its body prefix (name, version,
-    kinds table, count varint) — no per-element decode."""
-    import zlib
-    from io import BytesIO
-
-    from repro.storage.binary import _read_varint
-
-    body = BytesIO(zlib.decompress(blob[9:]))
-    body.read(_read_varint(body))      # map name
-    _read_varint(body)                 # map version
-    for _ in range(_read_varint(body)):
-        body.read(_read_varint(body))  # kind name
-    return _read_varint(body)
 
 
 class TileStore:
@@ -184,8 +168,7 @@ class TileStore:
             for tile in self.tiles():
                 blob = self._blobs[tile] if self._pack is None \
                     else bytes(self._pack.get(tile))
-                writer.add(tile, blob,
-                           n_elements=_count_elements(blob))
+                writer.add(tile, blob, n_elements=element_count(blob))
             return writer.publish()
 
     @property

@@ -190,3 +190,36 @@ class TestGridIndex:
         idx = GridIndex(10.0)
         with pytest.raises(GeometryError):
             idx.insert("a", (5, 5, 0, 0))
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, 0.0, float("nan"), 1.0),
+        (float("nan"), 0.0, 1.0, 1.0),
+        (0.0, float("-inf"), 1.0, 1.0),
+        (0.0, 0.0, 1.0, float("inf")),
+        (0.0, 0.0, 1e12, 1e12),          # ~1e22 cells
+        (0.0, 0.0, 10.0 * 257, 10.0 * 256),  # just over the ceiling
+    ])
+    def test_hostile_bounds_rejected_and_index_untouched(self, bounds):
+        idx = GridIndex(10.0)
+        idx.insert("a", (0, 0, 5, 5))
+        with pytest.raises(GeometryError):
+            idx.insert("a", bounds)
+        with pytest.raises(GeometryError):
+            idx.insert("b", bounds)
+        assert len(idx) == 1 and "b" not in idx
+        assert idx.query_point(2, 2) == ["a"]
+        assert idx.bounds_of("a") == (0, 0, 5, 5)
+
+    def test_largest_allowed_bounds_insert(self):
+        from repro.geometry.index import MAX_CELLS_PER_KEY
+
+        idx = GridIndex(10.0)
+        idx.insert("wide", (0.0, 0.0, 10.0 * 255 + 5, 10.0 * 255 + 5))
+        assert len(idx._cells) == MAX_CELLS_PER_KEY
+        assert idx.query_point(1200.0, 1300.0) == ["wide"]
+
+    def test_numpy_scalar_coordinates(self):
+        idx = GridIndex(10.0)
+        idx.insert("a", tuple(np.array([-15.0, -5.0, -11.0, 5.0])))
+        assert idx.query_point(np.float64(-12.0), np.float32(0.0)) == ["a"]
+        assert set(idx._cells) == {(-2, -1), (-2, 0)}

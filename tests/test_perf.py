@@ -7,15 +7,29 @@ rng stream. Anything weaker would let a "fast but subtly different"
 kernel slip into the physics.
 """
 
+import dataclasses
+import enum
 import json
+import math
+import pickle
 import threading
 import time
+import zlib
+from io import BytesIO
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import HDMap
+from repro.core.elements import (
+    Crosswalk,
+    Node,
+    SignType,
+    StopLine,
+    TrafficSign,
+)
 from repro.geometry.index import GridIndex
 from repro.geometry.polyline import Polyline
 from repro.geometry.transform import SE2
@@ -28,6 +42,7 @@ from repro.localization.geometric import (
 )
 from repro.localization.lane_marking import _batch_signed_laterals
 from repro.localization.map_matching import match_line_segments
+from repro.pack.delta import decode_delta, encode_delta
 from repro.perf import PerfRegistry, timed
 from repro.perf import reference
 from repro.perf.runner import (
@@ -43,10 +58,17 @@ from repro.sensors.lidar import (
 )
 from repro.serve import GetTile, IngestPatch, MapService, Status
 from repro.storage import TileStore
-from repro.storage.binary import encode_map
-from repro.update.distribution import MapDistributionServer
+from repro.storage.binary import (
+    BodyReader,
+    BodyWriter,
+    decode_map,
+    element_count,
+    encode_map,
+)
+from repro.update.distribution import MapDistributionServer, SyncDelta
 from repro.world import generate_grid_city
 
+from tests.body_fuzz import delta_of
 from tests.test_serve import _add_sign_patch
 
 
@@ -454,6 +476,185 @@ class TestGridIndexDeterminism:
         key, d = index.nearest(0.0, 0.0, lambda k: 300.0, max_radius=4.0)
         assert key == "only"
         assert d == 300.0
+
+
+# ----------------------------------------------------------------------
+# HDMV / HDDL codec: the index-cursor reader/writer vs the frozen
+# BytesIO twins — same bytes out, same elements in, bit for bit
+# ----------------------------------------------------------------------
+def assert_same_value(a, b, where=""):
+    """Exact equality, recursing into dataclasses, lists and polylines:
+    ``np.array_equal`` on geometry (not ``allclose``), ``is`` on enums."""
+    assert type(a) is type(b), where
+    if isinstance(a, Polyline):
+        assert_same_value(a.points, b.points, where)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape, where
+        assert np.array_equal(a, b), where
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same_value(getattr(a, f.name), getattr(b, f.name),
+                              f"{where}.{f.name}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_value(x, y, f"{where}[{i}]")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), where
+        for key in a:
+            assert_same_value(a[key], b[key], f"{where}[{key}]")
+    elif isinstance(a, enum.Enum):
+        assert a is b, where
+    else:
+        assert a == b, where
+
+
+def assert_same_map(a, b):
+    assert (a.name, a.version) == (b.name, b.version)
+    assert_same_value(list(a.elements()), list(b.elements()), a.name)
+
+
+def assert_codec_matches_twin(hdmap):
+    """Writer: same bytes as the twin. Reader: same map as the twin."""
+    blob = encode_map(hdmap)
+    assert blob == reference.encode_map_reference(hdmap)
+    assert_same_map(decode_map(blob), reference.decode_map_reference(blob))
+    return blob
+
+
+class TestCodecEquivalence:
+    @pytest.mark.parametrize("world", ["city", "highway", "factory"])
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    def test_every_tile_and_the_whole_map(self, world, scale, request):
+        hdmap = request.getfixturevalue(world)
+        tile_size = scale * {"city": 100.0, "highway": 200.0,
+                             "factory": 20.0}[world]
+        assert_codec_matches_twin(hdmap)
+        store = TileStore.build(hdmap, tile_size=tile_size)
+        assert len(store.tiles()) >= 2
+        for tile in store.tiles():
+            blob = store.encoded_view(tile)
+            shard = decode_map(blob)
+            assert_same_map(shard, reference.decode_map_reference(blob))
+            assert encode_map(shard) == blob
+            assert reference.encode_map_reference(shard) == blob
+            assert element_count(blob) == len(shard)
+
+    def test_simplified_encoding_matches(self, highway):
+        assert encode_map(highway, simplify_tolerance=0.1) == \
+            reference.encode_map_reference(highway, simplify_tolerance=0.1)
+
+    def test_empty_map(self):
+        empty = HDMap("nothing here")
+        empty.version = 3
+        blob = assert_codec_matches_twin(empty)
+        assert len(decode_map(blob)) == 0 and element_count(blob) == 0
+
+    def test_negative_deltas_and_quantisation_ties(self):
+        hdmap = HDMap("signs of every sign")
+        zigzag = np.array([[0.0, 0.0], [-3.0, 4.0], [2.0, -7.5],
+                           [-1000.25, -0.005], [-1000.255, 0.015]])
+        hdmap.create(StopLine, line=Polyline(zigzag))
+        hdmap.create(StopLine, line=Polyline(-zigzag[::-1] - 1234.565))
+        hdmap.create(Crosswalk, polygon=zigzag[:4].copy())
+        hdmap.create(Node, position=np.array([-0.005, 0.005]))
+        blob = assert_codec_matches_twin(hdmap)
+        line = next(iter(decode_map(blob).stop_lines())).line
+        assert np.array_equal(line.points[1], [-3.0, 4.0])
+
+    def test_nine_byte_varints(self):
+        # |coordinate| ~ 2**55 cm: zig-zag deltas need nine varint bytes,
+        # and the int -> float conversion rounds (beyond 2**53).
+        far = float(2**55 + 12345) * 0.01
+        hdmap = HDMap("far out")
+        hdmap.create(Node, position=np.array([far, -far]))
+        hdmap.create(TrafficSign, position=np.array([-far, far / 3.0]),
+                     sign_type=SignType.STOP)
+        blob = assert_codec_matches_twin(hdmap)
+        assert len(zlib.decompress(blob[9:])) > 4 * 9
+
+        # a polyline that starts out there and walks back and forth;
+        # one this long fits no map index, so compare at the field level
+        steps = np.array([[2**55, -2**55], [-7, 2**40], [2**56, -3],
+                          [-2**56 - 2**55, 2**55 - 2**40]])
+        line = Polyline(np.cumsum(steps, axis=0) * 0.01)
+        writer = BodyWriter()
+        writer.polyline(line)
+        twin = BytesIO()
+        reference._write_polyline(twin, line)
+        assert bytes(writer.buf) == twin.getvalue()
+        assert max(len(b) for b in _varints(bytes(writer.buf))) == 9
+        twin.seek(0)
+        assert_same_value(BodyReader(bytes(writer.buf)).polyline(),
+                          reference._read_polyline(twin))
+
+    def test_varint_primitives_match_the_twin(self):
+        for n in [0, 1, 127, 128, 16383, 16384, 2**35 - 1, 2**56,
+                  2**63 - 1, 2**64 - 1]:
+            writer, twin = BodyWriter(), BytesIO()
+            writer.varint(n)
+            reference._write_varint(twin, n)
+            assert bytes(writer.buf) == twin.getvalue()
+            assert BodyReader(bytes(writer.buf)).varint() == n
+        for n in [0, -1, 1, -64, 64, -2**31, 2**31, -2**62, 2**62 - 1]:
+            writer, twin = BodyWriter(), BytesIO()
+            writer.svarint(n)
+            reference._write_svarint(twin, n)
+            assert bytes(writer.buf) == twin.getvalue()
+            assert BodyReader(bytes(writer.buf)).svarint() == n
+
+    def test_vertices_that_quantise_to_duplicates_are_dropped(self):
+        # 2 mm apart: distinct in memory, the same centimetre on disk.
+        # The twin drops the repeat in Polyline.__init__; so must we.
+        pts = np.array([[0.0, 0.0], [10.0, 0.0], [10.002, 0.001],
+                        [20.0, 5.0], [20.001, 5.001], [20.002, 5.002]])
+        hdmap = HDMap("dups")
+        stop = hdmap.create(StopLine, line=Polyline(pts))
+        assert len(stop.line) == 6
+        blob = assert_codec_matches_twin(hdmap)
+        line = next(iter(decode_map(blob).stop_lines())).line
+        assert np.array_equal(line.points,
+                              [[0.0, 0.0], [10.0, 0.0], [20.0, 5.0]])
+        assert line.length == pytest.approx(10.0 + math.hypot(10.0, 5.0))
+
+    def test_deltas_match_the_twin(self, city, highway):
+        rng = np.random.default_rng(77)
+        deltas = [SyncDelta(9, [], {})]
+        for world in (city, highway):
+            store = TileStore.build(world, tile_size=250.0)
+            deltas += [delta_of(store.load_tile(t), rng)
+                       for t in store.tiles()]
+        for delta in deltas:
+            blob = encode_delta(delta)
+            assert blob == reference.encode_delta_reference(delta)
+            got = decode_delta(blob)
+            want = reference.decode_delta_reference(blob)
+            assert_same_value(got, want, "delta")
+            assert len(got.changes) == len(delta.changes)
+
+    @pytest.mark.parametrize("touch_first", [False, True])
+    def test_polyline_pickles_before_and_after_arc_length_use(
+            self, touch_first):
+        line = Polyline(np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 10.0]]))
+        if touch_first:
+            assert line.length == 11.0
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            clone = pickle.loads(pickle.dumps(line, protocol=protocol))
+            assert np.array_equal(clone.points, line.points)
+            assert clone.length == 11.0
+            assert np.array_equal(clone.point_at(5.0), [3.0, 4.0])
+            assert clone.project([3.0, 7.0]) == (8.0, 0.0)
+        assert line.length == 11.0
+
+
+def _varints(buf: bytes):
+    """Split a buffer of back-to-back varints."""
+    out, start = [], 0
+    for i, byte in enumerate(buf):
+        if byte < 0x80:
+            out.append(buf[start:i + 1])
+            start = i + 1
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,22 @@
 """Serialization round trips and storage accounting."""
 
+import json
+import os
+import subprocess
+import sys
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.core import HDMap, Lane, RuleType, TrafficSign
 from repro.core.elements import SignType
+from repro.core.ids import ElementId
+from repro.core.tiles import TileId
 from repro.errors import StorageError
-from repro.geometry.polyline import straight
+from repro.geometry.polyline import Polyline, straight
 from repro.storage import (
+    TileStore,
     build_pointcloud_map,
     decode_map,
     encode_map,
@@ -17,9 +26,14 @@ from repro.storage import (
     save_map,
     storage_report,
 )
-from repro.storage.binary import _read_varint, _write_varint
+from repro.storage.binary import (
+    MAGIC,
+    VERSION,
+    BodyReader,
+    BodyWriter,
+    element_count,
+)
 from repro.storage.pointcloud import PointCloudMap, bytes_per_mile
-from io import BytesIO
 
 
 class TestGeoJson:
@@ -73,10 +87,9 @@ class TestGeoJson:
 class TestBinary:
     def test_varint_roundtrip(self):
         for value in [0, 1, 127, 128, 300, 2**20, 2**40]:
-            buf = BytesIO()
-            _write_varint(buf, value)
-            buf.seek(0)
-            assert _read_varint(buf) == value
+            writer = BodyWriter()
+            writer.varint(value)
+            assert BodyReader(bytes(writer.buf)).varint() == value
 
     def test_roundtrip_counts(self, highway):
         blob = encode_map(highway)
@@ -163,6 +176,138 @@ class TestDecodeHardening:
         header = blob[:4] + struct.pack("<BI", blob[4], len(blob) * 2)
         with pytest.raises(StorageError, match="truncated"):
             decode_map(header + blob[9:])
+
+
+def _hostile_blob(write_records, n_elements=1) -> bytes:
+    """A well-framed HDMV blob whose element records ``write_records``
+    writes by hand — what a flipped bit inside the body looks like."""
+    body = BodyWriter()
+    body.string("hostile")
+    body.varint(0)
+    body.kind_table(["boundary", "lane", "node", "stopline"])
+    body.varint(n_elements)
+    write_records(body)
+    return body.seal(MAGIC, VERSION, level=1)
+
+
+def _node_record(body: BodyWriter, num: int) -> None:
+    body.append(1)  # Node tag
+    body.id(ElementId("node", num))
+    body.point(np.array([5.0, 5.0]))
+
+
+class TestHostileBodies:
+    """Corruption *inside* the inflated body (where zlib cannot help)
+    still ends in StorageError, before anything is allocated from it."""
+
+    def test_varint_longer_than_ten_bytes(self):
+        with pytest.raises(StorageError, match="varint"):
+            BodyReader(b"\xff" * 10 + b"\x01").varint()
+        assert BodyReader(b"\xff" * 9 + b"\x01").varint() == 2**64 - 1
+        blob = _hostile_blob(lambda body: body.buf.extend(
+            b"\x01\x03" + b"\xff" * 11))  # node id number never ends
+        with pytest.raises(StorageError):
+            decode_map(blob)
+
+    def test_counts_are_checked_against_bytes_remaining(self):
+        def huge_polyline(body):
+            body.append(10)  # StopLine tag
+            body.id(ElementId("stopline", 1))
+            body.varint(2**40)  # points promised, none delivered
+        with pytest.raises(StorageError, match="exceeds"):
+            decode_map(_hostile_blob(huge_polyline))
+        with pytest.raises(StorageError, match="exceeds"):
+            decode_map(_hostile_blob(lambda body: None, n_elements=2**50))
+        with pytest.raises(StorageError, match="exceeds"):
+            BodyReader(b"\x09abc").string()  # 9 bytes promised, 3 left
+        with pytest.raises(StorageError, match="exceeds"):
+            BodyReader(b"\x7f\x00").id_list()
+
+    def test_duplicate_id_is_a_storage_error(self):
+        def twice(body):
+            _node_record(body, 7)
+            _node_record(body, 7)
+        with pytest.raises(StorageError, match="duplicate"):
+            decode_map(_hostile_blob(twice, n_elements=2))
+
+    def test_corrupt_lane_width_is_a_storage_error(self):
+        def lane(body):
+            body.append(3)  # Lane tag
+            body.id(ElementId("lane", 1))
+            body.append(0)
+            body.f32(-1e30)  # width: bounds come out inverted
+            body.f32(13.9)
+            for _ in range(3):
+                body.id(None)
+            body.polyline(straight([0, 0], [40, 0]))
+        with pytest.raises(StorageError, match="bounds"):
+            decode_map(_hostile_blob(lane))
+
+    def test_far_flung_bounds_do_not_enumerate_cells(self):
+        def stop_line(body):
+            body.append(10)
+            body.id(ElementId("stopline", 1))
+            body.polyline(Polyline([[0.0, 0.0], [4e13, 4e13]]))
+        with pytest.raises(StorageError, match="cells"):
+            decode_map(_hostile_blob(stop_line))
+
+    def test_degenerate_polyline_is_a_storage_error(self):
+        def one_point(body):
+            body.append(10)
+            body.id(ElementId("stopline", 1))
+            body.buf.extend(b"\x01\x02\x02")  # one vertex
+        with pytest.raises(StorageError, match="two vertices"):
+            decode_map(_hostile_blob(one_point))
+
+    @pytest.mark.parametrize("codec", ["hdmv", "hddl"])
+    def test_mutation_fuzz_value_or_storage_error(self, codec):
+        """>= 1000 seeded flips / splices / truncations of inflated
+        bodies, in a child under RLIMIT_AS (see tests/body_fuzz.py)."""
+        pytest.importorskip("resource")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tests.body_fuzz", codec,
+             "--cases", "1200", "--seed", "20"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600)
+        assert proc.stdout.strip(), \
+            f"fuzz child died (exit {proc.returncode}): {proc.stderr[-2000:]}"
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["escapes"] == []
+        assert proc.returncode == 0
+        assert report["cases"] >= 1000
+        # both allowed outcomes actually occur
+        assert report["decoded"] > 50 and report["rejected"] > 50
+
+
+class TestElementCount:
+    def test_matches_full_decode(self, highway):
+        store = TileStore.build(highway, tile_size=500.0)
+        for tile in store.tiles():
+            blob = store.encoded_view(tile)
+            assert element_count(blob) == len(decode_map(blob))
+            assert element_count(memoryview(blob)) == element_count(blob)
+
+    def test_honours_the_declared_payload_length(self, highway):
+        blob = encode_map(highway)
+        assert element_count(blob + b"trailing junk") == len(highway)
+
+    def test_corrupt_blob_is_a_storage_error(self, highway):
+        blob = encode_map(highway)
+        for bad in (b"", blob[:7], b"XXXX" + blob[4:], blob[:40],
+                    blob[:9] + bytes(len(blob) - 9)):
+            with pytest.raises(StorageError):
+                element_count(bad)
+        cut_body = zlib.decompress(blob[9:])[:3]
+        payload = zlib.compress(cut_body)
+        with pytest.raises(StorageError):
+            element_count(blob[:5] + len(payload).to_bytes(4, "little")
+                          + payload)
+
+    def test_to_pack_raises_storage_error_on_a_corrupt_blob(self, tmp_path):
+        store = TileStore.from_blobs({TileId(0, 0): b"HDMV\x01\x04\0\0\0oops"})
+        with pytest.raises(StorageError):
+            store.to_pack(str(tmp_path / "bad.pack"))
 
 
 class TestPointCloud:
