@@ -362,7 +362,10 @@ def _douglas_peucker_mask(pts: np.ndarray, tol: float) -> np.ndarray:
             d, _ = segment_point_distance(a, b, pts[i])
             if d > best_d:
                 best_d, best_i = d, i
-        if best_d > tol:
+        # A chord whose endpoints coincide (out-and-back or closed line) has
+        # no direction: keep its farthest vertex even within tolerance, or
+        # the result collapses to one repeated point.
+        if best_d > tol or (best_d > 0.0 and np.array_equal(a, b)):
             keep[best_i] = True
             stack.append((lo, best_i))
             stack.append((best_i, hi))

@@ -8,9 +8,9 @@ adds the serving layer between them and the fleet:
 - :mod:`repro.serve.api` — typed request/response messages
   (``GetTile``, ``SpatialQuery``, ``ChangesSince``, ``IngestPatch``,
   ``Snapshot``) with priorities and status codes;
-- :mod:`repro.serve.cache` — :class:`ShardedTileCache`, a sharded,
-  read-write-locked cache of decoded tiles (an *encoded* tile payload
-  is the stored blob, ``TileStore.encoded_view``, and bypasses it);
+- :mod:`repro.serve.cache` — :class:`ShardedTileCache`, one LRU of
+  decoded tiles behind one lock (an *encoded* tile payload is the
+  stored blob, ``TileStore.encoded_view``, and bypasses it);
 - :mod:`repro.serve.admission` — :class:`AdmissionController`: bounded
   queueing with backpressure (reject on overflow, optionally displacing
   older low-priority work for high-priority arrivals) and load shedding
@@ -40,7 +40,7 @@ from repro.serve.api import (
     SpatialQuery,
     Status,
 )
-from repro.serve.cache import RWLock, ShardedTileCache
+from repro.serve.cache import ShardedTileCache
 from repro.serve.fleet import FleetReport, FleetSimulator, VehicleReport
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.service import MapService
@@ -59,7 +59,6 @@ __all__ = [
     "Priority",
     "Request",
     "Response",
-    "RWLock",
     "ServiceMetrics",
     "ShardedTileCache",
     "Snapshot",

@@ -1,15 +1,15 @@
-"""Sharded read-write-locked tile cache for the serving layer.
+"""One-lock LRU cache of decoded tiles for the serving layer.
 
-A single ``StreamingMap`` LRU is correct for one vehicle but serializes a
-fleet: every query mutates one ``OrderedDict``. Here the tile plane is hashed
-across independent shards; each shard takes a shared (read) lock on the hit
-path and an exclusive (write) lock only to install or evict entries, so
-concurrent readers of hot tiles never queue behind each other.
+This is ``StreamingMap._tile`` plus a lock: one ``OrderedDict`` in recency
+order, bounded at ``n_shards * tiles_per_shard`` tiles, behind one plain
+``threading.Lock``. A hit is a lookup and a ``move_to_end`` under the lock;
+a miss runs the loader *outside* it, then installs the tile and evicts from
+the cold end.
 
-Recency is tracked with a per-tile logical timestamp written on the read
-path. A CPython dict store of an int is atomic under the GIL, so hits can
-refresh recency without upgrading to the write lock; eviction (under the
-write lock) removes the least-recently-touched tile.
+Workers are CPU-bound under the GIL, so splitting the lock buys no
+concurrency; splitting the *capacity* by tile hash made the cache 4-way
+set-associative and cost 11 points of hit rate on a drive just larger than
+the cache (DESIGN.md "Serving layer").
 
 Only *decoded* tiles live here. An encoded tile payload is the stored blob
 (``TileStore.encoded_view``) and never passes through the cache.
@@ -17,10 +17,9 @@ Only *decoded* tiles live here. An encoded tile payload is the stored blob
 
 from __future__ import annotations
 
-import itertools
 import threading
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.hdmap import HDMap
 from repro.core.tiles import TileId
@@ -29,81 +28,26 @@ from repro.obs.metrics import Counter
 from repro.obs.trace import TRACER
 
 
-class RWLock:
-    """Many concurrent readers or one exclusive writer, writer-preferring.
-
-    Writers that are waiting block new readers, so a stream of cache hits
-    cannot starve an eviction or invalidation.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        with self._cond:
-            self._writers_waiting += 1
-            while self._writer_active or self._readers:
-                self._cond.wait()
-            self._writers_waiting -= 1
-            self._writer_active = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer_active = False
-                self._cond.notify_all()
-
-
-class _Shard:
-    __slots__ = ("lock", "items", "recency")
-
-    def __init__(self) -> None:
-        self.lock = RWLock()
-        self.items: Dict[TileId, Optional[HDMap]] = {}
-        self.recency: Dict[TileId, int] = {}
-
-
 class ShardedTileCache:
-    """A bounded tile cache partitioned into independently locked shards."""
+    """A bounded LRU of decoded tiles; the two size arguments multiply."""
 
     def __init__(self, loader: Callable[[TileId], Optional[HDMap]],
                  n_shards: int = 8, tiles_per_shard: int = 16) -> None:
         if n_shards < 1 or tiles_per_shard < 1:
             raise StorageError("n_shards and tiles_per_shard must be >= 1")
         self._loader = loader
-        self._shards = [_Shard() for _ in range(n_shards)]
-        self.tiles_per_shard = tiles_per_shard
-        self._clock = itertools.count(1)
+        self.capacity = n_shards * tiles_per_shard
+        self._lock = threading.Lock()
+        self._tiles: "OrderedDict[TileId, Optional[HDMap]]" = OrderedDict()
         self.hits = Counter()
         self.misses = Counter()
         self.evictions = Counter()
-
-    def _shard_for(self, tile: TileId) -> _Shard:
-        return self._shards[hash((tile.tx, tile.ty)) % len(self._shards)]
 
     def get(self, tile: TileId) -> Optional[HDMap]:
         """Cached decoded tile, loading through ``loader`` on a miss.
 
         Two threads missing the same tile may both invoke the loader; the
-        second install is discarded. The loader runs outside every lock so a
+        second install is discarded. The loader runs outside the lock so a
         slow (remote) blob fetch never blocks hits on other tiles.
         """
         span = TRACER.span("serve.cache.get")
@@ -117,47 +61,26 @@ class ShardedTileCache:
 
     def _get(self, tile: TileId) -> Tuple[Optional[HDMap], bool]:
         """(tile, was-a-hit) — the untraced lookup behind :meth:`get`."""
-        shard = self._shard_for(tile)
-        with shard.lock.read():
-            if tile in shard.items:
-                shard.recency[tile] = next(self._clock)
+        tiles = self._tiles
+        with self._lock:
+            if tile in tiles:
+                tiles.move_to_end(tile)
                 self.hits.add()
-                return shard.items[tile], True
+                return tiles[tile], True
         value = self._loader(tile)
         self.misses.add()
-        with shard.lock.write():
-            if tile not in shard.items:
-                shard.items[tile] = value
-                shard.recency[tile] = next(self._clock)
-                while len(shard.items) > self.tiles_per_shard:
-                    victim = min(shard.recency, key=shard.recency.get)
-                    del shard.items[victim]
-                    del shard.recency[victim]
-                    self.evictions.add()
-            else:
-                value = shard.items[tile]
+        with self._lock:
+            if tile in tiles:
+                return tiles[tile], False
+            tiles[tile] = value
+            if len(tiles) > self.capacity:
+                tiles.popitem(last=False)
+                self.evictions.add()
         return value, False
 
-    def invalidate(self, tiles: Optional[List[TileId]] = None) -> None:
-        """Drop specific tiles (or everything when ``tiles`` is None)."""
-        if tiles is None:
-            for shard in self._shards:
-                with shard.lock.write():
-                    shard.items.clear()
-                    shard.recency.clear()
-            return
-        for tile in tiles:
-            shard = self._shard_for(tile)
-            with shard.lock.write():
-                shard.items.pop(tile, None)
-                shard.recency.pop(tile, None)
-
     def resident_tiles(self) -> List[TileId]:
-        out: List[TileId] = []
-        for shard in self._shards:
-            with shard.lock.read():
-                out.extend(shard.items)
-        return sorted(out)
+        with self._lock:
+            return sorted(self._tiles)
 
     @property
     def hit_rate(self) -> float:
@@ -171,5 +94,5 @@ class ShardedTileCache:
             "misses": self.misses.value,
             "evictions": self.evictions.value,
             "hit_rate": self.hit_rate,
-            "resident": len(self.resident_tiles()),
+            "resident": len(self._tiles),
         }

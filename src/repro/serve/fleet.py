@@ -6,8 +6,8 @@ connected vehicle produces: spatial queries around its pose on every step,
 periodic incremental syncs of its on-board map, and (optionally)
 crowd-sourced patch ingests reporting newly observed signs. Vehicles run
 in their own threads, so the service sees genuinely concurrent,
-spatially coherent traffic — the workload the sharded cache and the
-admission controller are designed for.
+spatially coherent traffic — the workload the tile cache's recency
+order and the admission controller are designed for.
 
 The :class:`FleetReport` aggregates what the acceptance criteria need:
 throughput, cache hit rate, latency percentiles, and two consistency

@@ -9,8 +9,9 @@ One service instance fronts a :class:`~repro.update.distribution.MapDistribution
 - a pool of worker threads drains the queue, shedding stale low-priority
   requests (SHED) and dispatching the rest;
 - tile reads and spatial queries are answered from a
-  :class:`~repro.serve.cache.ShardedTileCache`, so hot tiles are decoded
-  once and served under shared locks;
+  :class:`~repro.serve.cache.ShardedTileCache` — one LRU of
+  ``cache_shards * tiles_per_shard`` decoded tiles behind one lock — so a
+  hot tile is decoded once and a miss decodes outside the lock;
 - ingests and incremental syncs go to the distribution server, whose lock
   gives single-copy consistency (see ``repro.update.distribution``).
 

@@ -8,8 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.world import generate_factory_floor, generate_grid_city, generate_highway
+
+# `--hypothesis-profile=ci`: examples derive from the test alone and no
+# local example database is read, so a failure reproduces from the commit.
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 @pytest.fixture

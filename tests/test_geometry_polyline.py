@@ -138,6 +138,18 @@ class TestDerivation:
         simple = p.simplify(0.5)
         assert len(simple) == 3
 
+    def test_simplify_out_and_back_keeps_far_vertex(self):
+        # Coincident endpoints, interior within tolerance: the far vertex
+        # must survive or the line collapses to one repeated point.
+        simple = Polyline([[0, 0], [1, 0], [0, 0]]).simplify(1.0)
+        assert simple.points.tolist() == [[0, 0], [1, 0], [0, 0]]
+
+    def test_simplify_closed_square_within_tolerance(self):
+        square = Polyline([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]])
+        simple = square.simplify(5.0)
+        assert simple.points.tolist() == [[0, 0], [1, 1], [0, 0]]
+        assert np.allclose(simple.start, simple.end)
+
     def test_concat(self, line):
         other = straight([100.0, 0.0], [100.0, 50.0], spacing=5.0)
         joined = line.concat(other)

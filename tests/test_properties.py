@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ids import ElementId
@@ -107,6 +107,7 @@ class TestPolylineProperties:
         assert r.length <= line.length + 1e-6
 
     @given(polylines(), st.floats(min_value=0.01, max_value=5.0))
+    @example(Polyline([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)]), 1.0)
     @settings(deadline=None)
     def test_simplify_within_tolerance(self, line, tol):
         simple = line.simplify(tol)

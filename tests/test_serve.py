@@ -1,9 +1,13 @@
-"""Serving layer: admission control, sharded cache, MapService, fleet runs."""
+"""Serving layer: admission control, tile cache, MapService, fleet runs."""
 
+import sys
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import MapPatch, SignType, TrafficSign
 from repro.core.tiles import TileId
@@ -23,7 +27,7 @@ from repro.serve import (
     SpatialQuery,
     Status,
 )
-from repro.serve.cache import RWLock, ShardedTileCache
+from repro.serve.cache import ShardedTileCache
 from repro.storage import StreamingMap, TileStore
 from repro.storage.tilestore import TileStoreStats
 from repro.update.distribution import MapDistributionServer, VehicleMapClient
@@ -200,16 +204,6 @@ class TestShardedTileCache:
         assert len(cache.resident_tiles()) <= 4
         assert cache.evictions.value > 0
 
-    def test_invalidate_reloads(self, city):
-        store = TileStore.build(city, tile_size=150.0)
-        cache = ShardedTileCache(store.load_tile)
-        tile = store.tiles()[0]
-        cache.get(tile)
-        cache.invalidate([tile])
-        assert tile not in cache.resident_tiles()
-        cache.get(tile)
-        assert cache.misses.value == 2
-
     def test_concurrent_readers_agree(self, city):
         store = TileStore.build(city, tile_size=150.0)
         cache = ShardedTileCache(store.load_tile, n_shards=4,
@@ -235,19 +229,130 @@ class TestShardedTileCache:
             t.join()
         assert not errors
 
-    def test_rwlock_excludes_writers(self):
-        lock = RWLock()
-        log = []
-        with lock.read():
-            with lock.read():  # readers share
-                log.append("nested-read")
-        with lock.write():
-            log.append("write")
-        assert log == ["nested-read", "write"]
-
     def test_shard_validation(self):
         with pytest.raises(StorageError):
             ShardedTileCache(lambda t: None, n_shards=0)
+
+    @given(st.integers(1, 3), st.integers(1, 3),
+           st.lists(st.builds(TileId, st.integers(-3, 3), st.integers(-3, 3)),
+                    max_size=80))
+    def test_matches_reference_lru(self, n_shards, per_shard, gets):
+        cache = ShardedTileCache(lambda t: object(), n_shards, per_shard)
+        capacity = n_shards * per_shard
+        model = OrderedDict()
+        hits = misses = evictions = 0
+        for tile in gets:
+            value = cache.get(tile)
+            if tile in model:
+                model.move_to_end(tile)
+                hits += 1
+                assert value is model[tile]
+            else:
+                model[tile] = value
+                misses += 1
+                if len(model) > capacity:
+                    model.popitem(last=False)
+                    evictions += 1
+            resident = cache.resident_tiles()
+            assert resident == sorted(model) and len(resident) <= capacity
+            assert (cache.hits.value, cache.misses.value,
+                    cache.evictions.value) == (hits, misses, evictions)
+            assert cache.as_dict()["resident"] == len(model)
+
+    @given(st.sets(st.builds(TileId, st.integers(-10**6, 10**6),
+                             st.integers(-10**6, 10**6)),
+                   min_size=1, max_size=12))
+    def test_working_set_within_capacity_decodes_once(self, working_set):
+        # Whatever the coordinates hash to, <= capacity distinct tiles all
+        # stay resident (the per-shard bound evicted colliding ones).
+        loads = []
+        cache = ShardedTileCache(lambda t: loads.append(t), 4, 3)
+        for _ in range(3):
+            for tile in working_set:
+                cache.get(tile)
+        assert sorted(loads) == sorted(working_set)
+        assert cache.evictions.value == 0
+
+    def test_blocked_loader_does_not_delay_other_hits(self):
+        slow, hot = TileId(0, 0), TileId(1, 0)
+        entered, release = threading.Event(), threading.Event()
+
+        def loader(tile):
+            if tile == slow:
+                entered.set()
+                assert release.wait(10.0)
+            return object()
+
+        cache = ShardedTileCache(loader, 1, 4)
+        warm = cache.get(hot)
+        got = []
+        misser = threading.Thread(target=cache.get, args=(slow,))
+        hitter = threading.Thread(target=lambda: got.append(cache.get(hot)))
+        misser.start()
+        try:
+            assert entered.wait(10.0)
+            hitter.start()
+            hitter.join(10.0)
+            # The hit finished while the other tile's loader is still held.
+            assert not hitter.is_alive() and got == [warm]
+            assert misser.is_alive()
+        finally:
+            release.set()
+            misser.join(10.0)
+        assert not misser.is_alive()
+        assert cache.resident_tiles() == [slow, hot]
+
+    def test_racing_misses_share_the_installed_tile(self):
+        both_loading = threading.Barrier(2, timeout=10.0)
+
+        def loader(tile):
+            both_loading.wait()
+            return object()
+
+        cache = ShardedTileCache(loader, 1, 4)
+        tile = TileId(2, 5)
+        got = []
+        threads = [threading.Thread(
+            target=lambda: got.append(cache.get(tile))) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 2 and got[0] is got[1] is cache.get(tile)
+        assert cache.misses.value == 2 and cache.resident_tiles() == [tile]
+
+    def test_hammering_threads_keep_bound_and_counts(self):
+        cache = ShardedTileCache(lambda t: object(), 2, 4)
+        tiles = [TileId(i % 6, i // 6) for i in range(3 * cache.capacity)]
+        calls, n_threads = 400, 8
+        errors = []
+
+        def hammer(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for i in rng.integers(0, len(tiles), size=calls):
+                    cache.get(tiles[int(i)])
+                    if len(cache.resident_tiles()) > cache.capacity:
+                        errors.append("over capacity")
+            except Exception as exc:  # surfaced below, not lost in a thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(s,))
+                   for s in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert len(cache.resident_tiles()) <= cache.capacity
+        assert cache.hits.value + cache.misses.value == n_threads * calls
+        assert cache.evictions.value <= cache.misses.value
 
 
 # ----------------------------------------------------------------------

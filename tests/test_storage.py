@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core import HDMap, Lane, RuleType, TrafficSign
+from repro.core import HDMap, Lane, LaneBoundary, RuleType, TrafficSign
 from repro.core.elements import SignType
 from repro.core.ids import ElementId
 from repro.core.tiles import TileId
@@ -128,6 +128,16 @@ class TestBinary:
         exact = len(encode_map(highway))
         lossy = len(encode_map(highway, simplify_tolerance=0.1))
         assert lossy < exact
+
+    def test_simplification_keeps_closed_boundary(self):
+        # A closed kerb smaller than the tolerance used to collapse to its
+        # two coincident endpoints and fail the whole encode.
+        hdmap = HDMap("island")
+        kerb = hdmap.create(LaneBoundary, line=Polyline(
+            [[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5], [0.0, 0.0]]))
+        again = decode_map(encode_map(hdmap, simplify_tolerance=1.0))
+        line = again.get(kerb.id).line
+        assert len(line) == 3 and np.allclose(line.start, line.end)
 
     def test_bad_magic(self):
         with pytest.raises(StorageError):
