@@ -27,7 +27,7 @@ import itertools
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.tiles import TileId, TileScheme
 from repro.errors import IngestError
@@ -42,20 +42,29 @@ _log = get_logger("ingest.bus")
 class _Partition:
     """One bounded partition: pending queue + dedup window + delivery state."""
 
-    __slots__ = ("cond", "pending", "recent", "inflight", "retry")
+    __slots__ = ("pending", "recent", "inflight", "retry", "last_lease")
 
-    def __init__(self, lock: threading.Lock) -> None:
-        self.cond = threading.Condition(lock)
+    def __init__(self) -> None:
         self.pending: Deque[Observation] = deque()
         self.recent: "OrderedDict[Tuple[str, int], None]" = OrderedDict()
         # batch_id -> (batch, lease deadline)
         self.inflight: Dict[int, Tuple[ObservationBatch, float]] = {}
         # (ready_time, tiebreak, batch) min-heap of nacked batches
         self.retry: List[Tuple[float, int, ObservationBatch]] = []
+        # bus tick of this partition's latest lease (poll fairness)
+        self.last_lease = -1
+
+    def ready(self, now: float) -> bool:
+        return bool(self.pending) or bool(self.retry
+                                          and self.retry[0][0] <= now)
+
+    def drained(self) -> bool:
+        return not (self.pending or self.retry or self.inflight)
 
 
 class ObservationBus:
-    """Partitioned, bounded, deduplicating observation transport."""
+    """Partitioned, bounded, deduplicating observation transport; one lock
+    and one condition guard every partition."""
 
     def __init__(self, tile_size: float = 250.0, n_partitions: int = 4,
                  capacity_per_partition: int = 1024,
@@ -72,9 +81,9 @@ class ObservationBus:
         self.dedup_window = dedup_window
         self.lease_timeout_s = lease_timeout_s
         self._clock = clock
-        self._partitions = [_Partition(threading.Lock())
-                            for _ in range(n_partitions)]
-        self._retry_tiebreak = itertools.count()
+        self._cond = threading.Condition(threading.Lock())
+        self._partitions = [_Partition() for _ in range(n_partitions)]
+        self._ticks = itertools.count()  # retry tiebreaks, lease recency
         self._closed = False
         self.published = Counter()
         self.deduplicated = Counter()
@@ -98,8 +107,9 @@ class ObservationBus:
         if self._closed:
             raise IngestError("bus is closed")
         tile = self.scheme.tile_of(*obs.position)
-        part = self._partitions[self.partition_of(tile)]
-        with part.cond:
+        partition = self.partition_of(tile)
+        part = self._partitions[partition]
+        with self._cond:
             key = obs.dedup_key
             if key in part.recent:
                 self.deduplicated.add()
@@ -110,8 +120,7 @@ class ObservationBus:
             if len(part.pending) >= self.capacity_per_partition:
                 part.pending.popleft()
                 self.shed_oldest.add()
-                _log.warning("observation_shed",
-                             partition=self.partition_of(tile),
+                _log.warning("observation_shed", partition=partition,
                              capacity=self.capacity_per_partition)
             if TRACER.enabled:
                 # Stamp the observation with a trace identity: a child of
@@ -130,22 +139,15 @@ class ObservationBus:
             obs.enqueued_at = self._clock()
             part.pending.append(obs)
             self.published.add()
-            part.cond.notify()
+            # Workers own disjoint partitions: one notify could wake the
+            # wrong one.
+            self._cond.notify_all()
         return True
 
     # -- consumer side --------------------------------------------------
-    def _ready_retry(self, part: _Partition,
-                     now: float) -> Optional[ObservationBatch]:
-        if part.retry and part.retry[0][0] <= now:
-            _, _, batch = heapq.heappop(part.retry)
-            return batch
-        return None
-
     def _build_batch(self, part: _Partition, partition: int,
-                     max_batch: int) -> Optional[ObservationBatch]:
-        """Lease a tile-coherent batch off the pending queue."""
-        if not part.pending:
-            return None
+                     max_batch: int) -> ObservationBatch:
+        """Lease a tile-coherent batch off a non-empty pending queue."""
         head_tile = self.scheme.tile_of(*part.pending[0].position)
         taken: List[Observation] = []
         kept: List[Observation] = []
@@ -160,45 +162,52 @@ class ObservationBus:
         return ObservationBatch(tile=head_tile, partition=partition,
                                 observations=taken)
 
-    def poll(self, partition: int, max_batch: int = 32,
+    def poll(self, partitions: Sequence[int], max_batch: int = 32,
              timeout: Optional[float] = None) -> Optional[ObservationBatch]:
-        """Lease the next batch of ``partition`` (retries first).
+        """Lease the next batch from any ready one of ``partitions``.
 
-        Returns None when the bus is closed with nothing pending, or when
-        ``timeout`` elapses. The leased batch must be :meth:`ack`-ed or
-        :meth:`nack`-ed; otherwise its lease expires after
-        ``lease_timeout_s`` and it is redelivered.
+        Due retries go first, and the ready partition leased longest ago
+        wins, so a refilling one cannot starve its siblings. Blocks only
+        while none is ready, at most until the earliest retry among them
+        is due. Returns None on ``timeout``, or once the bus is closed and
+        ``partitions`` hold nothing pending, retrying or leased; an unacked
+        lease expires after ``lease_timeout_s`` and is redelivered.
         """
-        part = self._partitions[partition]
+        owned = [(p, self._partitions[p]) for p in partitions]
         deadline = None if timeout is None else self._clock() + timeout
-        with part.cond:
+        with self._cond:
             while True:
                 now = self._clock()
-                batch = self._ready_retry(part, now)
-                if batch is None:
-                    batch = self._build_batch(part, partition, max_batch)
-                if batch is not None:
+                ready = [(part.last_lease, p, part) for p, part in owned
+                         if part.ready(now)]
+                if ready:
+                    _, p, part = min(ready)
+                    if part.retry and part.retry[0][0] <= now:
+                        batch = heapq.heappop(part.retry)[2]
+                    else:
+                        batch = self._build_batch(part, p, max_batch)
+                    part.last_lease = next(self._ticks)
                     part.inflight[batch.batch_id] = (
                         batch, now + self.lease_timeout_s)
                     return batch
-                if self._closed and not part.retry:
+                if self._closed and all(part.drained() for _, part in owned):
                     return None
-                wait: Optional[float] = None
-                if part.retry:
-                    wait = max(0.0, part.retry[0][0] - now)
+                due = [part.retry[0][0] for _, part in owned if part.retry]
+                wait = max(0.0, min(due) - now) if due else None
                 if deadline is not None:
                     remaining = deadline - now
                     if remaining <= 0:
                         return None
                     wait = remaining if wait is None else min(wait, remaining)
-                part.cond.wait(wait)
+                self._cond.wait(wait)
 
     def ack(self, batch: ObservationBatch) -> None:
         """Mark a batch done; it will never be redelivered."""
         part = self._partitions[batch.partition]
-        with part.cond:
+        with self._cond:
             if part.inflight.pop(batch.batch_id, None) is not None:
                 self.acked_batches.add()
+                self._cond.notify_all()
 
     def nack(self, batch: ObservationBatch, delay_s: float = 0.0,
              count_attempt: bool = True) -> None:
@@ -210,66 +219,65 @@ class ObservationBus:
         cannot dead-letter healthy batches.
         """
         part = self._partitions[batch.partition]
-        with part.cond:
+        with self._cond:
             if part.inflight.pop(batch.batch_id, None) is None:
                 return  # already acked or lease-expired elsewhere
             if count_attempt:
                 batch.attempts += 1
             heapq.heappush(part.retry, (self._clock() + delay_s,
-                                        next(self._retry_tiebreak), batch))
+                                        next(self._ticks), batch))
             self.redelivered.add()
-            part.cond.notify()
+            self._cond.notify_all()
 
     def redeliver_expired(self) -> int:
         """Requeue every in-flight batch whose lease expired (crashed
         worker); returns how many were redelivered."""
-        now = self._clock()
         total = 0
-        for part in self._partitions:
-            with part.cond:
+        with self._cond:
+            now = self._clock()
+            for part in self._partitions:
                 expired = [bid for bid, (_, dl) in part.inflight.items()
                            if dl <= now]
                 for bid in expired:
                     batch, _ = part.inflight.pop(bid)
                     batch.attempts += 1
                     heapq.heappush(part.retry,
-                                   (now, next(self._retry_tiebreak), batch))
+                                   (now, next(self._ticks), batch))
                     self.redelivered.add()
                     total += 1
-                if expired:
-                    part.cond.notify_all()
+            if total:
+                self._cond.notify_all()
         return total
 
     # -- introspection --------------------------------------------------
     def depth(self, partition: int) -> int:
         part = self._partitions[partition]
-        with part.cond:
+        with self._cond:
             return len(part.pending) + len(part.retry)
 
     def total_depth(self) -> int:
         return sum(self.depth(p) for p in range(self.n_partitions))
 
     def in_flight(self) -> int:
-        total = 0
-        for part in self._partitions:
-            with part.cond:
-                total += len(part.inflight)
-        return total
+        with self._cond:
+            return sum(len(part.inflight) for part in self._partitions)
 
-    def partition_drained(self, partition: int) -> bool:
-        """Nothing pending, retrying, or leased in one partition."""
-        part = self._partitions[partition]
-        with part.cond:
-            return not (part.pending or part.retry or part.inflight)
+    def _drained(self) -> bool:
+        return all(part.drained() for part in self._partitions)
 
     def is_drained(self) -> bool:
         """Nothing pending, retrying, or leased anywhere."""
-        return all(self.partition_drained(p)
-                   for p in range(self.n_partitions))
+        with self._cond:
+            return self._drained()
+
+    def wait_drained(self, timeout_s: Optional[float] = None) -> bool:
+        """Block until :meth:`is_drained`; False if ``timeout_s`` elapses
+        first. Woken by every ack, so there is no polling interval."""
+        with self._cond:
+            return self._cond.wait_for(self._drained, timeout_s)
 
     def close(self) -> None:
         """Stop admitting; wake all pollers so they can drain and exit."""
-        self._closed = True
-        for part in self._partitions:
-            with part.cond:
-                part.cond.notify_all()
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()

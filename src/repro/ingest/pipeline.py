@@ -220,12 +220,7 @@ class IngestPipeline:
 
     def drain(self, timeout_s: float = 30.0) -> bool:
         """Block until every published observation is fully processed."""
-        deadline = self._clock() + timeout_s
-        while self._clock() < deadline:
-            if self.bus.is_drained():
-                return True
-            time.sleep(0.005)
-        return self.bus.is_drained()
+        return self.bus.wait_drained(timeout_s)
 
     def stop(self, drain: bool = True, timeout_s: float = 30.0) -> None:
         if not self._started:
@@ -300,15 +295,12 @@ class IngestPipeline:
         partitions = [p for p in range(self.n_partitions)
                       if p % self.n_workers == worker_idx]
         while True:
-            progressed = False
-            for p in partitions:
-                batch = self.bus.poll(p, self.max_batch, timeout=0.01)
-                if batch is not None:
-                    self._deliver(batch, worker_idx)
-                    progressed = True
-            if self._closing and not progressed and \
-                    all(self.bus.partition_drained(p) for p in partitions):
+            # Blocks only while none of the owned partitions is ready;
+            # None means the bus is closed and they are drained.
+            batch = self.bus.poll(partitions, self.max_batch)
+            if batch is None:
                 return
+            self._deliver(batch, worker_idx)
 
     def _deliver(self, batch: ObservationBatch,
                  worker_idx: Optional[int] = None) -> None:

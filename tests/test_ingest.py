@@ -79,7 +79,7 @@ class TestObservationBus:
             bus.publish(_obs(seq=seq, x=x))
         seen_tiles = []
         while True:
-            batch = bus.poll(0, max_batch=16, timeout=0.0)
+            batch = bus.poll([0], max_batch=16, timeout=0.0)
             if batch is None:
                 break
             tiles = {bus.scheme.tile_of(*o.position)
@@ -93,7 +93,7 @@ class TestObservationBus:
     def test_ack_completes_delivery(self):
         bus = ObservationBus(n_partitions=1)
         bus.publish(_obs())
-        batch = bus.poll(0, timeout=0.0)
+        batch = bus.poll([0], timeout=0.0)
         assert batch is not None and bus.in_flight() == 1
         assert not bus.is_drained()
         bus.ack(batch)
@@ -104,9 +104,9 @@ class TestObservationBus:
     def test_nack_redelivers_with_attempts(self):
         bus = ObservationBus(n_partitions=1)
         bus.publish(_obs())
-        batch = bus.poll(0, timeout=0.0)
+        batch = bus.poll([0], timeout=0.0)
         bus.nack(batch, delay_s=0.0)
-        again = bus.poll(0, timeout=0.5)
+        again = bus.poll([0], timeout=0.5)
         assert again is not None
         assert again.batch_id == batch.batch_id
         assert again.attempts == 1
@@ -117,12 +117,12 @@ class TestObservationBus:
         bus = ObservationBus(n_partitions=1, lease_timeout_s=5.0,
                              clock=clock)
         bus.publish(_obs())
-        batch = bus.poll(0, timeout=0.0)
+        batch = bus.poll([0], timeout=0.0)
         assert batch.attempts == 0
         assert bus.redeliver_expired() == 0  # lease still live
         clock.t = 6.0
         assert bus.redeliver_expired() == 1  # worker presumed crashed
-        again = bus.poll(0, timeout=0.0)
+        again = bus.poll([0], timeout=0.0)
         assert again.batch_id == batch.batch_id
         assert again.attempts == 1
 
@@ -131,14 +131,14 @@ class TestObservationBus:
         for seq in range(6):
             assert bus.publish(_obs(seq=seq))
         assert bus.shed_oldest.value == 2
-        batch = bus.poll(0, max_batch=16, timeout=0.0)
+        batch = bus.poll([0], max_batch=16, timeout=0.0)
         # The two oldest observations were shed; the freshest four remain.
         assert sorted(o.seq for o in batch.observations) == [2, 3, 4, 5]
 
     def test_closed_empty_bus_returns_none(self):
         bus = ObservationBus(n_partitions=1)
         bus.close()
-        assert bus.poll(0, timeout=5.0) is None
+        assert bus.poll([0], timeout=5.0) is None
         with pytest.raises(IngestError):
             bus.publish(_obs())
 
@@ -368,6 +368,86 @@ class TestFailurePaths:
         stats = pipe.stats()
         assert stats["observations"]["shed"] == 6
         assert stats["queue_depth_total"] == 4
+
+
+# ----------------------------------------------------------------------
+def _burst(n=96, tiles=12):
+    """Observations spread round-robin over ``tiles`` 250 m tiles."""
+    return [_obs(seq=seq, x=250.0 * (seq % tiles) + 10.0 + seq / n)
+            for seq in range(n)]
+
+
+class TestWorkerWaits:
+    def test_worker_never_waits_while_an_owned_partition_is_ready(self):
+        server = _sign_server()
+        pipe = IngestPipeline(server, n_workers=1, n_partitions=8)
+        bus = pipe.bus
+        idle_while_ready = []
+        inner = bus._cond.wait
+
+        def wait(timeout=None):
+            # Runs under the bus lock, so the partitions hold still.
+            if threading.current_thread().name.startswith("ingest-worker"):
+                now = bus._clock()
+                idle_while_ready.extend(
+                    p for p, part in enumerate(bus._partitions)
+                    if part.ready(now))
+            return inner(timeout)
+
+        bus._cond.wait = wait
+        burst = _burst()
+        assert len({bus.partition_of(bus.scheme.tile_of(*o.position))
+                    for o in burst}) > 1
+        for obs in burst:
+            pipe.submit(obs)
+        with pipe:
+            assert pipe.drain(10.0)
+        assert idle_while_ready == []
+        assert pipe.stats()["observations"]["processed"] == len(burst)
+
+    def test_drain_waits_without_sleeping(self, monkeypatch):
+        # Not started: this test is the only consumer. It leases every
+        # batch, then acks them only once drain() is blocked in the bus
+        # condition, so drain() must really wait.
+        pipe = IngestPipeline(_sign_server(), n_workers=1, n_partitions=4)
+        bus = pipe.bus
+        for obs in _burst():
+            pipe.submit(obs)
+        everything = list(range(bus.n_partitions))
+        leased = []
+        while (batch := bus.poll(everything, timeout=0.0)) is not None:
+            leased.append(batch)
+        draining = threading.Event()
+        inner = bus._cond.wait
+
+        def wait(timeout=None):
+            draining.set()
+            return inner(timeout)
+
+        bus._cond.wait = wait
+
+        def ack_all():
+            assert draining.wait(10.0)
+            for batch in leased:
+                bus.ack(batch)
+
+        def no_sleep(_s):
+            raise AssertionError("drain polled with time.sleep")
+
+        acker = threading.Thread(target=ack_all)
+        acker.start()
+        monkeypatch.setattr("time.sleep", no_sleep)
+        try:
+            assert pipe.drain(10.0)
+        finally:
+            draining.set()
+            acker.join(10.0)
+        assert bus.is_drained()
+
+    def test_drain_times_out_false(self):
+        pipe = IngestPipeline(_sign_server(), n_workers=1, n_partitions=1)
+        pipe.submit(_obs())  # never started: nothing consumes it
+        assert not pipe.drain(0.01)
 
 
 # ----------------------------------------------------------------------
