@@ -285,8 +285,7 @@ class ClusterChaosHarness:
                 router, merged, versions_seen, consistent)
             per_shard = router.collect_shard_metrics()
             stats = router.stats()
-            stats.update(acked_writes=acked, failed_writes=failed_writes,
-                         shard_events=len(router.shard_events()))
+            stats.update(acked_writes=acked, failed_writes=failed_writes)
             if tracing:
                 # Final harvest so shard-side fault_injected events (the
                 # slow fault fires inside the shard process, under the

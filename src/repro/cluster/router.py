@@ -11,9 +11,11 @@ routing state and nothing else — the map data itself lives in shards:
   shard that accepted the add);
 - the **journal**: every *acked* sub-patch, recorded as the effective
   ops the shard actually applied. The journal is the durability story:
-  a dead shard is restarted from its base subset plus a replay of the
-  journal filtered to its owned tiles, so an acked write survives any
-  crash. It also resolves write ambiguity — a write that timed out may
+  a dead shard is restarted from its base subset plus a replay of
+  exactly the journal ops it had applied (a rebalance-born shard: those
+  of the tiles it booted owning, then its own acks), so an acked write
+  survives any crash and the shard's version sequence never rewinds.
+  It also resolves write ambiguity — a write that timed out may
   or may not have been applied, so the router restarts the shard from
   the journal (erasing the ambiguous effect) and resends exactly once;
 - **leases**: a shard's ownership is reasserted on every successful
@@ -32,21 +34,23 @@ unobservable.
 The read path is concurrent end to end. Each shard connection is
 pipelined (:class:`~repro.cluster.rpc.PipelinedConnection`): any number
 of router threads keep calls in flight on the one socket, and the shard
-answers out of order as its worker pool finishes. Reads therefore do
-NOT hold the shard handle lock across the RPC — they take it only to
-pick a target — and scatter-gather ops issue every shard call at once
-and join. Eligible reads (GetTile/SpatialQuery/ChangesSince) round-
-robin across the primary and live replicas, guarded by a **version
-floor**: a reply below the shard version this router has already
-observed is discarded (``cluster.read.replica_lag``) and the read
-retries on the primary, so replica scaling never weakens version
-monotonicity. Identical concurrent GetTiles coalesce into a single
-flight (``cluster.read.coalesced``).
+answers out of order as its worker pool finishes. One read is one
+candidate walk (:meth:`ClusterRouter._read`): a single pass under the
+shard handle lock lists the live primary and live replicas — the
+round-robin pick first for GetTile/SpatialQuery/ChangesSince, the
+primary first for Snapshot — and captures the **version floor**; each
+candidate is then called with no lock held. Every replica reply below
+the shard version this router has already observed is discarded
+(``cluster.read.replica_lag``) and the walk moves on, so neither replica
+scaling nor failover ever weakens version monotonicity. If no candidate
+answers, the primary is restarted from the journal and asked once more.
+Scatter-gather ops issue every shard call at once and join; identical
+concurrent GetTiles coalesce into a single flight
+(``cluster.read.coalesced``).
 
-Reads fail over to a replica when the primary dies mid-call; writes
-restart the primary first (replicas receive acked patches synchronously,
-so a replica is always at-or-behind the journal and catches up by
-restart-replay if it diverges).
+Writes restart a dead primary first (replicas receive acked patches
+synchronously, so a replica is always at-or-behind the journal and
+catches up by restart-replay if it diverges).
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import random
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.rpc import (
@@ -128,8 +132,6 @@ class LocalShard:
     to time out), so timeout-driven chaos runs on :class:`ProcessShard`.
     """
 
-    mode = "local"
-
     def __init__(self, config: ShardConfig) -> None:
         self._backend = ShardBackend(config).start()
         self._dead = False
@@ -143,16 +145,11 @@ class LocalShard:
              trace_ctx: Any = None) -> Any:
         if self._dead:
             raise ShardDead("shard was killed")
-        if op == "events":
-            return []  # shard already logs into the router's EVENT_LOG
         if op == "telemetry":
             # Same-process spans/events already land in the router's
             # recorder/log; an empty batch keeps the harvester uniform.
             return {"spans": [], "events": [], "dropped": 0,
                     "clock": time.monotonic()}
-        if op == "crash":
-            self.kill()
-            raise ShardDead("injected crash")
         return self._backend.dispatch(op, payload, trace_ctx)
 
     @property
@@ -180,13 +177,9 @@ class ProcessShard:
     worker pool finishes them (see :class:`PipelinedConnection`).
     """
 
-    mode = "process"
-
-    def __init__(self, config: ShardConfig,
-                 start_method: str = "fork") -> None:
-        ctx = multiprocessing.get_context(start_method)
+    def __init__(self, config: ShardConfig) -> None:
         parent, child = socket.socketpair()
-        self._proc = ctx.Process(
+        self._proc = multiprocessing.get_context("fork").Process(
             target=shard_main, args=(config, child), daemon=True,
             name=f"{config.name}-{config.index}")
         self._proc.start()
@@ -194,10 +187,17 @@ class ProcessShard:
         # shard death depends on the child end living only in the child.
         child.close()
         self._conn = PipelinedConnection(parent)
+        # Guards the Process object: kill() closes it (releasing its
+        # sentinel pipe) while other threads may be asking ``alive``.
+        self._proc_lock = threading.Lock()
 
     @property
     def alive(self) -> bool:
-        return self._proc.is_alive()
+        with self._proc_lock:
+            try:
+                return self._proc.is_alive()
+            except ValueError:  # closed by kill()
+                return False
 
     def call(self, op: str, payload: Any = None,
              timeout_s: Optional[float] = None,
@@ -216,22 +216,27 @@ class ProcessShard:
         return self._conn.inflight
 
     def kill(self) -> None:
-        if self._proc.is_alive():
-            self._proc.kill()
-        self._proc.join(timeout=5.0)
-        self._conn.close()
+        """Kill and join the child, then close its ``Process`` — which
+        otherwise holds the sentinel pipe open until garbage collection."""
+        try:
+            with self._proc_lock:
+                if self._proc.is_alive():
+                    self._proc.kill()
+                self._proc.join(timeout=5.0)
+                self._proc.close()
+        except ValueError:
+            pass  # already closed, or still running past the timeout
+        finally:
+            self._conn.close()
 
     def close(self) -> None:
-        if self._proc.is_alive():
+        if self.alive:
             try:
                 self._conn.call("shutdown", timeout_s=2.0)
             except (ShardDead, ShardTimeout, RpcError):
                 pass
             self._proc.join(timeout=2.0)
-        if self._proc.is_alive():
-            self._proc.kill()
-            self._proc.join(timeout=5.0)
-        self._conn.close()
+        self.kill()
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +247,7 @@ class _JournalEntry:
     """One acked sub-patch: the ops a shard actually applied."""
 
     seq: int
+    shard: int  # the shard that acked it
     source: str
     confidence: float
     ops: List[Tuple[Optional[TileId], object]]  # (home tile, PatchOp)
@@ -250,12 +256,19 @@ class _JournalEntry:
 class _ShardHandle:
     """Per-shard routing state: transports, lock, lease, last version."""
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, owner: Dict[TileId, int],
+                 boot_replay: List[MapPatch]) -> None:
         self.index = index
+        # What the shard booted from: the ownership map that picked its
+        # base subset, and the journal replay it started with. Every
+        # restart reuses both (see ClusterRouter._config_for).
+        self.owner = owner
+        self.boot_replay = boot_replay
         # Serializes writes, restart/topology decisions, and lease pings
-        # for this shard. Reads do NOT hold it across the RPC — the
-        # pipelined connection multiplexes any number of concurrent
-        # calls — they only take it briefly to pick a target.
+        # for this shard. Reads never hold it across a ``serve`` call —
+        # the pipelined connection multiplexes any number of concurrent
+        # calls — they take it to list candidates and to handle a
+        # failed one.
         self.lock = threading.RLock()
         # Leaf lock for the last_version read-modify-write (reads finish
         # concurrently and must never let a smaller version overwrite a
@@ -265,9 +278,17 @@ class _ShardHandle:
         self.replicas: List[Any] = []
         self.lease_until = 0.0
         self.last_version = 0
-        # Round-robin cursor across primary + live replicas for
-        # replica-routed reads.
+        # Round-robin cursor: which live candidate a read tries first.
         self.rr = 0
+
+    def live(self) -> List[Tuple[Any, Any]]:
+        """``(slot, shard)`` of the live primary (slot ``"primary"``),
+        then of each live replica (slot = its index). Hold ``lock``."""
+        out: List[Tuple[Any, Any]] = []
+        if self.primary is not None and self.primary.alive:
+            out.append(("primary", self.primary))
+        return out + [(slot, replica) for slot, replica
+                      in enumerate(self.replicas) if replica.alive]
 
 
 class _Flight:
@@ -280,10 +301,10 @@ class _Flight:
         self.response: Optional[Response] = None
 
 
-#: Request kinds replicas may serve (static tiles and dynamic reads
-#: guarded by the version floor). Snapshot stays pinned to primaries:
-#: it feeds bootstrap/journal-parity checks where the authoritative
-#: copy is worth the load imbalance.
+#: Request kinds whose round-robin pick may go first. Snapshot keeps
+#: the primary first (a replica serves it only on failover): it feeds
+#: bootstrap/journal-parity checks where the authoritative copy is
+#: worth the load imbalance.
 _REPLICA_READ_KINDS = (GetTile, SpatialQuery, ChangesSince)
 
 
@@ -330,14 +351,17 @@ class TelemetryHarvester:
     ``cluster.telemetry.dropped`` — loss is visible, never silent.
     """
 
-    def __init__(self, router: "ClusterRouter", interval_s: float = 1.0,
-                 batch: int = 512, jitter: float = 0.25,
-                 seed: int = 0) -> None:
+    #: spans (and events) drained per shard per sweep
+    BATCH = 512
+    #: each sleep is ``interval_s`` scaled by a uniform factor in
+    #: ``1 ± JITTER``
+    JITTER = 0.25
+
+    def __init__(self, router: "ClusterRouter",
+                 interval_s: float = 1.0) -> None:
         self._router = router
         self.interval_s = interval_s
-        self.batch = batch
-        self.jitter = jitter
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self.started = False
@@ -363,7 +387,7 @@ class TelemetryHarvester:
                 pass
 
     def _next_interval(self) -> float:
-        spread = self.jitter * (2.0 * self._rng.random() - 1.0)
+        spread = self.JITTER * (2.0 * self._rng.random() - 1.0)
         return max(0.05, self.interval_s * (1.0 + spread))
 
     def _loop(self) -> None:
@@ -380,21 +404,17 @@ class TelemetryHarvester:
         totals = {"spans": 0, "events": 0, "dropped": 0}
         for handle in router._handles:
             with handle.lock:
-                targets: List[Tuple[str, Any]] = []
-                if handle.primary is not None and handle.primary.alive:
-                    targets.append(("primary", handle.primary))
-                for slot, replica in enumerate(handle.replicas):
-                    if replica.alive:
-                        targets.append((f"replica{slot}", replica))
-            for role, shard in targets:
+                targets = handle.live()
+            for slot, shard in targets:
+                role = slot if slot == "primary" else f"replica{slot}"
                 try:
                     offset = estimate_clock_offset(
                         lambda op, _s=shard: _s.call(
                             op, timeout_s=router.call_timeout_s))
                     batch = shard.call(
                         "telemetry",
-                        {"max_spans": self.batch,
-                         "max_events": self.batch},
+                        {"max_spans": self.BATCH,
+                         "max_events": self.BATCH},
                         timeout_s=router.call_timeout_s)
                 except (ShardDead, ShardTimeout, RpcError):
                     continue
@@ -451,14 +471,11 @@ class ClusterRouter:
                  storage_latency_s: float = 0.0,
                  call_timeout_s: float = 10.0,
                  lease_s: float = 2.0,
-                 start_method: str = "fork",
                  registry: Optional[MetricsRegistry] = None,
                  pack_path: Optional[str] = None,
                  journal_warn_threshold: int = 10_000,
-                 replica_reads: bool = True,
                  clock: Callable[[], float] = time.monotonic,
-                 telemetry_interval_s: Optional[float] = None,
-                 telemetry_batch: int = 512) -> None:
+                 telemetry_interval_s: Optional[float] = None) -> None:
         if n_shards < 1:
             raise ClusterError("n_shards must be >= 1")
         if replicas < 0:
@@ -470,11 +487,6 @@ class ClusterRouter:
         self.transport = transport
         self.call_timeout_s = call_timeout_s
         self.lease_s = lease_s
-        #: route eligible reads round-robin across primary + replicas
-        #: (guarded by the per-request version floor); ``False`` keeps
-        #: replicas failover-only.
-        self.replica_reads = replica_reads
-        self._start_method = start_method
         self._clock = clock
         self._name = hdmap.name
         self._shard_knobs = dict(
@@ -559,20 +571,13 @@ class ClusterRouter:
         self._late_discards_retired = Counter()
         self.telemetry = TelemetryHarvester(
             self, interval_s=telemetry_interval_s
-            if telemetry_interval_s is not None else 1.0,
-            batch=telemetry_batch)
+            if telemetry_interval_s is not None else 1.0)
         if registry is not None:
             self.register_into(registry)
 
-        self._handles: List[_ShardHandle] = []
-        for index in range(n_shards):
-            handle = _ShardHandle(index)
-            config = self._config_for(index, self._owner, n_shards)
-            handle.primary = self._spawn(config)
-            handle.lease_until = self._clock() + lease_s
-            for _ in range(replicas):
-                handle.replicas.append(self._spawn(config))
-            self._handles.append(handle)
+        self._handles: List[_ShardHandle] = [
+            self._boot(index, self._owner, n_shards)
+            for index in range(n_shards)]
         if telemetry_interval_s is not None:
             self.telemetry.start()
 
@@ -584,10 +589,8 @@ class ClusterRouter:
     def close(self) -> None:
         # Final telemetry drain before the shard processes go away —
         # without it, the tail of every trace would die with the shards.
-        if self.telemetry.started or TRACER.enabled:
-            self.telemetry.stop(final_harvest=True)
-        else:
-            self.telemetry.stop(final_harvest=False)
+        self.telemetry.stop(
+            final_harvest=self.telemetry.started or TRACER.enabled)
         for handle in self._handles:
             with handle.lock:
                 for shard in [handle.primary] + handle.replicas:
@@ -644,9 +647,15 @@ class ClusterRouter:
             return None  # remove of an unknown id → shard 0 rejects it
         return self._centre_tile(element)
 
-    def _config_for(self, index: int, owner: Dict[TileId, int],
-                    n_shards: int) -> ShardConfig:
-        owned = {tile for tile, shard in owner.items() if shard == index}
+    def _config_for(self, handle: _ShardHandle) -> ShardConfig:
+        """Boot config of ``handle``'s shard: the base subset of the tiles
+        it booted owning, and its replay — the boot replay, then every
+        sub-patch acked on it since. A restart therefore comes back at
+        the exact version and change log the shard had acked, even after
+        a rebalance moved some of its tiles away."""
+        index = handle.index
+        owned = {tile for tile, shard in handle.owner.items()
+                 if shard == index}
         base = HDMap(f"{self._name}-shard{index}")
         for tile in sorted(owned):
             for element in self._partition.get(tile, []):
@@ -661,10 +670,15 @@ class ClusterRouter:
         else:
             blobs = {tile: self._store_blobs[tile]
                      for tile in owned_blob_tiles}
+        with self._journal_lock:
+            acked = [entry for entry in self._journal
+                     if entry.shard == index]
+        replay = handle.boot_replay + [
+            MapPatch(ops=[op for _, op in entry.ops], source=entry.source,
+                     confidence=entry.confidence) for entry in acked]
         return ShardConfig(
             index=index, tile_size=self._scheme.tile_size,
-            base_map_bytes=encode_map(base), blobs=blobs,
-            replay=self._replay_for(index, owner, n_shards),
+            base_map_bytes=encode_map(base), blobs=blobs, replay=replay,
             name=f"{self._name}-shard",
             pack_path=self._pack_path,
             owned_tiles=owned_blob_tiles if self._pack_path is not None
@@ -685,6 +699,19 @@ class ClusterRouter:
         return out
 
     # -- shard lifecycle ------------------------------------------------
+    def _boot(self, index: int, owner: Dict[TileId, int],
+              n_shards: int) -> _ShardHandle:
+        """A new shard ``index`` (primary and replicas) under ``owner``:
+        its base subset plus the journal ops of the tiles it owns."""
+        handle = _ShardHandle(index, owner,
+                              self._replay_for(index, owner, n_shards))
+        config = self._config_for(handle)
+        handle.primary = self._spawn(config)
+        handle.lease_until = self._clock() + self.lease_s
+        for _ in range(self.replicas):
+            handle.replicas.append(self._spawn(config))
+        return handle
+
     def _spawn(self, config: ShardConfig):
         # Serialized: a fork that raced another spawn would inherit the
         # other's not-yet-closed child socket end and break shard-death
@@ -692,7 +719,7 @@ class ClusterRouter:
         with self._spawn_lock:
             if self.transport == "local":
                 return LocalShard(config)
-            return ProcessShard(config, self._start_method)
+            return ProcessShard(config)
 
     def _retire_connection(self, shard: Any) -> None:
         """Fold a dying connection's late-discard count into the running
@@ -707,7 +734,7 @@ class ClusterRouter:
                 old.kill()
             except Exception:
                 pass
-        config = self._config_for(handle.index, self._owner, self.n_shards)
+        config = self._config_for(handle)
         handle.primary = self._spawn(config)
         handle.lease_until = self._clock() + self.lease_s
         self.restarts.add()
@@ -721,7 +748,7 @@ class ClusterRouter:
             handle.replicas[slot].kill()
         except Exception:
             pass
-        config = self._config_for(handle.index, self._owner, self.n_shards)
+        config = self._config_for(handle)
         handle.replicas[slot] = self._spawn(config)
         self.restarts.add()
         _log.warning("replica_restarted", shard=handle.index, replica=slot)
@@ -800,152 +827,85 @@ class ClusterRouter:
         return {h.index: h.last_version for h in self._handles}
 
     # -- reads ----------------------------------------------------------
-    def _replica_read_locked(self, handle: _ShardHandle, index: int,
-                             request: Request) -> Optional[Response]:
-        """Failover read: first live replica answers, or ``None``."""
-        for slot, replica in enumerate(handle.replicas):
-            if not replica.alive:
-                continue
-            try:
-                response = self._call(replica, "serve", request,
-                                      timeout_s=self.call_timeout_s)
-            except (ShardDead, ShardTimeout):
-                continue
-            self.failovers.add()
-            _log.warning("read_failover", shard=index,
-                         replica=slot, kind=request.kind)
-            self._note_version(handle, response.version)
-            return response
-        return None
-
     def _read(self, index: int, request: Request) -> Response:
-        """Route a read on shard ``index``: round-robin across primary +
-        live replicas when eligible, else pin to the primary. Never
-        raises — routing failure becomes an ERROR response."""
-        handle = self._handles[index]
-        if (self.replica_reads and handle.replicas
-                and isinstance(request, _REPLICA_READ_KINDS)):
-            with handle.lock:
-                choices: List[Tuple[Optional[int], Any]] = []
-                if handle.primary is not None and handle.primary.alive:
-                    choices.append((None, handle.primary))
-                primary_ok = bool(choices)
-                for slot, replica in enumerate(handle.replicas):
-                    if replica.alive:
-                        choices.append((slot, replica))
-                if choices:
-                    handle.rr += 1
-                    slot, target = choices[handle.rr % len(choices)]
-                else:
-                    slot = None
-                # Version floor: this router has already observed the
-                # shard at last_version, so no read may answer below it.
-                floor = handle.last_version
-            if slot is not None:
-                response = self._replica_serve(
-                    handle, index, request, slot, target, floor,
-                    primary_ok)
-                if response is not None:
-                    return response
-        return self._read_primary(index, request)
+        """Route one read on shard ``index``; never raises.
 
-    def _replica_serve(self, handle: _ShardHandle, index: int,
-                       request: Request, slot: int, replica: Any,
-                       floor: int, primary_ok: bool
-                       ) -> Optional[Response]:
-        """One replica attempt; ``None`` means retry on the primary."""
-        try:
-            response = self._call(replica, "serve", request,
-                                  timeout_s=self.call_timeout_s,
-                                  attrs={"shard": index, "replica": slot})
-        except ShardDead:
-            with handle.lock:
-                # Identity check: a concurrent reader may already have
-                # restarted this slot.
-                if (slot < len(handle.replicas)
-                        and handle.replicas[slot] is replica):
-                    self._restart_replica_locked(handle, slot)
-            return None
-        except ShardTimeout:
-            self.timeouts.add()
-            return None
-        if (response.version is not None
-                and response.version < floor):
-            # Replica lagging behind what this router has already seen
-            # of the shard: serving it would break version monotonicity.
-            self.replica_lag.add()
-            return None
-        self._note_version(handle, response.version)
-        if response.ok:
-            self.replica_hits.add()
-        if not primary_ok:
-            # The primary is down and a replica took the read — that is
-            # a failover, same accounting as the pinned-read path.
-            self.failovers.add()
-            _log.warning("read_failover", shard=index,
-                         replica=slot, kind=request.kind)
-        return response
-
-    def _read_primary(self, index: int, request: Request) -> Response:
-        """Pin a read to shard ``index``'s primary; fail over to a
-        replica, then to a journal-restarted primary."""
+        One pass under ``handle.lock`` lists the candidates — the live
+        primary, then the live replicas, with the round-robin pick moved
+        to the front for replica-eligible kinds — and captures the
+        version floor. Every call then runs with no lock held. If no
+        candidate answers, the primary is restarted from the journal and
+        asked once more; failure there becomes an ERROR response.
+        """
         handle = self._handles[index]
         with handle.lock:
-            # A primary already observed dead costs nothing to detect;
-            # prefer a live replica over paying the journal-replay
-            # restart on the read path. The next write (which replicas
-            # cannot take) restarts it.
+            # Version floor: this router has already observed the shard
+            # at last_version, so no replica may answer below it.
+            floor = handle.last_version
+            candidates = handle.live()
+            primary_up = bool(candidates) and candidates[0][0] == "primary"
+            if candidates and isinstance(request, _REPLICA_READ_KINDS):
+                handle.rr += 1
+                candidates.insert(
+                    0, candidates.pop(handle.rr % len(candidates)))
+            if candidates and candidates[0][0] == "primary":
+                candidates[0] = ("primary",
+                                 self._ensure_primary_locked(handle))
+        failover = not primary_up
+        for slot, shard in candidates:
+            try:
+                response = self._call(shard, "serve", request,
+                                      timeout_s=self.call_timeout_s,
+                                      attrs={"shard": index,
+                                             "replica": slot})
+            except (ShardDead, ShardTimeout) as exc:
+                if isinstance(exc, ShardTimeout):
+                    self.timeouts.add()
+                # Kill-mid-pipeline fails every in-flight call on the
+                # shard at once; the identity checks make sure only the
+                # first caller kills or restarts, not a stampede of them.
+                with handle.lock:
+                    if slot == "primary":
+                        failover = True
+                        if handle.primary is shard:
+                            try:
+                                shard.kill()
+                            except Exception:
+                                pass
+                    elif (isinstance(exc, ShardDead)
+                          and handle.replicas[slot] is shard):
+                        self._restart_replica_locked(handle, slot)
+                continue
+            if slot == "primary":
+                handle.lease_until = self._clock() + self.lease_s
+            elif response.version is not None and response.version < floor:
+                self.replica_lag.add()
+                continue
+            else:
+                if response.ok:
+                    self.replica_hits.add()
+                if failover:
+                    self.failovers.add()
+                    _log.warning("read_failover", shard=index,
+                                 replica=slot, kind=request.kind)
+            self._note_version(handle, response.version)
+            return response
+        with handle.lock:
             if handle.primary is None or not handle.primary.alive:
-                response = self._replica_read_locked(handle, index,
-                                                     request)
-                if response is not None:
-                    return response
-            shard = self._ensure_primary_locked(handle)
-        # The RPC itself runs outside the handle lock: the pipelined
-        # connection multiplexes any number of concurrent calls.
+                self._restart_primary_locked(handle)
+            shard = handle.primary
         try:
             response = self._call(shard, "serve", request,
                                   timeout_s=self.call_timeout_s,
                                   attrs={"shard": index,
-                                         "replica": "primary"})
-        except (ShardDead, ShardTimeout) as exc:
-            return self._read_failover(handle, index, request, shard, exc)
-        handle.lease_until = self._clock() + self.lease_s
-        self._note_version(handle, response.version)
-        return response
-
-    def _read_failover(self, handle: _ShardHandle, index: int,
-                       request: Request, failed: Any,
-                       exc: Exception) -> Response:
-        if isinstance(exc, ShardTimeout):
-            self.timeouts.add()
-        with handle.lock:
-            # Kill-mid-pipeline fails every in-flight call on the shard
-            # at once; the identity check makes sure only the first
-            # caller kills/restarts, not a stampede of them.
-            if handle.primary is failed:
-                try:
-                    failed.kill()
-                except Exception:
-                    pass
-            response = self._replica_read_locked(handle, index, request)
-            if response is not None:
-                return response
-            if handle.primary is None or not handle.primary.alive:
-                self._restart_primary_locked(handle)
-            fresh = handle.primary
-        try:
-            response = self._call(fresh, "serve", request,
-                                  timeout_s=self.call_timeout_s,
-                                  attrs={"shard": index,
                                          "replica": "primary",
                                          "failover": True})
-        except (ShardDead, ShardTimeout) as exc2:
+        except (ShardDead, ShardTimeout) as exc:
             _log.error("shard_unavailable", shard=index,
-                       kind=request.kind, error=str(exc2))
-            return Response(
-                Status.ERROR,
-                error=f"shard {index} unavailable: {exc2}")
+                       kind=request.kind, error=str(exc))
+            return Response(Status.ERROR,
+                            error=f"shard {index} unavailable: {exc}")
+        handle.lease_until = self._clock() + self.lease_s
         self._note_version(handle, response.version)
         return response
 
@@ -1120,7 +1080,8 @@ class ClusterRouter:
                 if result.accepted and applied:
                     with self._journal_lock:
                         entry = _JournalEntry(
-                            seq=len(self._journal), source=patch.source,
+                            seq=len(self._journal), shard=index,
+                            source=patch.source,
                             confidence=patch.confidence, ops=applied)
                         self._journal.append(entry)
                         depth = len(self._journal)
@@ -1202,10 +1163,6 @@ class ClusterRouter:
         merged.version = self.version
         return merged, vector
 
-    def _snapshot(self, request: Snapshot) -> Response:
-        merged, _ = self.bootstrap()
-        return Response(Status.OK, merged)
-
     def _collect_deltas(self, since: Dict[int, int]) -> "ClusterDelta":
         from repro.cluster.client import ClusterDelta
 
@@ -1248,12 +1205,6 @@ class ClusterRouter:
         """Incremental sync against a per-shard version vector."""
         return self._collect_deltas(dict(since))
 
-    def _changes_broadcast(self, request: ChangesSince) -> Response:
-        since = {index: request.since_version
-                 for index in range(self.n_shards)}
-        delta = self._collect_deltas(since)
-        return Response(Status.OK, delta)
-
     # -- the front door -------------------------------------------------
     def request(self, request: Request) -> Response:
         """Route one request; returns a :class:`Response` whose
@@ -1276,9 +1227,11 @@ class ClusterRouter:
                 elif isinstance(request, IngestPatch):
                     response = self._ingest(request, t0)
                 elif isinstance(request, Snapshot):
-                    response = self._snapshot(request)
+                    response = Response(Status.OK, self.bootstrap()[0])
                 elif isinstance(request, ChangesSince):
-                    response = self._changes_broadcast(request)
+                    response = Response(Status.OK, self._collect_deltas(
+                        dict.fromkeys(range(self.n_shards),
+                                      request.since_version)))
                 else:
                     raise ClusterError(
                         f"unknown request type {type(request).__name__}")
@@ -1316,13 +1269,7 @@ class ClusterRouter:
             moved = sum(1 for tile in self._all_tiles
                         if old_owner[tile] != new_owner[tile])
             for index in range(self.n_shards, n_shards):
-                handle = _ShardHandle(index)
-                config = self._config_for(index, new_owner, n_shards)
-                handle.primary = self._spawn(config)
-                handle.lease_until = self._clock() + self.lease_s
-                for _ in range(self.replicas):
-                    handle.replicas.append(self._spawn(config))
-                self._handles.append(handle)
+                self._handles.append(self._boot(index, new_owner, n_shards))
             self._owner = new_owner
             self.n_shards = n_shards
             self.shards_gauge.set(n_shards)
@@ -1373,10 +1320,7 @@ class ClusterRouter:
         for handle in self._handles:
             with handle.lock:
                 shipped = None
-                candidates = [handle.primary] + list(handle.replicas)
-                for shard in candidates:
-                    if shard is None or not shard.alive:
-                        continue
+                for _, shard in handle.live():
                     try:
                         shipped = shard.call(
                             "metrics", timeout_s=self.call_timeout_s)
@@ -1396,27 +1340,6 @@ class ClusterRouter:
         self._shard_latency = merged
         self._shard_outcomes = outcomes
         return per_shard
-
-    def shard_events(self) -> List[Dict[str, object]]:
-        """Drain every shard process's event log, tagged with a
-        ``shard`` label, merged by timestamp. (In-process shards log
-        straight into the router's global event log instead.)"""
-        out: List[Dict[str, object]] = []
-        for handle in self._handles:
-            with handle.lock:
-                if handle.primary is None or not handle.primary.alive:
-                    continue
-                try:
-                    events = handle.primary.call(
-                        "events", timeout_s=self.call_timeout_s)
-                except (ShardDead, ShardTimeout, RpcError):
-                    continue
-            for event in events:
-                tagged = dict(event)
-                tagged["shard"] = handle.index
-                out.append(tagged)
-        out.sort(key=lambda e: e.get("ts", 0.0))
-        return out
 
     def shard_changelog(self, index: int) -> List[Tuple[int, MapChange]]:
         """One shard's full ``(version, change)`` log (chaos invariant

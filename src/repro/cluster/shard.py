@@ -25,6 +25,13 @@ The same backend runs in two transports: in-process (``LocalShard`` in
 the router module — unit tests, doc tooling) and as a forked child
 (:func:`shard_main`) speaking the length-prefixed RPC of
 :mod:`repro.cluster.rpc` over a socketpair.
+
+The ops, all sent by the router: ``serve`` (one
+:class:`~repro.serve.api.Request` through the worker pool — the only
+op answered out of order), ``apply`` (replica write), ``changelog``,
+``metrics``, ``telemetry`` and ``clock`` (the trace harvest), ``ping``
+(lease renewal), ``slow`` (the injected slow fault), and ``shutdown``
+(handled by the connection loop itself).
 """
 
 from __future__ import annotations
@@ -110,6 +117,9 @@ class ShardBackend:
 
     def stop(self) -> None:
         self.service.stop()
+        reader = self.service.store.pack_reader
+        if reader is not None:
+            reader.close()  # defers while served views are still alive
 
     # -- dispatch -------------------------------------------------------
     def _maybe_slow(self) -> float:
@@ -179,18 +189,11 @@ class ShardBackend:
         return future
 
     def dispatch(self, op: str, payload: Any, trace_ctx: Any = None) -> Any:
-        delayed = self._maybe_slow()
+        """Synchronous dispatch of any op (``serve`` waits on the
+        :meth:`dispatch_async` future)."""
         if op == "serve":
-            assert isinstance(payload, Request)
-            with self._serve_span(trace_ctx, op, delayed) as span:
-                if delayed:
-                    _log.warning("fault_injected",
-                                 fault="cluster.slow_shard",
-                                 shard=self.config.index, delay_s=delayed)
-                response = self.service.request(payload, timeout=30.0)
-                if span.context is not None:
-                    span.set("status", response.status.value)
-                return response
+            return self.dispatch_async(op, payload, trace_ctx).result(30.0)
+        self._maybe_slow()
         if op == "apply":
             # Replica write path: apply an effective (post-conflict-
             # resolution) patch verbatim, exactly as journal replay does,
@@ -208,8 +211,6 @@ class ShardBackend:
         if op == "telemetry":
             return self.telemetry(payload if isinstance(payload, dict)
                                   else {})
-        if op == "version":
-            return self.server.version
         if op == "changelog":
             return self.changelog()
         if op == "metrics":
@@ -219,17 +220,11 @@ class ShardBackend:
                 "latency": metrics.latency_histograms(),
                 "outcomes": metrics.outcome_counts(),
             }
-        if op == "events":
-            return EVENT_LOG.events()
         if op == "slow":
             with self._slow_lock:
                 self._slow_delay_s = float(payload["delay_s"])
                 self._slow_count = int(payload["count"])
             return None
-        if op == "crash":
-            # Injected fault: die without replying (process mode only;
-            # LocalShard intercepts this op before dispatch).
-            os._exit(17)
         raise ValueError(f"unknown shard op {op!r}")
 
     def telemetry(self, limits: Dict[str, Any]) -> Dict[str, Any]:

@@ -152,6 +152,7 @@ class TileStore:
         if tile_size is None:
             tile_size = reader.tile_size
         if tile_size <= 0:
+            reader.close()
             raise StorageError(
                 f"pack {path!r} records no tile size; pass tile_size=")
         store = TileStore(tile_size)

@@ -6,6 +6,8 @@ the suite fast; anything that mutates a map must copy it first.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -20,6 +22,27 @@ settings.register_profile("ci", derandomize=True, database=None)
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def open_fds():
+    """``open_fds(prefix)``: the targets of this process's open file
+    descriptors that start with ``prefix`` (``pipe:``, a file path…)."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+
+    def targets(prefix: str):
+        out = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:
+                continue  # closed since the listing (listdir's own fd)
+            if target.startswith(prefix):
+                out.append(target)
+        return out
+
+    return targets
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """repro.cluster: hashing, RPC picklability, routing, failover, chaos."""
 
+import os
 import pickle
 import socket
 import threading
@@ -341,6 +342,34 @@ class TestRebalance:
             assert eid in client.local and eid2 in client.local
             assert client.is_consistent()
 
+    def test_restart_after_growth_keeps_shard_versions(self, city):
+        """A shard restarted after a rebalance moved some of its tiles
+        away must come back at the version it had acked — replaying only
+        the tiles it owns *now* would rewind it, and a synced client
+        would then skip its next changes."""
+        with _local_router(city) as router:
+            owned = [t for t in router.tiles()
+                     if router.owner_of_tile(t) == 0]
+            stays = next(t for t in owned if consistent_hash_owner(t, 3) == 0)
+            moves = next(t for t in owned if consistent_hash_owner(t, 3) != 0)
+
+            def centre(tile):
+                return ((tile.tx + 0.5) * 120.0, (tile.ty + 0.5) * 120.0)
+
+            client = ClusterMapClient(router)
+            _, patch = _sign_patch(city, centre(moves))
+            assert router.request(IngestPatch(patch=patch)).ok
+            router.rebalance(3)
+            client.sync()
+            acked = router.version_vector()[0]
+            router.kill_shard(0)
+            eid, patch = _sign_patch(city, centre(stays))
+            assert router.request(IngestPatch(patch=patch)).ok
+            assert router.version_vector()[0] == acked + 1
+            client.sync()
+            assert eid in client.local
+            assert client.is_consistent()
+
     def test_shrink_rejected(self, city):
         with _local_router(city, n_shards=2) as router:
             with pytest.raises(ClusterError, match="shrink"):
@@ -508,6 +537,52 @@ class TestReplicaReads:
             assert router.replica_lag.value >= 1
             assert router.replica_hits.value == 0
 
+    def test_failover_read_respects_version_floor(self, city):
+        with _local_router(city, replicas=1) as router:
+            tile = next(t for t in router.tiles()
+                        if router.owner_of_tile(t) == 0)
+            handle = router._handles[0]
+            with handle.vlock:
+                handle.last_version += 5
+            router.kill_shard(0)
+            response = router.request(GetTile(tile=tile, encoded=True))
+            assert response.ok
+            # the only live replica is below the floor: it is asked once,
+            # rejected, and the read goes to a journal-restarted primary
+            # instead of being served stale
+            assert router.replica_lag.value == 1
+            assert router.replica_hits.value == 0
+            assert router.failovers.value == 0
+            assert router.restarts.value >= 1
+
+    def test_failover_read_holds_no_handle_lock(self, city):
+        with _local_router(city, replicas=1) as router:
+            handle = router._handles[0]
+            replica = handle.replicas[0]
+            inner = replica.call
+            probes = []
+
+            def probe():
+                got = handle.lock.acquire(blocking=False)
+                if got:
+                    handle.lock.release()
+                probes.append(got)
+
+            def call(op, payload=None, timeout_s=None, trace_ctx=None):
+                if op == "serve":
+                    # another thread must be able to take the handle
+                    # lock while the replica is serving
+                    other = threading.Thread(target=probe)
+                    other.start()
+                    other.join(timeout=5.0)
+                return inner(op, payload, timeout_s=timeout_s,
+                             trace_ctx=trace_ctx)
+
+            replica.call = call
+            router.kill_shard(0)
+            assert router.request(Snapshot()).ok
+            assert probes and all(probes)
+
     def test_write_then_read_never_goes_backwards(self, city):
         with _local_router(city, replicas=1) as router:
             floor = 0
@@ -579,3 +654,30 @@ class TestProcessTransport:
             assert set(per_shard) == {0, 1}
         finally:
             router.close()
+
+
+class TestCloseReleasesFds:
+    def test_process_router_close_leaves_no_pipe(self, city, open_fds):
+        before = len(open_fds("pipe:"))
+        router = ClusterRouter(city, n_shards=2, tile_size=120.0,
+                               replicas=1, transport="process")
+        assert router.request(GetTile(tile=router.tiles()[0])).ok
+        router.kill_shard(0)
+        router.close()
+        # ``router`` (and every ProcessShard) is still referenced here,
+        # so this does not wait on garbage collection
+        assert len(open_fds("pipe:")) == before
+
+    def test_pack_router_exit_leaves_no_pack_fd(self, city, tmp_path,
+                                                open_fds):
+        pack = os.path.realpath(str(tmp_path / "cluster.pack"))
+        with _local_router(city, pack_path=pack) as router:
+            tile = next(t for t in router.tiles()
+                        if router.owner_of_tile(t) == 0)
+            router.kill_shard(0)
+            assert router.request(GetTile(tile=tile, encoded=True)).ok
+            assert router.restarts.value == 1
+        with open("/proc/self/maps") as fh:
+            mapped = [line for line in fh if pack in line]
+        assert open_fds(pack) == []
+        assert mapped == []

@@ -64,7 +64,7 @@ class TestCrossProcessTrace:
         assert rpc_span["parent_id"] == roots[0]["span_id"]
 
         # Shard-side ids are namespaced per process; merged attrs say
-        # which process served (replica reads are on by default here).
+        # which process served (a replica may take the round-robin pick).
         assert shard_span["span_id"].startswith("s")
         assert shard_span["attrs"]["shard"] in (0, 1)
         assert str(shard_span["attrs"]["role"]) in ("primary", "replica0")

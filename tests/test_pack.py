@@ -6,6 +6,7 @@ through MapService and the raw RPC frame, cluster pack-backed shards,
 and SyncDelta ↔ wire round-trip properties.
 """
 
+import os
 import pickle
 import socket
 import threading
@@ -50,6 +51,14 @@ def pack_path(city_store, tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def packed(pack_path):
+    """A pack-backed store over ``pack_path``, closed after the test."""
+    store = TileStore.from_pack(pack_path)
+    yield store
+    store.pack_reader.close()
+
+
 class TestPackFormat:
     def test_roundtrip_byte_identical(self, city_store, pack_path):
         with PackReader(pack_path) as reader:
@@ -58,10 +67,10 @@ class TestPackFormat:
                 assert bytes(reader.get(tile)) == city_store._blobs[tile]
 
     def test_get_is_zero_copy(self, city_store, pack_path):
-        reader = PackReader(pack_path)
-        view = reader.get(city_store.tiles()[0])
-        assert isinstance(view, memoryview)
-        assert view.obj is reader.buffer.obj  # a slice of the mmap itself
+        with PackReader(pack_path) as reader:
+            view = reader.get(city_store.tiles()[0])
+            assert isinstance(view, memoryview)
+            assert view.obj is reader.buffer.obj  # a slice of the mmap
 
     def test_missing_tile_is_none(self, pack_path):
         with PackReader(pack_path) as reader:
@@ -69,11 +78,11 @@ class TestPackFormat:
             assert reader.load(TileId(999, 999)) is None
 
     def test_lazy_decode(self, city_store, pack_path):
-        reader = PackReader(pack_path)
-        assert reader.decodes.value == 0
-        shard = reader.load(city_store.tiles()[0])
-        assert len(shard) > 0
-        assert reader.decodes.value == 1
+        with PackReader(pack_path) as reader:
+            assert reader.decodes.value == 0
+            shard = reader.load(city_store.tiles()[0])
+            assert len(shard) > 0
+            assert reader.decodes.value == 1
 
     def test_empty_payload_rejected(self, tmp_path):
         with PackWriter(str(tmp_path / "e.pack")) as writer:
@@ -96,12 +105,13 @@ class TestPackFormat:
         tiles = city_store.tiles()
         write_pack(path, [(tiles[0], city_store._blobs[tiles[0]])],
                    tile_size=250.0)
-        old_reader = PackReader(path)  # holds the first directory
-        with PackWriter(path) as writer:
-            writer.add(tiles[1], city_store._blobs[tiles[1]])
-            writer.publish()
-        # the old reader's view stays byte-identical after the append
-        assert bytes(old_reader.get(tiles[0])) == city_store._blobs[tiles[0]]
+        with PackReader(path) as old_reader:  # holds the first directory
+            with PackWriter(path) as writer:
+                writer.add(tiles[1], city_store._blobs[tiles[1]])
+                writer.publish()
+            # the old reader's view stays byte-identical after the append
+            assert bytes(old_reader.get(tiles[0])) \
+                == city_store._blobs[tiles[0]]
         with PackReader(path) as reader:
             assert reader.tiles() == sorted(tiles[:2])
             for tile in tiles[:2]:
@@ -188,13 +198,14 @@ class TestPackFormat:
             fh.write(bytes([byte[0] ^ 0xFF]))
         with pytest.raises(PackError, match="checksum"):
             PackReader(pack_path, verify=True)
-        reader = PackReader(pack_path)  # lazy open still fine ...
-        with pytest.raises(PackError):   # ... until the tile is verified
-            reader.verify(entry.tile)
-        assert reader.checksum_failures.value == 1
+        with PackReader(pack_path) as reader:  # lazy open still fine ...
+            with pytest.raises(PackError):  # ... until the tile is verified
+                reader.verify(entry.tile)
+            assert reader.checksum_failures.value == 1
 
     def test_truncation_raises_pack_error(self, pack_path, tmp_path):
-        data = open(pack_path, "rb").read()
+        with open(pack_path, "rb") as fh:
+            data = fh.read()
         clipped = tmp_path / "clipped.pack"
         # clip at the header, inside the payload region, and inside the
         # directory — every section boundary must fail cleanly.
@@ -239,8 +250,7 @@ class TestPackFormat:
 
 
 class TestTileStorePackMode:
-    def test_parity_with_dict_store(self, city_store, pack_path):
-        packed = TileStore.from_pack(pack_path)
+    def test_parity_with_dict_store(self, city_store, packed):
         assert packed.pack_backed
         assert packed.scheme.tile_size == city_store.scheme.tile_size
         assert packed.tiles() == city_store.tiles()
@@ -253,8 +263,7 @@ class TestTileStorePackMode:
             assert sorted(e.id for e in a.elements()) \
                 == sorted(e.id for e in b.elements())
 
-    def test_encoded_view_only_when_packed(self, city_store, pack_path):
-        packed = TileStore.from_pack(pack_path)
+    def test_encoded_view_only_when_packed(self, city_store, packed):
         tile = city_store.tiles()[0]
         view = packed.encoded_view(tile)
         assert isinstance(view, memoryview)
@@ -271,9 +280,9 @@ class TestTileStorePackMode:
         assert packed.load_tile(hidden) is None
         assert packed.encoded_view(hidden) is None
         assert packed.blob_bytes(hidden) == 0
+        packed.pack_reader.close()
 
-    def test_streaming_map_over_pack(self, pack_path):
-        packed = TileStore.from_pack(pack_path)
+    def test_streaming_map_over_pack(self, packed):
         streaming = StreamingMap(packed, max_tiles=3)
         found = streaming.elements_in_radius(200.0, 200.0, 150.0)
         assert found
@@ -285,13 +294,25 @@ class TestTileStorePackMode:
         write_pack(path, [(tile, city_store._blobs[tile])])  # tile_size 0
         with pytest.raises(StorageError):
             TileStore.from_pack(path)
-        assert TileStore.from_pack(path, tile_size=250.0).tiles() == [tile]
+        store = TileStore.from_pack(path, tile_size=250.0)
+        assert store.tiles() == [tile]
+        store.pack_reader.close()
+
+    def test_rejected_open_leaves_no_fd(self, city_store, tmp_path,
+                                        open_fds):
+        path = os.path.realpath(str(tmp_path / "n.pack"))
+        tile = city_store.tiles()[0]
+        write_pack(path, [(tile, city_store._blobs[tile])])  # tile_size 0
+        with pytest.raises(StorageError) as rejected:
+            TileStore.from_pack(path)
+        # the held traceback still references the reader; its file
+        # descriptors must be closed all the same
+        assert "tile size" in str(rejected.value)
+        assert open_fds(path) == []
 
 
 class TestPackServing:
-    def test_encoded_gettile_is_mmap_slice(self, city, city_store,
-                                           pack_path):
-        packed = TileStore.from_pack(pack_path)
+    def test_encoded_gettile_is_mmap_slice(self, city, city_store, packed):
         server = MapDistributionServer(city.copy())
         with MapService(server, packed, n_workers=2) as service:
             tile = city_store.tiles()[0]
@@ -305,10 +326,9 @@ class TestPackServing:
             assert missing.ok and missing.payload is None
 
     def test_encoded_gettile_is_stored_blob_on_both_backends(
-            self, city, city_store, pack_path):
+            self, city, city_store, packed):
         """Dict- and pack-backed services answer the same bytes — the
         stored blob — before and after a version bump, cache untouched."""
-        packed = TileStore.from_pack(pack_path)
         for store in (city_store, packed):
             working = city.copy()
             server = MapDistributionServer(working)
@@ -331,15 +351,13 @@ class TestPackServing:
                 assert service.cache.hits.value == 0
                 assert service.cache.misses.value == 0
 
-    def test_decoded_gettile_still_served(self, city, pack_path):
-        packed = TileStore.from_pack(pack_path)
+    def test_decoded_gettile_still_served(self, city, packed):
         server = MapDistributionServer(city.copy())
         with MapService(server, packed, n_workers=1) as service:
             response = service.request(GetTile(tile=packed.tiles()[0]))
             assert response.ok and len(response.payload) > 0
 
-    def test_encoded_changes_since(self, city, pack_path):
-        packed = TileStore.from_pack(pack_path)
+    def test_encoded_changes_since(self, city, packed):
         working = city.copy()
         server = MapDistributionServer(working)
         with MapService(server, packed, n_workers=1) as service:
@@ -366,28 +384,30 @@ class TestRawRpcFrames:
         ours, theirs = socket.socketpair()
         from repro.cluster.rpc import PipelinedConnection, serve_connection
 
-        thread = threading.Thread(target=serve_connection,
-                                  args=(theirs, dispatch), daemon=True)
-        thread.start()
+        def serve():
+            with theirs:  # the shard end closes once the loop returns
+                serve_connection(theirs, dispatch)
+
+        threading.Thread(target=serve, daemon=True).start()
         return PipelinedConnection(ours)
 
     def test_raw_response_roundtrip(self, city_store, pack_path):
-        reader = PackReader(pack_path)
-        tile = city_store.tiles()[0]
-        view = reader.get(tile)
+        with PackReader(pack_path) as reader:
+            tile = city_store.tiles()[0]
+            view = reader.get(tile)
 
-        def dispatch(op, payload):
-            return Response(Status.OK, payload=view, version=7,
-                            latency_s=0.125)
+            def dispatch(op, payload):
+                return Response(Status.OK, payload=view, version=7,
+                                latency_s=0.125)
 
-        conn = self._serve(dispatch)
-        response = conn.call("tile")
-        assert isinstance(response, Response)
-        assert bytes(response.payload) == bytes(view)
-        assert response.version == 7
-        assert response.latency_s == pytest.approx(0.125)
-        conn.call("shutdown")
-        conn.close()
+            conn = self._serve(dispatch)
+            response = conn.call("tile")
+            assert isinstance(response, Response)
+            assert bytes(response.payload) == bytes(view)
+            assert response.version == 7
+            assert response.latency_s == pytest.approx(0.125)
+            conn.call("shutdown")
+            conn.close()
 
     def test_pickle_frames_unchanged(self):
         def dispatch(op, payload):

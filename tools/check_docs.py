@@ -146,6 +146,7 @@ def _metric_universe() -> Set[str]:
         packed.encoded_view(tile)
         packed.load_tile(tile)
         packed.pack_reader.register_into(pack_registry)
+        packed.pack_reader.close()
         names |= set(pack_registry.snapshot())
     return names
 
