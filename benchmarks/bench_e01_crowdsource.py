@@ -5,7 +5,6 @@ Shape: fleet triangulation + feedback reaches the sub-half-metre band,
 beats a single vehicle clearly, and improves with fleet size.
 """
 
-import numpy as np
 from conftest import once
 
 from repro.creation import CrowdMapper

@@ -5,7 +5,6 @@ of metres to 10 km. Shape: metre-level boundary error that grows with
 scene length (dead-reckoned registration drift dominates).
 """
 
-import numpy as np
 from conftest import once
 
 from repro.creation import LidarMappingPipeline

@@ -7,7 +7,6 @@ single-traversal. Shape: multi-traversal sensitivity and specificity both
 high and both >= the single-traversal numbers.
 """
 
-import numpy as np
 from conftest import once
 
 from repro.eval import ResultTable, sensitivity_specificity

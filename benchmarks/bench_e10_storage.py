@@ -7,7 +7,6 @@ the MB/mile regime, vector codec >= 100x smaller, decoded map still
 routable.
 """
 
-import numpy as np
 from conftest import once
 
 from repro.eval import ResultTable

@@ -5,7 +5,6 @@ cruise control. Shape: several-percent saving against the constant-speed
 baseline, and a positive saving even when travel time is matched.
 """
 
-import numpy as np
 from conftest import once
 
 from repro.eval import ResultTable

@@ -13,7 +13,6 @@ from repro.eval import ResultTable
 from repro.localization.geometric import (
     LandmarkLayout,
     LayoutPattern,
-    geometric_dilution,
     simulate_layout_error,
 )
 

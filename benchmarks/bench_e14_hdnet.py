@@ -10,7 +10,6 @@ import numpy as np
 from conftest import once
 
 from repro.eval import ResultTable, average_precision
-from repro.geometry.transform import SE2
 from repro.perception import HdnetDetector
 from repro.sensors import LidarScanner
 from repro.sensors.lidar import Obstacle

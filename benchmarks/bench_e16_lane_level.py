@@ -11,7 +11,7 @@ from conftest import once
 
 from repro.eval import ResultTable
 from repro.geometry.transform import SE2
-from repro.localization import LaneMarkingLocalizer, LaneMatcher
+from repro.localization import LaneMarkingLocalizer
 from repro.sensors import LidarScanner, WheelOdometry
 from repro.world import drive_route, generate_highway
 

@@ -9,7 +9,6 @@ import numpy as np
 from conftest import once
 
 from repro.atv import AtvSignUpdater, VisualSlam
-from repro.core import VersionedMap
 from repro.eval import ResultTable
 from repro.world import ChangeSpec, apply_changes, generate_factory_floor
 from repro.world.traffic import drive_lane_sequence

@@ -6,7 +6,6 @@ Shape: the central node receives orders of magnitude fewer bytes than the
 raw-upload baseline while the same changes are found.
 """
 
-import numpy as np
 from conftest import once
 
 from repro.core import ChangeType

@@ -5,7 +5,6 @@ Shape: fused aerial+ground beats the GPS+IMU baseline by ~2-3x and lands
 sub-metre.
 """
 
-import numpy as np
 from conftest import once
 
 from repro.creation import AerialGroundMapper, render_aerial

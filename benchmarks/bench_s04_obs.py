@@ -3,38 +3,45 @@
 The tracing layer's cost model (see ``repro.obs.trace``) promises that a
 disabled tracer costs one attribute check per instrumentation point and
 that production-style sampling (1%) stays under 5% median overhead on
-the ``GetTile`` hot path. This bench certifies both with the existing
-``repro.perf`` runner: one warmed MapService, bursts of
-``REQUESTS_PER_ITER`` concurrent GetTile requests per timed iteration
-(so thread-handoff jitter averages out), swept across tracing disabled,
-1% sampling, and 100% sampling. Configurations are interleaved round-
-robin — one burst per configuration per round — so slow machine drift
-(frequency scaling, competing load) hits all three equally instead of
-biasing whichever sweep ran last.
+the ``GetTile`` hot path. One warmed MapService serves bursts of
+``REQUESTS_PER_ITER`` concurrent GetTile requests (so thread-handoff
+jitter averages out). The comparison is paired: each of ``ROUNDS``
+rounds times a tracing-off burst and a 1%-sampled burst back to back,
+alternating which runs first, and the gate is the median of the
+per-round ratios — slow machine drift moves both halves of a pair
+together instead of biasing whichever sweep ran last. 100% sampling is
+reported from its own ``FULL_ROUNDS`` pairs.
 """
 
 import itertools
+import time
 
+import numpy as np
 from conftest import once
 
 from repro.core.tiles import TileId
 from repro.eval import ResultTable
 from repro.obs import TRACER
-from repro.perf import run_bench
 from repro.serve import GetTile, MapService
 from repro.storage import TileStore
 from repro.update.distribution import MapDistributionServer
 from repro.world import generate_grid_city
 
 REQUESTS_PER_ITER = 200
-ROUNDS = 30
+#: pairs behind the gate: the 1% cost measures ~4-5% of a burst on a
+#: 2-core host, close to the 5% bound, so the median needs many pairs
+ROUNDS = 400
+FULL_ROUNDS = 20
+WARMUP = 2
 
-CONFIGS = (("disabled", False, 1.0),
-           ("sampled_1pct", True, 0.01),
-           ("sampled_100pct", True, 1.0))
+OFF = (False, 1.0)
+SAMPLED = (True, 0.01)
+FULL = (True, 1.0)
 
 
 def _experiment(rng):
+    """Per-round burst seconds: ``(off, sampled)`` pairs for the gate and
+    ``(off, full)`` pairs for the reported 100% row."""
     world = generate_grid_city(rng, blocks_x=3, blocks_y=2,
                                block_size=150.0)
     server = MapDistributionServer(world.copy())
@@ -42,45 +49,55 @@ def _experiment(rng):
     tiles = store.tiles() or [TileId(0, 0)]
     cycle = list(itertools.islice(itertools.cycle(tiles),
                                   REQUESTS_PER_ITER))
-    results = {}
     with MapService(server, store, n_workers=2,
                     tiles_per_shard=len(tiles) + 1) as service:
 
-        def burst():
+        def timed_burst(config):
+            enabled, rate = config
+            TRACER.configure(enabled=enabled, sample_rate=rate,
+                             capacity=65536, reset=True)
+            start = time.perf_counter()
             futures = [service.submit(GetTile(tile)) for tile in cycle]
             for future in futures:
                 future.result()
+            return time.perf_counter() - start
 
-        for label, enabled, rate in CONFIGS:
-            results[label] = run_bench(
-                f"serve.gettile.{label}", burst, repetitions=1, warmup=2)
-            results[label].samples_s.clear()  # warmup only; timed below
-        for _ in range(ROUNDS):
-            for label, enabled, rate in CONFIGS:
-                TRACER.configure(enabled=enabled, sample_rate=rate,
-                                 capacity=65536, reset=True)
-                one = run_bench(f"serve.gettile.{label}", burst,
-                                repetitions=1, warmup=0)
-                results[label].samples_s.extend(one.samples_s)
+        def paired(config, rounds):
+            # back to back, alternating which half runs first
+            out = []
+            for i in range(rounds):
+                if i % 2 == 0:
+                    off, on = timed_burst(OFF), timed_burst(config)
+                else:
+                    on, off = timed_burst(config), timed_burst(OFF)
+                out.append((off, on))
+            return np.array(out)
+
+        for _ in range(WARMUP):
+            for config in (OFF, SAMPLED, FULL):
+                timed_burst(config)
+        sampled = paired(SAMPLED, ROUNDS)
+        full = paired(FULL, FULL_ROUNDS)
         TRACER.configure(enabled=False, reset=True)
-    return results
+    return sampled, full
 
 
 def test_s04_tracing_overhead(benchmark, rng):
-    results = once(benchmark, _experiment, rng)
-    disabled = results["disabled"].median_s
-    sampled = results["sampled_1pct"].median_s
-    full = results["sampled_100pct"].median_s
+    sampled, full = once(benchmark, _experiment, rng)
+    ratio = sampled[:, 1] / sampled[:, 0]
+    q1, median, q3 = np.percentile(ratio, [25, 50, 75])
+    full_median = float(np.median(full[:, 1] / full[:, 0]))
 
     table = ResultTable("S4", "observability overhead on GetTile")
     table.add(f"median burst ({REQUESTS_PER_ITER} reqs), tracing off",
-              "reported", f"{1e3 * disabled:.2f} ms", ok=disabled > 0)
-    table.add("overhead at 1% sampling", "< 5%",
-              f"{100 * (sampled / disabled - 1):+.1f}% "
-              f"({1e3 * sampled:.2f} ms)",
-              ok=sampled <= 1.05 * disabled)
-    table.add("overhead at 100% sampling", "reported",
-              f"{100 * (full / disabled - 1):+.1f}% "
-              f"({1e3 * full:.2f} ms)", ok=full > 0)
+              "reported", f"{1e3 * float(np.median(sampled[:, 0])):.2f} ms",
+              ok=bool(np.all(sampled > 0)))
+    table.add("overhead at 1% sampling (median paired ratio)", "< 5%",
+              f"{100 * (median - 1):+.1f}% (N={len(ratio)} pairs, "
+              f"IQR {q1:.3f}-{q3:.3f})",
+              ok=median <= 1.05)
+    table.add("overhead at 100% sampling (median paired ratio)",
+              "reported", f"{100 * (full_median - 1):+.1f}% "
+              f"(N={len(full)} pairs)", ok=full_median > 0)
     table.print()
     assert table.all_ok()

@@ -10,7 +10,7 @@ Run:  python examples/map_maintenance.py
 
 import numpy as np
 
-from repro import VersionedMap, diff_maps, generate_highway
+from repro import VersionedMap, generate_highway
 from repro.core import ChangeType
 from repro.update import CrowdUpdatePipeline, Slamcu
 from repro.world import ChangeSpec, apply_changes, drive_route

@@ -9,8 +9,8 @@ are MISSING. Confirmed differences are batched into one MapPatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from repro.core.elements import SignType, TrafficSign
 from repro.core.hdmap import HDMap
 from repro.core.ids import ElementId
 from repro.core.versioning import MapPatch
-from repro.geometry.transform import SE2
 from repro.sensors.camera import Camera
 from repro.world.scenario import Scenario
 from repro.world.traffic import Trajectory

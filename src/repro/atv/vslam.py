@@ -1,8 +1,8 @@
 """Visual-SLAM surrogate for the factory ATV.
 
 Full visual SLAM is out of scope for the planar substrate; what the sign-
-update framework [11] needs from it is (a) a drift-bounded pose estimate
-indoors and (b) an occupancy map. The surrogate integrates odometry and
+update framework [11] needs from it is a drift-bounded pose estimate
+indoors. The surrogate integrates odometry and
 periodically re-anchors against known dock/landmark positions (the loop-
 closure events a visual SLAM would produce), yielding the bounded-error
 pose track the update pipeline consumes.
@@ -11,7 +11,7 @@ pose track the update pipeline consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

@@ -108,6 +108,11 @@ def canonical_map_bytes(hdmap: HDMap) -> bytes:
     return encode_map(canonical)
 
 
+#: per-call RPC timeout and replica lease of every cluster chaos run
+CALL_TIMEOUT_S = 1.5
+LEASE_S = 1.0
+
+
 @dataclass
 class ClusterWorkload:
     """Shape of the patch/read stream driven against the cluster."""
@@ -119,8 +124,6 @@ class ClusterWorkload:
     ops: int = 60
     reads_per_op: int = 2
     sync_every: int = 10
-    call_timeout_s: float = 1.5
-    lease_s: float = 1.0
     seed: int = 7
     #: > 0 turns on the telemetry plane for the run: each op becomes a
     #: sampled-at-this-rate ``chaos.op`` trace, fault injections are
@@ -198,7 +201,7 @@ class ClusterChaosHarness:
         router = ClusterRouter(
             self.hdmap, n_shards=w.n_shards, tile_size=w.tile_size,
             replicas=w.replicas, transport=w.transport,
-            call_timeout_s=w.call_timeout_s, lease_s=w.lease_s,
+            call_timeout_s=CALL_TIMEOUT_S, lease_s=LEASE_S,
             telemetry_interval_s=0.5 if tracing else None)
         try:
             crash = self.plan.point(CLUSTER_SHARD_CRASH)
@@ -235,7 +238,7 @@ class ClusterChaosHarness:
                         router.slow_shard(
                             target,
                             delay_s=slow.magnitude
-                            or w.call_timeout_s * 2,
+                            or CALL_TIMEOUT_S * 2,
                             count=1)
                     if rebalance.roll("router"):
                         _log.warning("fault_injected",

@@ -92,7 +92,6 @@ from repro.ingest.observation import Observation, ObservationKind
 from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.publisher import ConfirmedPatch, TransientPublishError
 from repro.obs.log import EVENT_LOG
-from repro.serve.admission import AdmissionPolicy
 from repro.serve.api import GetTile, Priority
 from repro.serve.service import MapService
 from repro.storage.binary import encode_map
@@ -129,29 +128,31 @@ def _quiet_injected_crashes() -> Iterator[None]:
         threading.excepthook = previous
 
 
+#: Pipeline shape of every chaos run (small but complete). One worker
+#: keeps inert runs bit-deterministic; the short backoffs, lease and
+#: cooldown let a fault window open and close inside one run.
+STEP_S = 0.5
+REMOVE_SIGNS = 2
+ADD_SIGNS = 2
+TILE_SIZE = 250.0
+N_WORKERS = 1
+N_PARTITIONS = 4
+MAX_BATCH = 16
+MAX_ATTEMPTS = 4
+BACKOFF_BASE_S = 0.005
+LEASE_TIMEOUT_S = 1.0
+SUPERVISOR_TICK_S = 0.01
+BREAKER_COOLDOWN_S = 0.05
+SERVE_REQUESTS = 120
+
+
 @dataclass
 class ChaosWorkload:
-    """Shape of the workload driven under faults (small but complete)."""
+    """Shape of the fleet driven under faults."""
 
     vehicles: int = 3
     routes_per_vehicle: int = 2
     route_length_m: float = 900.0
-    step_s: float = 0.5
-    remove_signs: int = 2
-    add_signs: int = 2
-    tile_size: float = 250.0
-    n_workers: int = 1          # one worker keeps inert runs bit-deterministic
-    n_partitions: int = 4
-    max_batch: int = 16
-    max_attempts: int = 4
-    backoff_base_s: float = 0.005
-    lease_timeout_s: float = 1.0
-    supervisor_tick_s: float = 0.01
-    stage_failure_threshold: int = 6
-    breaker_cooldown_s: float = 0.05
-    max_publish_attempts: int = 3
-    publish_backoff_s: float = 0.002
-    serve_requests: int = 120
     seed: int = 7
 
 
@@ -194,31 +195,26 @@ class ChaosHarness:
         w = self.workload
         rng = np.random.default_rng(w.seed)
         scenario = apply_changes(
-            self.hdmap, ChangeSpec(remove_signs=w.remove_signs,
-                                   add_signs=w.add_signs), rng)
+            self.hdmap, ChangeSpec(remove_signs=REMOVE_SIGNS,
+                                   add_signs=ADD_SIGNS), rng)
         self.scenario = scenario
         return scenario
 
     def _build_pipeline(self, server, hooked: bool) -> IngestPipeline:
-        w = self.workload
-        pipe = IngestPipeline(
-            server, tile_size=w.tile_size, n_workers=w.n_workers,
-            n_partitions=w.n_partitions, capacity_per_partition=8192,
-            lease_timeout_s=w.lease_timeout_s, max_attempts=w.max_attempts,
-            backoff_base_s=w.backoff_base_s, max_batch=w.max_batch,
-            supervisor_tick_s=w.supervisor_tick_s,
-            stage_failure_threshold=w.stage_failure_threshold,
-            breaker_cooldown_s=w.breaker_cooldown_s,
+        return IngestPipeline(
+            server, tile_size=TILE_SIZE, n_workers=N_WORKERS,
+            n_partitions=N_PARTITIONS, capacity_per_partition=8192,
+            lease_timeout_s=LEASE_TIMEOUT_S, max_attempts=MAX_ATTEMPTS,
+            backoff_base_s=BACKOFF_BASE_S, max_batch=MAX_BATCH,
+            supervisor_tick_s=SUPERVISOR_TICK_S,
+            breaker_cooldown_s=BREAKER_COOLDOWN_S,
             delivery_hook=self._delivery_hook if hooked else None)
-        pipe.publisher.max_publish_attempts = w.max_publish_attempts
-        pipe.publisher.publish_backoff_s = w.publish_backoff_s
-        return pipe
 
     def _source(self, scenario: Scenario) -> FleetObservationSource:
         w = self.workload
         return FleetObservationSource(
             scenario, n_vehicles=w.vehicles,
-            route_length_m=w.route_length_m, step_s=w.step_s,
+            route_length_m=w.route_length_m, step_s=STEP_S,
             routes_per_vehicle=w.routes_per_vehicle,
             duplicate_rate=0.0, seed=w.seed)
 
@@ -234,7 +230,7 @@ class ChaosHarness:
             # Stall past the lease timeout: the supervisor redelivers the
             # batch while this worker is still processing it.
             time.sleep(storm.magnitude or
-                       (self.workload.lease_timeout_s * 1.5))
+                       (LEASE_TIMEOUT_S * 1.5))
         slow = self.plan.point(BUS_SLOW_CONSUMER)
         if slow.roll(key):
             time.sleep(slow.magnitude or 0.02)
@@ -399,13 +395,12 @@ class ChaosHarness:
     def _serve_phase(self, server: MapDistributionServer,
                      scenario: Scenario) -> Tuple[Dict[str, object], int]:
         """Request storm against a service over the chaos-mutated map."""
-        w = self.workload
         plan = self.plan
-        store = TileStore.build(scenario.prior, tile_size=w.tile_size)
+        store = TileStore.build(scenario.prior, tile_size=TILE_SIZE)
         tiles = store.tiles()
         service = MapService(
             server, store, n_workers=2, cache_shards=4, tiles_per_shard=8,
-            policy=AdmissionPolicy(max_queue=32))
+            max_queue=32)
         base_version = server.version
         regressions = 0
         futures = []
@@ -414,12 +409,12 @@ class ChaosHarness:
         target = self._conflict_target(scenario)
         priorities = (Priority.LOW, Priority.NORMAL, Priority.HIGH)
         with service:
-            for i in range(w.serve_requests):
+            for i in range(SERVE_REQUESTS):
                 # One decision stream per serve point (default key): the
                 # request index advances the stream, so `after` offsets
                 # delay the fault window into the phase as documented.
                 tile = tiles[0] if hot.roll() else tiles[i % len(tiles)]
-                if i == w.serve_requests // 2 and target is not None and \
+                if i == SERVE_REQUESTS // 2 and target is not None and \
                         hot.active:
                     # One live version bump mid-burst: responses on both
                     # sides of it feed the version-regression check.

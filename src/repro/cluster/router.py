@@ -462,6 +462,9 @@ class ClusterRouter:
     clamp over the sum of shard versions).
     """
 
+    #: journal depth at which one ``journal_large`` warning is emitted
+    JOURNAL_WARN_ENTRIES = 10_000
+
     def __init__(self, hdmap: HDMap, n_shards: int = 2,
                  tile_size: float = 500.0,
                  replicas: int = 0,
@@ -473,7 +476,6 @@ class ClusterRouter:
                  lease_s: float = 2.0,
                  registry: Optional[MetricsRegistry] = None,
                  pack_path: Optional[str] = None,
-                 journal_warn_threshold: int = 10_000,
                  clock: Callable[[], float] = time.monotonic,
                  telemetry_interval_s: Optional[float] = None) -> None:
         if n_shards < 1:
@@ -525,7 +527,6 @@ class ClusterRouter:
         #: so an unbounded journal silently turns restarts O(history). The
         #: gauge makes the depth scrapeable; crossing the threshold emits
         #: one ``journal_large`` warning event.
-        self.journal_warn_threshold = journal_warn_threshold
         self.journal_gauge = Gauge()
         self._journal_warned = False
         self._ingest_lock = threading.Lock()    # one writer at a time
@@ -1086,12 +1087,12 @@ class ClusterRouter:
                         self._journal.append(entry)
                         depth = len(self._journal)
                     self.journal_gauge.set(depth)
-                    if (depth >= self.journal_warn_threshold
+                    if (depth >= self.JOURNAL_WARN_ENTRIES
                             and not self._journal_warned):
                         self._journal_warned = True
                         _log.warning(
                             "journal_large", entries=depth,
-                            threshold=self.journal_warn_threshold)
+                            threshold=self.JOURNAL_WARN_ENTRIES)
                     handle = self._handles[index]
                     with handle.lock:
                         self._replicate_locked(

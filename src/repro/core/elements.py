@@ -54,11 +54,6 @@ class BoundaryType(enum.Enum):
     ROAD_EDGE = "road_edge"
     VIRTUAL = "virtual"  # e.g. inferred lane split inside an intersection
 
-    @property
-    def is_crossable(self) -> bool:
-        return self in (BoundaryType.DASHED, BoundaryType.VIRTUAL)
-
-
 class LaneType(enum.Enum):
     DRIVING = "driving"
     SHOULDER = "shoulder"
@@ -139,13 +134,6 @@ class Lane(MapElement):
     def length(self) -> float:
         return self.centerline.length
 
-    def contains_point(self, point: np.ndarray) -> bool:
-        """True if ``point`` lies within half a width of the centerline."""
-        s, d = self.centerline.project(point)
-        on_extent = -1e-9 <= s <= self.centerline.length + 1e-9
-        return on_extent and abs(d) <= self.width / 2.0
-
-
 @dataclass
 class RoadSegment(MapElement):
     """HiDAM-style lane bundle: parallel lanes between two nodes.
@@ -181,10 +169,6 @@ class PointLandmark(MapElement):
     def bounds(self) -> Tuple[float, float, float, float]:
         x, y = float(self.position[0]), float(self.position[1])
         return (x, y, x, y)
-
-    def position3d(self) -> np.ndarray:
-        return np.array([self.position[0], self.position[1], self.height])
-
 
 @dataclass
 class TrafficSign(PointLandmark):

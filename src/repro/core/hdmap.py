@@ -17,7 +17,7 @@ with traditional routing while exposing per-lane detail.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar
+from typing import Dict, Iterator, List, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
@@ -30,18 +30,14 @@ from repro.core.elements import (
     MapElement,
     Node,
     PointLandmark,
-    Pole,
     RoadMarking,
     RoadSegment,
-    StopLine,
-    TrafficLight,
     TrafficSign,
 )
 from repro.core.ids import ElementId, IdAllocator
 from repro.core.regulatory import RegulatoryElement
 from repro.errors import MapModelError, UnknownElementError
 from repro.geometry.index import GridIndex
-from repro.geometry.polyline import Polyline
 
 E = TypeVar("E", bound=MapElement)
 
@@ -109,11 +105,6 @@ class HDMap:
         self.add(element)
         return element
 
-    def create_regulatory(self, **kwargs) -> RegulatoryElement:
-        rule = RegulatoryElement(id=self.new_id(Kind.REGULATORY), **kwargs)
-        self.add(rule)
-        return rule
-
     def remove(self, element_id: ElementId) -> MapElement:
         """Remove and return an element."""
         if element_id in self._regulatory:
@@ -176,15 +167,6 @@ class HDMap:
     def signs(self) -> Iterator[TrafficSign]:
         return self._of_kind(Kind.SIGN)  # type: ignore[return-value]
 
-    def lights(self) -> Iterator[TrafficLight]:
-        return self._of_kind(Kind.LIGHT)  # type: ignore[return-value]
-
-    def poles(self) -> Iterator[Pole]:
-        return self._of_kind(Kind.POLE)  # type: ignore[return-value]
-
-    def stop_lines(self) -> Iterator[StopLine]:
-        return self._of_kind(Kind.STOPLINE)  # type: ignore[return-value]
-
     def crosswalks(self) -> Iterator[Crosswalk]:
         return self._of_kind(Kind.CROSSWALK)  # type: ignore[return-value]
 
@@ -199,10 +181,6 @@ class HDMap:
         for kind in (Kind.SIGN, Kind.LIGHT, Kind.POLE, Kind.MARKING):
             yield from self._of_kind(kind)  # type: ignore[misc]
 
-    def physical_elements(self) -> Iterator[MapElement]:
-        for kind in PHYSICAL_KINDS:
-            yield from self._of_kind(kind)
-
     def elements(self) -> Iterator[MapElement]:
         yield from list(self._elements.values())
         yield from list(self._regulatory.values())
@@ -210,9 +188,6 @@ class HDMap:
     # ------------------------------------------------------------------
     # Spatial queries
     # ------------------------------------------------------------------
-    def elements_in_box(self, bounds: Tuple[float, float, float, float]) -> List[MapElement]:
-        return [self._elements[eid] for eid in self._index.query_box(bounds)]
-
     def elements_in_radius(self, x: float, y: float, radius: float,
                            kind: Optional[str] = None) -> List[MapElement]:
         """Elements whose bounds intersect the circle, optionally one kind."""
@@ -250,15 +225,6 @@ class HDMap:
         lane = self._elements[eid]
         assert isinstance(lane, Lane)
         return lane, d
-
-    def lanes_containing(self, x: float, y: float) -> List[Lane]:
-        point = np.array([x, y])
-        out = []
-        for eid in self._index.query_point(x, y):
-            element = self._elements[eid]
-            if isinstance(element, Lane) and element.contains_point(point):
-                out.append(element)
-        return out
 
     def bounds(self) -> Tuple[float, float, float, float]:
         """Bounding box of every spatial element."""

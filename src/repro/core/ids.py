@@ -8,7 +8,7 @@ self-describing and wrong-kind references are caught at validation time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator
 
 

@@ -20,11 +20,10 @@ the mean absolute error to the paper's < 20 cm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.elements import TrafficSign
 from repro.core.hdmap import HDMap
 from repro.eval.metrics import ErrorStats, error_stats
 from repro.geometry.transform import SE2

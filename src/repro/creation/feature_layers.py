@@ -12,15 +12,13 @@ argues for).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.elements import RoadMarking
 from repro.core.hdmap import HDMap
 from repro.eval.metrics import ErrorStats, error_stats
 from repro.geometry.transform import SE2
-from repro.sensors.camera import Camera
 from repro.sensors.gnss import GnssSensor
 from repro.sensors.base import SensorGrade
 from repro.world.traffic import Trajectory

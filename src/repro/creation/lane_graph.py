@@ -11,12 +11,12 @@ graph with per-segment lane counts and centerlines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.elements import BoundaryType, Lane, LaneBoundary, RoadSegment
+from repro.core.elements import LaneBoundary, RoadSegment
 from repro.core.hdmap import HDMap
 from repro.eval.metrics import ErrorStats, error_stats
 from repro.geometry.polyline import Polyline

@@ -16,12 +16,12 @@ The paper's five steps, on the synthetic substrate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.elements import BoundaryType, LaneBoundary
+from repro.core.elements import BoundaryType
 from repro.core.hdmap import HDMap
 from repro.errors import UpdateError
 from repro.eval.metrics import ErrorStats, error_stats

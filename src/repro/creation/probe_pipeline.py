@@ -14,11 +14,11 @@ into lane centerlines. Two operating modes, as in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.elements import Lane, RoadSegment
+from repro.core.elements import RoadSegment
 from repro.core.hdmap import HDMap
 from repro.eval.metrics import ErrorStats, error_stats
 from repro.geometry.polyline import Polyline

@@ -39,10 +39,6 @@ class PackError(StorageError):
     """A tile pack file is corrupt, truncated, or misused."""
 
 
-class SensorError(HDMapError):
-    """Invalid sensor configuration or measurement request."""
-
-
 class PlanningError(HDMapError):
     """Route or trajectory planning failure (e.g. unreachable goal)."""
 

@@ -4,7 +4,6 @@ from repro.eval.metrics import (
     average_precision,
     error_histogram,
     error_stats,
-    precision_recall,
     sensitivity_specificity,
 )
 from repro.eval.harness import ExperimentResult, ResultTable
@@ -15,6 +14,5 @@ __all__ = [
     "average_precision",
     "error_histogram",
     "error_stats",
-    "precision_recall",
     "sensitivity_specificity",
 ]

@@ -52,14 +52,6 @@ def error_histogram(errors: Sequence[float], bin_width: float = 0.25,
     return counts, edges
 
 
-def precision_recall(tp: int, fp: int, fn: int) -> Dict[str, float]:
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = (2 * precision * recall / (precision + recall)
-          if precision + recall else 0.0)
-    return {"precision": precision, "recall": recall, "f1": f1}
-
-
 def sensitivity_specificity(tp: int, fp: int, tn: int, fn: int) -> Dict[str, float]:
     sensitivity = tp / (tp + fn) if tp + fn else 0.0
     specificity = tn / (tn + fp) if tn + fp else 0.0

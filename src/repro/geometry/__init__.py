@@ -11,8 +11,6 @@ conventions:
 """
 
 from repro.geometry.vec import (
-    angle_diff,
-    heading_to_unit,
     norm,
     perp_left,
     rotate2d,
@@ -37,8 +35,6 @@ __all__ = [
     "BitmaskRaster",
     "RasterGrid",
     "GridIndex",
-    "angle_diff",
-    "heading_to_unit",
     "norm",
     "perp_left",
     "rotate2d",

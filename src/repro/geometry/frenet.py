@@ -7,20 +7,8 @@ Frenet conversion they need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from repro.geometry.polyline import Polyline
-
-
-@dataclass(frozen=True)
-class FrenetPoint:
-    """A point in Frenet coordinates: station ``s`` and lateral offset ``d``."""
-
-    s: float
-    d: float
 
 
 class FrenetFrame:
@@ -36,36 +24,6 @@ class FrenetFrame:
     @property
     def length(self) -> float:
         return self._ref.length
-
-    def to_frenet(self, point: Sequence[float]) -> FrenetPoint:
-        s, d = self._ref.project(point)
-        return FrenetPoint(s=s, d=d)
-
-    def to_frenet_batch(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized conversion of (P, 2) Cartesian points to Frenet.
-
-        Returns a (P, 2) array of ``[s, d]`` rows (batched projection, so
-        identical to per-point :meth:`to_frenet`).
-        """
-        stations, laterals = self._ref.project_batch(points)
-        return np.stack([stations, laterals], axis=1)
-
-    def to_cartesian(self, s: float, d: float) -> np.ndarray:
-        base = self._ref.point_at(s)
-        normal = self._ref.normal_at(s)
-        return base + d * normal
-
-    def path_to_cartesian(self, stations: np.ndarray, laterals: np.ndarray) -> np.ndarray:
-        """Vectorized conversion of a Frenet path to Cartesian points."""
-        stations = np.asarray(stations, dtype=float)
-        laterals = np.asarray(laterals, dtype=float)
-        if stations.shape != laterals.shape:
-            raise ValueError("stations and laterals must have the same shape")
-        s_flat = stations.ravel()
-        d_flat = laterals.ravel()
-        # Elementwise twin of to_cartesian() per row: base + d * normal.
-        return (self._ref.points_at(s_flat)
-                + d_flat[:, None] * self._ref.normals_at(s_flat))
 
     def heading_at(self, s: float) -> float:
         return self._ref.heading_at(s)

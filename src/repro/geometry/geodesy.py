@@ -58,35 +58,6 @@ class LocalProjector:
         north = np.radians(lat - self.lat0) * r_m
         return np.stack([east, north], axis=-1)
 
-    def to_geographic(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Convert ``(N, 2)`` east-north metres back to (lat, lon) degrees."""
-        r_m, r_p = self._radii()
-        pts = np.asarray(points, dtype=float)
-        lat = self.lat0 + np.degrees(pts[..., 1] / r_m)
-        lon = self.lon0 + np.degrees(pts[..., 0] / r_p)
-        return lat, lon
-
-
-def haversine_distance(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in metres between two lat/lon points (degrees).
-
-    Uses the mean Earth radius; accurate to ~0.5 % which is ample for the
-    sanity checks and probe-data bucketing it serves.
-    """
-    r = 6371008.8
-    p1, p2 = math.radians(lat1), math.radians(lat2)
-    dp = p2 - p1
-    dl = math.radians(lon2 - lon1)
-    a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
-    return 2 * r * math.asin(math.sqrt(a))
-
 
 MILE_METRES = 1609.344
 
-
-def metres_to_miles(metres: float) -> float:
-    return metres / MILE_METRES
-
-
-def miles_to_metres(miles: float) -> float:
-    return miles * MILE_METRES

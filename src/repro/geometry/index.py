@@ -103,19 +103,6 @@ class GridIndex(Generic[K]):
                 if not members:
                     del self._cells[cell]
 
-    def query_point(self, x: float, y: float) -> List[K]:
-        """Keys whose bounds contain the point (insertion order)."""
-        hits = []
-        for key in self._cells.get(self._cell_of(x, y), ()):
-            min_x, min_y, max_x, max_y = self._bounds[key]
-            if min_x <= x <= max_x and min_y <= y <= max_y:
-                hits.append(key)
-        # Sets iterate in hash order, which Python randomizes per process;
-        # sorting by insertion ticket keeps every downstream computation
-        # reproducible at integer-compare cost instead of a repr() per hit.
-        hits.sort(key=self._order.__getitem__)
-        return hits
-
     @timed("grid.query_box")
     def query_box(self, bounds: Bounds) -> List[K]:
         """Keys whose bounds intersect the query box (insertion order)."""
@@ -178,6 +165,3 @@ class GridIndex(Generic[K]):
 
     def keys(self) -> Iterable[K]:
         return self._bounds.keys()
-
-    def bounds_of(self, key: K) -> Bounds:
-        return self._bounds[key]

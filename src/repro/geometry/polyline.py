@@ -312,10 +312,6 @@ class Polyline:
         stations = np.concatenate(([s0], inner, [s1]))
         return Polyline(self.points_at(stations))
 
-    def transformed(self, pose) -> "Polyline":
-        """Apply an :class:`~repro.geometry.transform.SE2` to every vertex."""
-        return Polyline(pose.apply(self._pts))
-
     def simplify(self, tolerance: float) -> "Polyline":
         """Douglas-Peucker simplification within ``tolerance`` metres."""
         if tolerance <= 0:
@@ -331,20 +327,6 @@ class Polyline:
         else:
             pts = np.vstack([self._pts, other.points])
         return Polyline(pts)
-
-    def hausdorff_distance(self, other: "Polyline", spacing: float = 1.0) -> float:
-        """Symmetric discrete Hausdorff distance between two polylines."""
-        a = self.resample(spacing)
-        b = other.resample(spacing)
-        d_ab = float(np.abs(b.project_batch(a.points)[1]).max())
-        d_ba = float(np.abs(a.project_batch(b.points)[1]).max())
-        return max(d_ab, d_ba)
-
-    def mean_distance_to_polyline(self, other: "Polyline", spacing: float = 1.0) -> float:
-        """Mean absolute lateral deviation of this polyline from ``other``."""
-        sampled = self.resample(spacing)
-        return float(np.mean(np.abs(other.project_batch(sampled.points)[1])))
-
 
 def _douglas_peucker_mask(pts: np.ndarray, tol: float) -> np.ndarray:
     """Boolean keep-mask for Douglas-Peucker simplification."""
@@ -370,17 +352,6 @@ def _douglas_peucker_mask(pts: np.ndarray, tol: float) -> np.ndarray:
             stack.append((lo, best_i))
             stack.append((best_i, hi))
     return keep
-
-
-def arc(center: Sequence[float], radius: float, start_angle: float,
-        end_angle: float, n: int = 32) -> Polyline:
-    """Circular arc helper used by the world generator."""
-    if n < 2:
-        raise GeometryError("arc needs at least 2 samples")
-    angles = np.linspace(start_angle, end_angle, n)
-    c = np.asarray(center, dtype=float)
-    pts = c + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return Polyline(pts)
 
 
 def straight(a: Sequence[float], b: Sequence[float], spacing: float = 5.0) -> Polyline:

@@ -2,9 +2,9 @@
 
 Two raster types back several surveyed systems:
 
-- :class:`RasterGrid` — a float grid used for occupancy maps, aerial-image
-  surrogates (Mátyus et al. [27]), and Diff-Net-style rasterized map
-  comparison [46].
+- :class:`RasterGrid` — a float grid used for LiDAR evidence grids
+  (Zhao et al. [32]), aerial-image surrogates (Mátyus et al. [27]), and
+  Diff-Net-style rasterized map comparison [46].
 - :class:`BitmaskRaster` — an 8-bit-per-cell label raster where each *bit*
   marks one element class, the exact representation HDMI-Loc [23] uses to
   shrink vector maps into matchable top-view images.
@@ -13,12 +13,11 @@ Two raster types back several surveyed systems:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.polyline import Polyline
 
 
 @dataclass(frozen=True)
@@ -96,22 +95,6 @@ class RasterGrid:
         cells = cells[ok]
         np.add.at(self.data, (cells[:, 1], cells[:, 0]), value)
 
-    def draw_polyline(self, line: Polyline, value: float = 1.0,
-                      thickness: float = 0.0) -> None:
-        """Rasterize a polyline (optionally thickened to ``thickness`` metres)."""
-        spacing = self.spec.resolution * 0.5
-        sampled = line.resample(spacing)
-        if thickness <= self.spec.resolution:
-            self.set_points(sampled.points, value)
-            return
-        half = thickness / 2.0
-        offsets = np.arange(-half, half + spacing / 2, spacing)
-        for off in offsets:
-            try:
-                self.set_points(sampled.offset(float(off)).points, value)
-            except GeometryError:
-                continue
-
     def sample(self, points: np.ndarray, outside: float = 0.0) -> np.ndarray:
         """Value of the cell containing each point (``outside`` if out of range)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -166,39 +149,6 @@ class BitmaskRaster:
         ok = self.spec.in_range(cells)
         cells = cells[ok]
         self.data[cells[:, 1], cells[:, 0]] |= bit
-
-    def mark_polyline(self, class_name: str, line: Polyline,
-                      thickness: float = 0.0) -> None:
-        spacing = self.spec.resolution * 0.5
-        sampled = line.resample(spacing)
-        if thickness <= self.spec.resolution:
-            self.mark_points(class_name, sampled.points)
-            return
-        half = thickness / 2.0
-        for off in np.arange(-half, half + spacing / 2, spacing):
-            try:
-                self.mark_points(class_name, sampled.offset(float(off)).points)
-            except GeometryError:
-                continue
-
-    def layer(self, class_name: str) -> np.ndarray:
-        """Boolean mask of one class."""
-        bit = self.bit_of(class_name)
-        return (self.data & bit) != 0
-
-    def match_score(self, observed: "BitmaskRaster") -> float:
-        """Fraction of observed labelled cells that agree with this raster.
-
-        This is the bitwise matching measure HDMI-Loc's particle filter
-        maximizes: AND the observation with the map and count surviving bits.
-        """
-        if observed.data.shape != self.data.shape:
-            raise GeometryError("rasters must share a grid to be matched")
-        obs_bits = int(np.unpackbits(observed.data).sum())
-        if obs_bits == 0:
-            return 0.0
-        agree = int(np.unpackbits(self.data & observed.data).sum())
-        return agree / obs_bits
 
     def shifted(self, dx_cells: int, dy_cells: int) -> "BitmaskRaster":
         """Copy of the raster translated by whole cells (zeros shifted in)."""

@@ -40,10 +40,6 @@ class SE2:
         """Map local-frame point(s) into the world frame."""
         return rotate2d(points, self.theta) + self.translation
 
-    def apply_direction(self, vectors: np.ndarray) -> np.ndarray:
-        """Rotate direction vector(s) into the world frame (no translation)."""
-        return rotate2d(vectors, self.theta)
-
     def inverse(self) -> "SE2":
         c, s = math.cos(self.theta), math.sin(self.theta)
         return SE2(
@@ -60,28 +56,8 @@ class SE2:
     def __matmul__(self, other: "SE2") -> "SE2":
         return self.compose(other)
 
-    def relative_to(self, reference: "SE2") -> "SE2":
-        """Express this pose in the frame of ``reference``."""
-        return reference.inverse().compose(self)
-
     def distance_to(self, other: "SE2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def heading_error_to(self, other: "SE2") -> float:
-        return abs(wrap_angle(self.theta - other.theta))
-
-    def as_matrix(self) -> np.ndarray:
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return np.array([[c, -s, self.x], [s, c, self.y], [0.0, 0.0, 1.0]])
-
-    @staticmethod
-    def from_matrix(matrix: np.ndarray) -> "SE2":
-        return SE2(
-            x=float(matrix[0, 2]),
-            y=float(matrix[1, 2]),
-            theta=float(math.atan2(matrix[1, 0], matrix[0, 0])),
-        )
-
 
 def _rotation_zyx(roll: float, pitch: float, yaw: float) -> np.ndarray:
     """Rotation matrix from ZYX (yaw-pitch-roll) Euler angles."""
@@ -117,10 +93,6 @@ class SE3:
     def identity() -> "SE3":
         return SE3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    @staticmethod
-    def from_se2(pose: SE2, z: float = 0.0, roll: float = 0.0, pitch: float = 0.0) -> "SE3":
-        return SE3(pose.x, pose.y, z, roll, pitch, pose.theta)
-
     @property
     def translation(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
@@ -146,13 +118,6 @@ class SE3:
 
     def __matmul__(self, other: "SE3") -> "SE3":
         return self.compose(other)
-
-    def to_se2(self) -> SE2:
-        return SE2(self.x, self.y, wrap_angle(self.yaw))
-
-    def translation_error_to(self, other: "SE3") -> float:
-        return float(np.linalg.norm(self.translation - other.translation))
-
 
 def _euler_from_matrix(rot: np.ndarray) -> tuple[float, float, float]:
     """Recover ZYX Euler angles (roll, pitch, yaw) from a rotation matrix."""

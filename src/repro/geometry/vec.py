@@ -17,14 +17,6 @@ ArrayLike = Union[np.ndarray, list, tuple]
 TWO_PI = 2.0 * math.pi
 
 
-def as_point(p: ArrayLike) -> np.ndarray:
-    """Coerce ``p`` to a float ``(2,)`` array."""
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError(f"expected a 2-D point, got shape {arr.shape}")
-    return arr
-
-
 def norm(v: ArrayLike) -> float:
     """Euclidean length of a 2-D vector."""
     arr = np.asarray(v, dtype=float)
@@ -61,28 +53,12 @@ def rotate2d(points: ArrayLike, angle: float) -> np.ndarray:
     return arr @ rot.T
 
 
-def heading_to_unit(heading: float) -> np.ndarray:
-    """Unit direction vector for a heading angle."""
-    return np.array([math.cos(heading), math.sin(heading)])
-
-
-def heading_of(v: ArrayLike) -> float:
-    """Heading angle (radians, CCW from +x) of a direction vector."""
-    arr = np.asarray(v, dtype=float)
-    return float(math.atan2(arr[1], arr[0]))
-
-
 def wrap_angle(angle: float) -> float:
     """Wrap an angle into ``(-pi, pi]``."""
     wrapped = math.fmod(angle + math.pi, TWO_PI)
     if wrapped <= 0.0:
         wrapped += TWO_PI
     return wrapped - math.pi
-
-
-def angle_diff(a: float, b: float) -> float:
-    """Signed smallest difference ``a - b`` wrapped into ``(-pi, pi]``."""
-    return wrap_angle(a - b)
 
 
 def segment_point_distance(
@@ -104,32 +80,3 @@ def segment_point_distance(
     closest = a_arr + t * d
     return float(np.hypot(*(p_arr - closest))), t
 
-
-def polygon_area(points: ArrayLike) -> float:
-    """Signed area of a simple polygon (positive for CCW winding)."""
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 3 or arr.shape[1] != 2:
-        raise ValueError("polygon needs an (N>=3, 2) array of vertices")
-    x, y = arr[:, 0], arr[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def point_in_polygon(point: ArrayLike, polygon: ArrayLike) -> bool:
-    """Even-odd rule point-in-polygon test (boundary counts as inside)."""
-    p = as_point(point)
-    poly = np.asarray(polygon, dtype=float)
-    n = poly.shape[0]
-    inside = False
-    j = n - 1
-    for i in range(n):
-        xi, yi = poly[i]
-        xj, yj = poly[j]
-        dist, _ = segment_point_distance(poly[j], poly[i], p)
-        if dist < 1e-12:
-            return True
-        if (yi > p[1]) != (yj > p[1]):
-            x_cross = (xj - xi) * (p[1] - yi) / (yj - yi) + xi
-            if p[0] < x_cross:
-                inside = not inside
-        j = i
-    return inside

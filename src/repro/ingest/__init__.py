@@ -15,7 +15,7 @@ concurrent path between them:
   classify -> emit stage chain reusing ``IncrementalFuser``,
   ``DiscreteDBN``, and ``ChangeClassifier``;
 - :mod:`repro.ingest.publisher` — :class:`PatchPublisher`, exactly-once
-  (per patch key) publication under a configurable ``ConflictPolicy``,
+  (per patch key) publication under the server's ``ConflictPolicy``,
   retrying :class:`TransientPublishError` with exponential backoff;
 - :mod:`repro.ingest.pipeline` — :class:`IngestPipeline`: supervised
   stage workers, retry with exponential backoff, a dead-letter queue;

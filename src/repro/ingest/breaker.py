@@ -12,28 +12,28 @@ pipeline stage gets one breaker shared by all workers:
 
 - **closed** (healthy): calls flow through; consecutive failures are
   counted, any success resets the count;
-- **open** (tripped after ``failure_threshold`` consecutive failures):
-  callers get :class:`StageCircuitOpen` *without running the stage*; the
-  pipeline nacks the batch for redelivery after ``cooldown_s`` and — key
-  point — does **not** count the delivery against ``max_attempts``, so a
-  systemic outage never dead-letters healthy batches;
-- **half-open** (cooldown elapsed): up to ``half_open_probes`` concurrent
-  probe deliveries run the stage for real; one success closes the breaker,
-  one failure re-opens it for another cooldown.
+- **open** (tripped after :data:`STAGE_FAILURE_THRESHOLD` consecutive
+  failures): callers get :class:`StageCircuitOpen` *without running the
+  stage*; the pipeline nacks the batch for redelivery after ``cooldown_s``
+  and — key point — does **not** count the delivery against
+  ``max_attempts``, so a systemic outage never dead-letters healthy
+  batches;
+- **half-open** (cooldown elapsed): exactly one probe delivery runs the
+  stage for real; its success closes the breaker, its failure re-opens it
+  for another cooldown.
 
 State transitions are logged as ``stage_breaker_open`` /
 ``stage_breaker_half_open`` / ``stage_breaker_closed`` events so a chaos
 run (or an operator) can line them up with the fault window.
 
-The clock is injectable for deterministic tests, matching the convention
-of the bus, pipeline, and admission controller.
+The clock is injectable for deterministic tests.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import IngestError
 from repro.obs.log import get_logger
@@ -43,6 +43,9 @@ _log = get_logger("ingest.breaker")
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
+
+#: consecutive failures of one stage that declare it systemically down
+STAGE_FAILURE_THRESHOLD = 6
 
 
 class StageCircuitOpen(IngestError):
@@ -57,29 +60,18 @@ class StageCircuitOpen(IngestError):
 class CircuitBreaker:
     """A three-state (closed/open/half-open) breaker for one stage."""
 
-    def __init__(self, stage: str = "",
-                 failure_threshold: int = 6,
-                 cooldown_s: float = 0.25,
-                 half_open_probes: int = 1,
+    def __init__(self, stage: str, cooldown_s: float = 0.25,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if failure_threshold < 1:
-            raise IngestError("failure_threshold must be >= 1")
         if cooldown_s < 0:
             raise IngestError("cooldown_s must be >= 0")
-        if half_open_probes < 1:
-            raise IngestError("half_open_probes must be >= 1")
         self.stage = stage
-        self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
-        self.half_open_probes = half_open_probes
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_in_flight = 0
-        self.opens = 0        # times the breaker tripped
-        self.fast_failures = 0  # calls refused while open
+        self._probing = False
 
     @property
     def state(self) -> str:
@@ -96,17 +88,15 @@ class CircuitBreaker:
             if self._state == OPEN:
                 elapsed = self._clock() - self._opened_at
                 if elapsed < self.cooldown_s:
-                    self.fast_failures += 1
                     raise StageCircuitOpen(
                         self.stage, self.cooldown_s - elapsed)
                 self._state = HALF_OPEN
-                self._probes_in_flight = 0
+                self._probing = False
                 _log.warning("stage_breaker_half_open", stage=self.stage)
             if self._state == HALF_OPEN:
-                if self._probes_in_flight >= self.half_open_probes:
-                    self.fast_failures += 1
+                if self._probing:
                     raise StageCircuitOpen(self.stage, self.cooldown_s)
-                self._probes_in_flight += 1
+                self._probing = True
 
     def record_success(self) -> None:
         with self._lock:
@@ -114,7 +104,7 @@ class CircuitBreaker:
                 _log.warning("stage_breaker_closed", stage=self.stage)
             self._state = CLOSED
             self._consecutive_failures = 0
-            self._probes_in_flight = 0
+            self._probing = False
 
     def record_failure(self) -> bool:
         """Count one stage failure; returns True when this trip opened
@@ -125,7 +115,7 @@ class CircuitBreaker:
                 return True
             self._consecutive_failures += 1
             if self._state == CLOSED and \
-                    self._consecutive_failures >= self.failure_threshold:
+                    self._consecutive_failures >= STAGE_FAILURE_THRESHOLD:
                 self._trip()
                 return True
             return False
@@ -135,42 +125,6 @@ class CircuitBreaker:
         self._state = OPEN
         self._opened_at = self._clock()
         self._consecutive_failures = 0
-        self._probes_in_flight = 0
-        self.opens += 1
+        self._probing = False
         _log.error("stage_breaker_open", stage=self.stage,
                    cooldown_s=self.cooldown_s)
-
-    def call(self, fn: Callable[[], object]) -> object:
-        """Run ``fn`` through the breaker (convenience for tests)."""
-        self.acquire()
-        try:
-            out = fn()
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return out
-
-    def as_dict(self) -> dict:
-        with self._lock:
-            return {
-                "stage": self.stage,
-                "state": self._state,
-                "consecutive_failures": self._consecutive_failures,
-                "opens": self.opens,
-                "fast_failures": self.fast_failures,
-            }
-
-
-def breaker_for(stage: str,
-                failure_threshold: int,
-                cooldown_s: float,
-                clock: Callable[[], float],
-                half_open_probes: int = 1) -> Optional[CircuitBreaker]:
-    """One breaker per stage, or None when breakers are disabled
-    (``failure_threshold`` <= 0)."""
-    if failure_threshold <= 0:
-        return None
-    return CircuitBreaker(stage, failure_threshold=failure_threshold,
-                          cooldown_s=cooldown_s,
-                          half_open_probes=half_open_probes, clock=clock)

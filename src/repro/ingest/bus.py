@@ -38,6 +38,9 @@ from repro.obs.trace import TRACER
 
 _log = get_logger("ingest.bus")
 
+#: (vehicle, seq) dedup keys each partition remembers
+DEDUP_WINDOW = 16384
+
 
 class _Partition:
     """One bounded partition: pending queue + dedup window + delivery state."""
@@ -68,7 +71,6 @@ class ObservationBus:
 
     def __init__(self, tile_size: float = 250.0, n_partitions: int = 4,
                  capacity_per_partition: int = 1024,
-                 dedup_window: int = 8192,
                  lease_timeout_s: float = 5.0,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if n_partitions < 1:
@@ -78,7 +80,6 @@ class ObservationBus:
         self.scheme = TileScheme(tile_size)
         self.n_partitions = n_partitions
         self.capacity_per_partition = capacity_per_partition
-        self.dedup_window = dedup_window
         self.lease_timeout_s = lease_timeout_s
         self._clock = clock
         self._cond = threading.Condition(threading.Lock())
@@ -115,7 +116,7 @@ class ObservationBus:
                 self.deduplicated.add()
                 return False
             part.recent[key] = None
-            while len(part.recent) > self.dedup_window:
+            while len(part.recent) > DEDUP_WINDOW:
                 part.recent.popitem(last=False)
             if len(part.pending) >= self.capacity_per_partition:
                 part.pending.popleft()

@@ -11,10 +11,7 @@ classify -> emit does time go), kept *per worker* and aggregated with
 lag* — the wall time from an observation entering the bus to the moment
 its confirmed patch is visible to ``ChangesSince`` on the serving
 layer. Freshness is the metric the whole subsystem exists to drive
-down; it is also mirrored into
-:class:`~repro.serve.metrics.ServiceMetrics` when the publisher is wired
-to a service, so one dashboard shows both sides of the loop. The whole
-aggregate registers into a
+down. The whole aggregate registers into a
 :class:`~repro.obs.metrics.MetricsRegistry` under canonical
 ``ingest.*`` names via :meth:`IngestMetrics.register_into`.
 """
@@ -22,7 +19,7 @@ aggregate registers into a
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.validation import ALL_CONSTRAINTS
 from repro.obs.metrics import (
@@ -43,10 +40,8 @@ class IngestMetrics:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # (stage, worker) -> histogram; worker None is the shared series
-        # used by callers that predate per-worker attribution.
-        self._stage_latency: Dict[Tuple[str, Optional[int]],
-                                  LatencyHistogram] = {}
+        # (stage, worker) -> histogram
+        self._stage_latency: Dict[Tuple[str, int], LatencyHistogram] = {}
         self.freshness = LatencyHistogram(FRESHNESS_BOUNDS)
         # consumer-side (producer-side counts live on the ObservationBus
         # and are merged into the export by IngestPipeline.stats())
@@ -85,8 +80,7 @@ class IngestMetrics:
         self.queue_depth: Dict[int, Gauge] = {}
         self.in_flight = Gauge()
 
-    def stage_histogram(self, stage: str,
-                        worker: Optional[int] = None) -> LatencyHistogram:
+    def stage_histogram(self, stage: str, worker: int) -> LatencyHistogram:
         """The per-worker histogram of one stage (lazily created)."""
         key = (stage, worker)
         with self._lock:
@@ -96,8 +90,7 @@ class IngestMetrics:
                     LatencyHistogram(STAGE_BOUNDS)
             return hist
 
-    def record_stage(self, stage: str, seconds: float,
-                     worker: Optional[int] = None) -> None:
+    def record_stage(self, stage: str, seconds: float, worker: int) -> None:
         self.stage_histogram(stage, worker).record(seconds)
 
     def stage_names(self) -> List[str]:
@@ -136,15 +129,11 @@ class IngestMetrics:
                 gauge = self.queue_depth[partition] = Gauge()
             return gauge
 
-    def freshness_p95_s(self) -> float:
-        return self.freshness.percentile(95.0)
-
     def as_dict(self) -> Dict[str, object]:
         """Consistent point-in-time export for dashboards/CLI output.
 
         ``stage_latency`` aggregates every worker's series per stage via
-        :meth:`merged_stage_histogram`, so the shape is unchanged from
-        the pre-per-worker days.
+        :meth:`merged_stage_histogram`.
         """
         with self._lock:
             depths = {p: g.value for p, g in sorted(self.queue_depth.items())}

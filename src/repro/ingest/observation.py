@@ -99,7 +99,8 @@ class ObservationBatch:
     tile: TileId
     partition: int
     observations: List[Observation] = field(default_factory=list)
-    batch_id: int = field(default_factory=lambda: next(_batch_ids))
+    batch_id: int = field(init=False,
+                          default_factory=lambda: next(_batch_ids))
     attempts: int = 0
 
     @property

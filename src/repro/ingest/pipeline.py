@@ -38,7 +38,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
 from repro.ingest.observation import Observation, ObservationBatch
 from repro.ingest.publisher import PatchPublisher
-from repro.core.validation import ConstraintEngine
 from repro.ingest.stages import (
     AssociateStage,
     ClassifyStage,
@@ -51,10 +50,9 @@ from repro.ingest.stages import (
     _PATCHES,
 )
 from repro.ingest.verify import QuarantineStore, VerifyGate
-from repro.serve.metrics import ServiceMetrics
 from repro.storage.journal import RecordJournal
 from repro.update.dbn import DiscreteDBN
-from repro.update.distribution import ConflictPolicy, MapDistributionServer
+from repro.update.distribution import MapDistributionServer
 from repro.update.incremental_fusion import IncrementalFuser
 
 
@@ -104,24 +102,17 @@ class IngestPipeline:
                  n_workers: int = 2,
                  n_partitions: Optional[int] = None,
                  capacity_per_partition: int = 2048,
-                 dedup_window: int = 16384,
                  lease_timeout_s: float = 2.0,
                  max_attempts: int = 4,
                  backoff_base_s: float = 0.02,
                  max_batch: int = 32,
-                 policy: Optional[ConflictPolicy] = None,
-                 config: Optional[IngestConfig] = None,
-                 service_metrics: Optional[ServiceMetrics] = None,
                  dead_letter_journal: Optional[RecordJournal] = None,
                  stage_latency_s: float = 0.0,
                  delivery_hook: Optional[
                      Callable[[ObservationBatch], None]] = None,
                  supervisor_tick_s: float = 0.02,
-                 stage_failure_threshold: int = 6,
                  breaker_cooldown_s: float = 0.25,
-                 clock: Callable[[], float] = time.monotonic,
                  verify: bool = True,
-                 constraint_engine: Optional[ConstraintEngine] = None,
                  quarantine_path: Optional[str] = None) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -139,16 +130,13 @@ class IngestPipeline:
         #: guarded stage run — an exception here kills the worker thread
         #: (simulating a crash) and exercises the supervisor restart path.
         self.delivery_hook = delivery_hook
-        self._clock = clock
 
-        self.config = config or IngestConfig()
+        self.config = IngestConfig()
         self.metrics = IngestMetrics()
         self.bus = ObservationBus(tile_size=tile_size,
                                   n_partitions=self.n_partitions,
                                   capacity_per_partition=capacity_per_partition,
-                                  dedup_window=dedup_window,
-                                  lease_timeout_s=lease_timeout_s,
-                                  clock=clock)
+                                  lease_timeout_s=lease_timeout_s)
         self.prior = server.snapshot()
         # The mandatory constraint gate between fuse and publish
         # (ROADMAP item 4): one VerifyGate shared by the verify stage
@@ -158,13 +146,12 @@ class IngestPipeline:
         self.verify_gate: Optional[VerifyGate] = None
         if verify:
             self.verify_gate = VerifyGate(
-                self.prior, engine=constraint_engine, metrics=self.metrics,
+                self.prior, metrics=self.metrics,
                 quarantine=QuarantineStore(quarantine_path))
         self.publisher = PatchPublisher(
-            server, policy=policy, metrics=self.metrics,
-            service_metrics=service_metrics,
+            server, metrics=self.metrics,
             add_conflation_radius=self.config.conflation_radius_m,
-            clock=clock, verifier=self.verify_gate)
+            verifier=self.verify_gate)
         self.stages = [
             ValidateStage(),
             AssociateStage(self.prior, self.config),
@@ -175,20 +162,14 @@ class IngestPipeline:
         if self.verify_gate is not None:
             self.stages.append(VerifyStage(self.verify_gate))
         # One circuit breaker per stage, shared by all workers: a stage
-        # that fails `stage_failure_threshold` consecutive deliveries is
+        # that fails STAGE_FAILURE_THRESHOLD consecutive deliveries is
         # declared systemically down and further batches are nacked fast
         # (without burning their retry budget) until a half-open probe
-        # succeeds. Threshold <= 0 disables breakers entirely.
-        self.stage_failure_threshold = stage_failure_threshold
-        self.breaker_cooldown_s = breaker_cooldown_s
-        self.breakers: Dict[str, CircuitBreaker] = {}
-        if stage_failure_threshold > 0:
-            self.breakers = {
-                stage.name: CircuitBreaker(
-                    stage.name,
-                    failure_threshold=stage_failure_threshold,
-                    cooldown_s=breaker_cooldown_s, clock=clock)
-                for stage in self.stages}
+        # succeeds.
+        self.breakers: Dict[str, CircuitBreaker] = {
+            stage.name: CircuitBreaker(stage.name,
+                                       cooldown_s=breaker_cooldown_s)
+            for stage in self.stages}
         self.dead_letters = DeadLetterQueue(dead_letter_journal)
         self._states: Dict[TileId, TileState] = {}
         self._states_lock = threading.Lock()
@@ -302,8 +283,7 @@ class IngestPipeline:
                 return
             self._deliver(batch, worker_idx)
 
-    def _deliver(self, batch: ObservationBatch,
-                 worker_idx: Optional[int] = None) -> None:
+    def _deliver(self, batch: ObservationBatch, worker_idx: int) -> None:
         # The hook runs un-guarded on purpose: an exception here escapes
         # the loop and kills the worker (a simulated crash), leaving the
         # batch leased so the supervisor redelivers it.
@@ -337,8 +317,7 @@ class IngestPipeline:
         self.metrics.batches_processed.add()
         self.metrics.observations_processed.add(len(batch))
 
-    def _process(self, batch: ObservationBatch,
-                 worker_idx: Optional[int] = None) -> None:
+    def _process(self, batch: ObservationBatch, worker_idx: int) -> None:
         ctx = batch.trace_ctx
         if ctx is not None:
             # Reconstruct the queue wait as its own (backdated) span, so a
@@ -352,28 +331,25 @@ class IngestPipeline:
                 bspan.set("tile", str(batch.tile))
                 bspan.set("observations", len(batch))
                 bspan.set("attempt", batch.attempts)
-                if worker_idx is not None:
-                    bspan.set("worker", worker_idx)
+                bspan.set("worker", worker_idx)
             if self.stage_latency_s > 0:
                 time.sleep(self.stage_latency_s)  # modelled I/O (GIL released)
             state = self._state_for(batch.tile)
             carry: dict = {}
             for stage in self.stages:
-                breaker = self.breakers.get(stage.name)
-                if breaker is not None:
-                    breaker.acquire()  # may raise StageCircuitOpen
-                t0 = self._clock()
+                breaker = self.breakers[stage.name]
+                breaker.acquire()  # may raise StageCircuitOpen
+                t0 = time.monotonic()
                 try:
                     with TRACER.span(f"ingest.stage.{stage.name}"):
                         stage.process(state, batch, carry)
                 except Exception:
-                    if breaker is not None and breaker.record_failure():
+                    if breaker.record_failure():
                         self.metrics.breaker_opens.add()
                     raise
-                if breaker is not None:
-                    breaker.record_success()
-                self.metrics.record_stage(stage.name, self._clock() - t0,
-                                          worker=worker_idx)
+                breaker.record_success()
+                self.metrics.record_stage(stage.name, time.monotonic() - t0,
+                                          worker_idx)
             for confirmed in carry.get(_PATCHES, []):
                 self.publisher.publish(confirmed)
 

@@ -2,7 +2,7 @@
 
 The last hop of the maintenance loop: confirmed :class:`ConfirmedPatch`
 objects are ingested into :class:`~repro.update.distribution.MapDistributionServer`
-under a configurable :class:`~repro.update.distribution.ConflictPolicy`,
+under its default :class:`~repro.update.distribution.ConflictPolicy`,
 after which the serving layer's ``ChangesSince`` immediately reflects them
 (both read the same versioned database).
 
@@ -17,7 +17,8 @@ stamp to the version the patch became servable at.
 The hop into the database can itself fail transiently (a replica
 fail-over, a chaos-injected outage): an ingest that raises
 :class:`TransientPublishError` is retried with exponential backoff up to
-``max_publish_attempts`` times (``publish_retry`` warning events), then
+:attr:`PatchPublisher.MAX_PUBLISH_ATTEMPTS` times (``publish_retry``
+warning events), then
 surrendered with a ``publish_failed`` error event and a failed
 :class:`PublishResult`. The patch's key is *not* recorded on failure, so
 a later redelivery of the same logical change may still publish it.
@@ -29,7 +30,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ingest.verify import VerifyGate
@@ -38,12 +39,7 @@ from repro.core.versioning import MapPatch
 from repro.ingest.metrics import IngestMetrics
 from repro.obs.log import get_logger
 from repro.obs.trace import TRACER
-from repro.serve.metrics import ServiceMetrics
-from repro.update.distribution import (
-    ConflictPolicy,
-    IngestResult,
-    MapDistributionServer,
-)
+from repro.update.distribution import IngestResult, MapDistributionServer
 
 _log = get_logger("ingest.publisher")
 
@@ -88,30 +84,23 @@ class PublishResult:
 class PatchPublisher:
     """Exactly-once (per key) publisher in front of the map database."""
 
+    #: deliveries of one patch before a transient failure is surrendered
+    MAX_PUBLISH_ATTEMPTS = 3
+    #: first retry backoff; doubles per attempt
+    PUBLISH_BACKOFF_S = 0.01
+
     def __init__(self, server: MapDistributionServer,
-                 policy: Optional[ConflictPolicy] = None,
                  metrics: Optional[IngestMetrics] = None,
-                 service_metrics: Optional[ServiceMetrics] = None,
                  add_conflation_radius: float = 6.0,
-                 max_publish_attempts: int = 3,
-                 publish_backoff_s: float = 0.01,
-                 clock: Callable[[], float] = time.monotonic,
                  verifier: Optional["VerifyGate"] = None) -> None:
-        if max_publish_attempts < 1:
-            raise ValueError("max_publish_attempts must be >= 1")
         self.server = server
-        self.policy = policy
         self.metrics = metrics
-        self.service_metrics = service_metrics
         # Backstop constraint gate: any patch that reaches publish()
         # without having passed the pipeline's VerifyStage
         # (confirmed.verified False) is checked here, so nothing can
         # route around the gate by publishing directly.
         self.verifier = verifier
         self.add_conflation_radius = add_conflation_radius
-        self.max_publish_attempts = max_publish_attempts
-        self.publish_backoff_s = publish_backoff_s
-        self._clock = clock
         self._lock = threading.Lock()
         self._published_keys: Set[str] = set()
         self._published_add_positions: List[Tuple[float, float]] = []
@@ -141,10 +130,6 @@ class PatchPublisher:
     def seen(self, key: str) -> bool:
         with self._lock:
             return key in self._published_keys
-
-    def published_count(self) -> int:
-        with self._lock:
-            return len(self._published_keys)
 
     def publish(self, confirmed: ConfirmedPatch) -> PublishResult:
         """Ingest one confirmed patch; duplicates are suppressed.
@@ -184,11 +169,10 @@ class PatchPublisher:
                         self.metrics.patches_duplicate.add()
                     return PublishResult(False, True, None)
                 try:
-                    result = self.server.ingest(confirmed.patch,
-                                                policy=self.policy)
+                    result = self.server.ingest(confirmed.patch)
                 except TransientPublishError as exc:
                     attempt += 1
-                    if attempt >= self.max_publish_attempts:
+                    if attempt >= self.MAX_PUBLISH_ATTEMPTS:
                         if self.metrics is not None:
                             self.metrics.publish_failures.add()
                         _log.error("publish_failed", key=confirmed.key,
@@ -196,7 +180,7 @@ class PatchPublisher:
                         return PublishResult(False, False, None)
                     if self.metrics is not None:
                         self.metrics.publish_retries.add()
-                    delay = self.publish_backoff_s * (2 ** (attempt - 1))
+                    delay = self.PUBLISH_BACKOFF_S * (2 ** (attempt - 1))
                     _log.warning("publish_retry", key=confirmed.key,
                                  attempt=attempt,
                                  backoff_s=round(delay, 6),
@@ -216,10 +200,7 @@ class PatchPublisher:
             return PublishResult(False, False, None, result)
         if self.metrics is not None:
             self.metrics.patches_published.add()
-        if confirmed.enqueued_at > 0.0:
-            lag = max(0.0, self._clock() - confirmed.enqueued_at)
-            if self.metrics is not None:
-                self.metrics.record_freshness(lag)
-            if self.service_metrics is not None:
-                self.service_metrics.record_freshness(lag)
+        if confirmed.enqueued_at > 0.0 and self.metrics is not None:
+            self.metrics.record_freshness(
+                max(0.0, time.monotonic() - confirmed.enqueued_at))
         return PublishResult(True, False, result.version, result)

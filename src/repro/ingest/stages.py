@@ -198,10 +198,9 @@ class ClassifyStage(Stage):
 
     name = "classify"
 
-    def __init__(self, config: IngestConfig,
-                 classifier: Optional[ChangeClassifier] = None) -> None:
+    def __init__(self, config: IngestConfig) -> None:
         self.config = config
-        self.classifier = classifier or ChangeClassifier()
+        self.classifier = ChangeClassifier()
 
     def features(self, state: TileState) -> TraversalFeatures:
         evidence = state.detections + state.misses + state.unmatched

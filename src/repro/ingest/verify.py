@@ -143,11 +143,10 @@ class VerifyGate:
     """
 
     def __init__(self, prior: HDMap,
-                 engine: Optional[ConstraintEngine] = None,
                  metrics: Optional[IngestMetrics] = None,
                  quarantine: Optional[QuarantineStore] = None) -> None:
         self.prior = prior
-        self.engine = engine if engine is not None else ConstraintEngine()
+        self.engine = ConstraintEngine()
         self.metrics = metrics
         self.quarantine = quarantine if quarantine is not None \
             else QuarantineStore()

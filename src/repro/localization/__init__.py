@@ -14,17 +14,14 @@ from repro.localization.ekf import PoseEKF
 from repro.localization.map_matching import (
     LaneMatch,
     LaneMatcher,
-    match_line_segments,
 )
 from repro.localization.landmarks import (
     LandmarkLocalizer,
     associate_detections,
     detect_hrl,
-    triangulate_pose,
 )
 from repro.localization.geometric import (
     LandmarkLayout,
-    geometric_dilution,
     simulate_layout_error,
 )
 from repro.localization.lane_marking import (
@@ -57,10 +54,7 @@ __all__ = [
     "associate_detections",
     "detect_hrl",
     "extract_marking_points",
-    "geometric_dilution",
     "hough_lines",
-    "match_line_segments",
     "rasterize_map",
     "simulate_layout_error",
-    "triangulate_pose",
 ]

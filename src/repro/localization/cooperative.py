@@ -11,13 +11,10 @@ geo-referenced HD-map features removes the common-mode bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.hdmap import HDMap
-from repro.geometry.transform import SE2
-from repro.localization.ekf import PoseEKF
 from repro.sensors.gnss import GnssFix
 
 

@@ -6,7 +6,7 @@ smartphone mapping pipeline [34].
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,11 +34,6 @@ class LandmarkLayout:
     @property
     def count(self) -> int:
         return int(self.positions.shape[0])
-
-    @property
-    def mean_distance(self) -> float:
-        return float(np.mean(np.hypot(self.positions[:, 0],
-                                      self.positions[:, 1])))
 
     @staticmethod
     def generate(pattern: LayoutPattern, n: int, distance: float,
@@ -65,26 +59,6 @@ class LandmarkLayout:
             raise LocalizationError(f"unknown pattern {pattern}")
         pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
         return LandmarkLayout(pts)
-
-
-def geometric_dilution(layout: LandmarkLayout) -> float:
-    """Position DOP for range measurements to the layout's landmarks.
-
-    DOP = sqrt(trace((H^T H)^{-1})) with unit-vector rows H; lower is a
-    geometrically stronger layout.
-    """
-    p = layout.positions
-    ranges = np.hypot(p[:, 0], p[:, 1])
-    if np.any(ranges < 1e-9):
-        raise LocalizationError("landmark at the vehicle position")
-    H = p / ranges[:, None]
-    M = H.T @ H
-    try:
-        cov = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        return float("inf")
-    trace = float(np.trace(cov))
-    return float(np.sqrt(trace)) if trace >= 0 else float("inf")
 
 
 def solve_position(layout: LandmarkLayout, measured_ranges: np.ndarray,

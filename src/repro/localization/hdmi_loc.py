@@ -12,11 +12,11 @@ paper reports a 0.3 m median over an 11 km drive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from repro.core.elements import BoundaryType, Crosswalk, LaneBoundary
+from repro.core.elements import BoundaryType, LaneBoundary
 from repro.core.hdmap import HDMap
 from repro.errors import LocalizationError
 from repro.geometry.raster import BitmaskRaster, GridSpec
@@ -83,10 +83,6 @@ class LabelledPatch:
     """Body-frame labelled points observed by the vehicle this frame."""
 
     points_by_class: Dict[str, np.ndarray]
-
-    def total_points(self) -> int:
-        return sum(int(p.shape[0]) for p in self.points_by_class.values())
-
 
 def observe_patch(reality: HDMap, pose: SE2, rng: np.random.Generator,
                   radius: float = 25.0, spacing: float = 0.75,

@@ -8,7 +8,7 @@ the map, fused in a particle filter).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from repro.core.elements import PointLandmark
 from repro.core.hdmap import HDMap
 from repro.errors import LocalizationError
 from repro.geometry.transform import SE2
-from repro.geometry.vec import wrap_angle
 from repro.localization.particle_filter import ParticleFilter2D
 from repro.sensors.lidar import LidarScan
 
@@ -94,37 +93,6 @@ def associate_detections(detections: Sequence[RangeBearing], pose: SE2,
             used.add(best.id)
             pairs.append((det, best))
     return pairs
-
-
-def triangulate_pose(pairs: Sequence[Tuple[RangeBearing, PointLandmark]],
-                     initial: SE2, iterations: int = 10) -> SE2:
-    """Gauss-Newton pose solve from range-bearing landmark observations."""
-    if len(pairs) < 2:
-        raise LocalizationError("triangulation needs at least 2 landmarks")
-    x = np.array([initial.x, initial.y, initial.theta])
-    for _ in range(iterations):
-        rows = []
-        residuals = []
-        for det, lm in pairs:
-            dx = lm.position[0] - x[0]
-            dy = lm.position[1] - x[1]
-            q = dx * dx + dy * dy
-            r_pred = np.sqrt(q)
-            if r_pred < 1e-6:
-                continue
-            b_pred = wrap_angle(np.arctan2(dy, dx) - x[2])
-            residuals.append(det.range - r_pred)
-            residuals.append(wrap_angle(det.bearing - b_pred))
-            rows.append([-dx / r_pred, -dy / r_pred, 0.0])
-            rows.append([dy / q, -dx / q, -1.0])
-        A = np.asarray(rows)
-        r = np.asarray(residuals)
-        delta = np.linalg.solve(A.T @ A + np.eye(3) * 1e-9, A.T @ r)
-        x += delta
-        x[2] = wrap_angle(x[2])
-        if float(np.abs(delta).max()) < 1e-6:
-            break
-    return SE2(float(x[0]), float(x[1]), float(x[2]))
 
 
 class LandmarkLocalizer:

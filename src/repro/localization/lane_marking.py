@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -66,11 +66,6 @@ class HoughLine:
         """
         return self.rho if math.sin(self.angle) >= 0 else -self.rho
 
-    def heading_in_body(self) -> float:
-        """Direction of the line (perpendicular to its normal)."""
-        return self.angle - math.pi / 2.0
-
-
 def hough_lines(points: np.ndarray, n_angles: int = 90,
                 rho_resolution: float = 0.15, max_rho: float = 15.0,
                 min_support: int = 8, max_lines: int = 6) -> List[HoughLine]:
@@ -110,29 +105,6 @@ def hough_lines(points: np.ndarray, n_angles: int = 90,
         r1 = min(n_rho, peak[1] + int(1.2 / rho_resolution) + 1)
         acc[a0:a1, r0:r1] = 0
     return lines
-
-
-def map_boundary_offsets(hdmap: HDMap, pose: SE2,
-                         max_lateral: float = 15.0) -> List[float]:
-    """Signed lateral offsets of nearby map boundary lines from ``pose``."""
-    offsets = []
-    point = np.array([pose.x, pose.y])
-    for element in hdmap.elements_in_radius(pose.x, pose.y, max_lateral + 5.0,
-                                            kind="boundary"):
-        assert isinstance(element, LaneBoundary)
-        s, d = element.line.project(point)
-        if not 0.0 < s < element.line.length:
-            continue
-        heading = element.line.heading_at(s)
-        rel = abs(math.remainder(heading - pose.theta, math.pi))
-        if rel > math.radians(30):  # not parallel to travel
-            continue
-        # Signed offset in the body frame: positive left.
-        mid = element.line.point_at(s)
-        body = pose.inverse().apply(mid)
-        if abs(body[1]) <= max_lateral:
-            offsets.append(float(body[1]))
-    return offsets
 
 
 class LaneMarkingLocalizer:
@@ -253,32 +225,15 @@ class LaneMarkingLocalizer:
             raise LocalizationError("localizer not initialized")
 
 
-def _signed_lateral(a: np.ndarray, b: np.ndarray, x: float, y: float,
-                    theta: float) -> Optional[float]:
-    """Signed body-frame lateral offset of the closest segment point."""
-    p = np.array([x, y])
-    d = b - a
-    denom = np.einsum("ij,ij->i", d, d)
-    t = np.clip(np.einsum("ij,ij->i", p - a, d)
-                / np.maximum(denom, 1e-300), 0.0, 1.0)
-    closest = a + t[:, None] * d
-    dist2 = np.einsum("ij,ij->i", p - closest, p - closest)
-    i = int(np.argmin(dist2))
-    if dist2[i] > 20.0**2:
-        return None
-    rel = closest[i] - p
-    # Body frame: lateral = -sin(theta)*dx + cos(theta)*dy.
-    return float(-math.sin(theta) * rel[0] + math.cos(theta) * rel[1])
-
-
 def _batch_signed_laterals(states: np.ndarray, a: np.ndarray,
                            b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_signed_lateral` over a whole particle cloud.
+    """Signed lateral offset of every particle to its nearest marking.
 
     Returns ``(lateral, valid)`` arrays of shape (N,); ``valid`` is False
-    where the scalar function would have returned None (closest point
-    farther than 20 m). Every operation is the elementwise twin of the
-    scalar version in the same order, so results are bit-identical.
+    where the closest point is farther than 20 m. Every operation is the
+    elementwise twin of the scalar
+    ``repro.perf.reference._signed_lateral_reference`` in the same order,
+    so results are bit-identical.
     """
     p = states[:, :2]  # (N, 2)
     theta = states[:, 2]

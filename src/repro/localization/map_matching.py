@@ -1,21 +1,16 @@
 """Lane-level map matching.
 
-Two surveyed flavours:
-
-- :class:`LaneMatcher` — probabilistic lane-level map matching with an
-  *integrity* measure (Li et al. [59]): candidate lanes are scored by
-  lateral distance and heading agreement; integrity is the posterior
-  probability mass of the best candidate, so the consumer knows when the
-  match is ambiguous (parallel lanes) versus trustworthy.
-- :func:`match_line_segments` — the line-segment matching model of Han et
-  al. [51]: extracted road-marking segments are matched to map boundary
-  segments and a rigid correction is estimated by least squares.
+:class:`LaneMatcher` — probabilistic lane-level map matching with an
+*integrity* measure (Li et al. [59]): candidate lanes are scored by
+lateral distance and heading agreement; integrity is the posterior
+probability mass of the best candidate, so the consumer knows when the
+match is ambiguous (parallel lanes) versus trustworthy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -90,89 +85,3 @@ class LaneMatcher:
             integrity=p_best - p_second,
         )
 
-
-def match_line_segments(
-    observed: Sequence[Tuple[np.ndarray, np.ndarray]],
-    reference: Sequence[Tuple[np.ndarray, np.ndarray]],
-    max_distance: float = 2.0,
-    max_angle: float = 0.35,
-) -> Optional[SE2]:
-    """Estimate the rigid correction aligning observed segments to the map.
-
-    Each observed segment (world frame, as placed by the current pose
-    estimate) is associated to the closest reference segment with a
-    compatible direction; the translation + rotation minimizing midpoint
-    residuals (point-to-line) is solved in closed form (small-angle).
-
-    Returns the correction ``SE2`` to *compose onto* the pose estimate, or
-    None if fewer than 2 segments matched.
-    """
-    if not reference:
-        return None
-    # Stack the reference segments once; each observed segment is then
-    # associated in one vectorized pass instead of an inner Python loop.
-    # All per-segment arithmetic is elementwise in the same operation order
-    # as the scalar loop it replaced, so the selected pairs are identical.
-    a_ref = np.asarray([np.asarray(a) for a, _ in reference], dtype=float)
-    b_ref = np.asarray([np.asarray(b) for _, b in reference], dtype=float)
-    d_ref = b_ref - a_ref  # (R, 2)
-    len_ref = np.hypot(d_ref[:, 0], d_ref[:, 1])
-    ok_len = len_ref >= 1e-6
-    dir_ref = d_ref / np.maximum(len_ref, 1e-300)[:, None]
-    cos_thresh = np.cos(max_angle)
-
-    pairs = []
-    for a_obs, b_obs in observed:
-        mid_obs = (np.asarray(a_obs) + np.asarray(b_obs)) / 2.0
-        dir_obs = np.asarray(b_obs) - np.asarray(a_obs)
-        len_obs = float(np.hypot(*dir_obs))
-        if len_obs < 1e-6:
-            continue
-        dir_obs = dir_obs / len_obs
-        cos_angle = np.abs(dir_obs[0] * dir_ref[:, 0]
-                           + dir_obs[1] * dir_ref[:, 1])
-        rel = mid_obs[None, :] - a_ref  # (R, 2)
-        # Point-to-line distance of observed midpoint.
-        d = np.abs(dir_ref[:, 0] * rel[:, 1] - dir_ref[:, 1] * rel[:, 0])
-        along = rel[:, 0] * dir_ref[:, 0] + rel[:, 1] * dir_ref[:, 1]
-        candidate = (ok_len & (cos_angle >= cos_thresh) & (d < max_distance)
-                     & (along >= -2.0) & (along <= len_ref + 2.0))
-        if not candidate.any():
-            continue
-        # The scalar loop kept the first strict improvement, i.e. the
-        # earliest index attaining the minimum d — exactly np.argmin on the
-        # masked distances.
-        masked = np.where(candidate, d, np.inf)
-        i = int(np.argmin(masked))
-        normal = np.array([-dir_ref[i, 1], dir_ref[i, 0]])
-        signed = float(rel[i] @ normal)
-        pairs.append((mid_obs, normal, signed))
-    if len(pairs) < 2:
-        return None
-
-    # Solve for [dx, dy, dtheta] (rotation about the midpoint centroid, so
-    # translation and rotation decouple) minimizing the point-to-line
-    # residuals: n . (p + [dx,dy] + dtheta * J (p - c)) = n . p - signed.
-    centroid = np.mean([mid for mid, _, _ in pairs], axis=0)
-    A = []
-    b = []
-    for mid, normal, signed in pairs:
-        rel = mid - centroid
-        jp = np.array([-rel[1], rel[0]])
-        A.append([normal[0], normal[1], float(normal @ jp)])
-        b.append(-signed)
-    A = np.asarray(A)
-    b = np.asarray(b)
-    # Regularize rotation slightly to keep the solve well-posed on
-    # parallel-only segment sets.
-    reg = np.diag([1e-9, 1e-9, 1e-6])
-    sol = np.linalg.solve(A.T @ A + reg, A.T @ b)
-    dx, dy, dtheta = float(sol[0]), float(sol[1]), float(sol[2])
-    # Convert "rotate about centroid then translate" to an about-origin SE2:
-    # p' = c + R (p - c) + t  =  R p + (t + c - R c).
-    c_rot = np.array([
-        np.cos(dtheta) * centroid[0] - np.sin(dtheta) * centroid[1],
-        np.sin(dtheta) * centroid[0] + np.cos(dtheta) * centroid[1],
-    ])
-    shift = np.array([dx, dy]) + centroid - c_rot
-    return SE2(float(shift[0]), float(shift[1]), dtheta)

@@ -9,7 +9,7 @@ current estimate are touched, mirroring the paper's segment streaming.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -8,13 +8,12 @@ drops.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import LocalizationError
 from repro.geometry.transform import SE2
-from repro.geometry.vec import wrap_angle
 
 WeightFn = Callable[[np.ndarray], np.ndarray]
 
@@ -36,13 +35,6 @@ class ParticleFilter2D:
         self.states[:, 0] = pose.x + self.rng.normal(0, sigma_xy, self.n)
         self.states[:, 1] = pose.y + self.rng.normal(0, sigma_xy, self.n)
         self.states[:, 2] = pose.theta + self.rng.normal(0, sigma_theta, self.n)
-        self.weights[:] = 1.0 / self.n
-
-    def init_uniform(self, bounds, n_theta: int = 8) -> None:
-        min_x, min_y, max_x, max_y = bounds
-        self.states[:, 0] = self.rng.uniform(min_x, max_x, self.n)
-        self.states[:, 1] = self.rng.uniform(min_y, max_y, self.n)
-        self.states[:, 2] = self.rng.uniform(-np.pi, np.pi, self.n)
         self.weights[:] = 1.0 / self.n
 
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ refined each frame with a semantic point-to-landmark ICP step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 

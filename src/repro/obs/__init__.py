@@ -37,7 +37,6 @@ from repro.obs.log import (
     WARNING,
     BoundLogger,
     EventLog,
-    configure_logging,
     get_logger,
 )
 from repro.obs.metrics import (
@@ -89,7 +88,6 @@ __all__ = [
     "WARNING",
     "attach_context",
     "build_tree",
-    "configure_logging",
     "configure_tracing",
     "format_trace",
     "get_logger",

@@ -42,14 +42,15 @@ _LEVEL_NAMES = {DEBUG: "debug", INFO: "info", WARNING: "warning",
 class EventLog:
     """Bounded, thread-safe, structured event store."""
 
-    def __init__(self, capacity: int = 4096, level: int = INFO,
-                 jsonl_path: Optional[str] = None) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.level = level
+    #: events the ring keeps
+    CAPACITY = 4096
+
+    def __init__(self, jsonl_path: Optional[str] = None) -> None:
+        #: events below this level are dropped
+        self.level = INFO
         self.jsonl_path = jsonl_path
         self._lock = threading.Lock()
-        self._events: Deque[Dict[str, object]] = deque(maxlen=capacity)
+        self._events: Deque[Dict[str, object]] = deque(maxlen=self.CAPACITY)
         self.counts_by_level: Dict[str, Counter] = {
             name: Counter() for name in _LEVEL_NAMES.values()}
 
@@ -157,9 +158,6 @@ class BoundLogger:
         self.name = name
         self._log = log if log is not None else EVENT_LOG
 
-    def debug(self, event: str, **fields: object) -> None:
-        self._log.log(DEBUG, event, self.name, **fields)
-
     def info(self, event: str, **fields: object) -> None:
         self._log.log(INFO, event, self.name, **fields)
 
@@ -174,19 +172,3 @@ def get_logger(name: str, log: Optional[EventLog] = None) -> BoundLogger:
     """A structured logger writing into the global (or given) event log."""
     return BoundLogger(name, log)
 
-
-def configure_logging(level: Optional[int] = None,
-                      capacity: Optional[int] = None,
-                      jsonl_path: Optional[str] = None,
-                      reset: bool = False) -> EventLog:
-    """Reconfigure the global :data:`EVENT_LOG` in place."""
-    if capacity is not None:
-        with EVENT_LOG._lock:
-            EVENT_LOG._events = deque(EVENT_LOG._events, maxlen=capacity)
-    if level is not None:
-        EVENT_LOG.level = level
-    if jsonl_path is not None:
-        EVENT_LOG.jsonl_path = jsonl_path
-    if reset:
-        EVENT_LOG.clear()
-    return EVENT_LOG

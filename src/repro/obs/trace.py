@@ -240,10 +240,6 @@ class SpanRecorder:
     def trace(self, trace_id: str) -> List[Span]:
         return [s for s in self.spans() if s.trace_id == trace_id]
 
-    def span_tree(self, trace_id: str) -> List[Dict[str, object]]:
-        """The trace's spans as root dicts with nested ``children``."""
-        return build_tree([s.as_dict() for s in self.trace(trace_id)])
-
     def dump_jsonl(self, path: str) -> int:
         """Write every surviving span as one JSON object per line."""
         spans = self.spans()
@@ -265,12 +261,9 @@ class Tracer:
     which keeps benchmarks reproducible and the overhead measurable.
     """
 
-    def __init__(self, recorder: Optional[SpanRecorder] = None,
-                 enabled: bool = False, sample_rate: float = 1.0,
-                 clock: Callable[[], float] = time.monotonic,
-                 id_prefix: str = "") -> None:
-        self.recorder = recorder if recorder is not None else SpanRecorder()
-        self.enabled = enabled
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+        self.recorder = SpanRecorder()
+        self.enabled = False
         self._clock = clock
         self._ids = itertools.count(1)
         self._sample_seq = itertools.count()
@@ -279,8 +272,8 @@ class Tracer:
         #: recorder must mint ids in its own namespace (shard workers use
         #: ``s<index>-<pid>-``) — per-process counters would otherwise
         #: collide when telemetry harvesting merges the rings.
-        self.id_prefix = id_prefix
-        self.set_sample_rate(sample_rate)
+        self.id_prefix = ""
+        self.set_sample_rate(1.0)
 
     # -- configuration --------------------------------------------------
     def set_sample_rate(self, rate: float) -> None:

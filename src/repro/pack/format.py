@@ -39,7 +39,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.tiles import TileId
 from repro.errors import PackError
@@ -181,22 +181,18 @@ class PackReader:
     returns a ``memoryview`` slice of that mapping without copying or
     decoding, and :meth:`load` decodes one tile lazily. The directory is
     integrity-checked at open (magic, format version, directory CRC);
-    per-payload checksums are verified on demand (``verify=True`` at
-    open, or :meth:`verify` / :meth:`verify_all` later) so opening a
-    continental pack stays O(directory).
+    per-payload checksums are verified on demand (:meth:`verify`) so
+    opening a continental pack stays O(directory).
     """
 
-    def __init__(self, path: str, verify: bool = False,
-                 garbage_warn_ratio: float = 0.5) -> None:
-        if garbage_warn_ratio < 0.0:
-            raise PackError("garbage_warn_ratio must be >= 0")
+    #: one-shot ``pack_garbage_large`` warning threshold: dead bytes as a
+    #: fraction of the file. The counterpart of the router's
+    #: ``journal_large`` guard — a pack past this ratio is overdue for
+    #: :func:`compact_pack`.
+    GARBAGE_WARN_RATIO = 0.5
+
+    def __init__(self, path: str) -> None:
         self.path = str(path)
-        #: one-shot ``pack_garbage_large`` warning threshold: dead bytes
-        #: as a fraction of the file (``0`` disables the check). The
-        #: counterpart of the router's ``journal_large`` guard — a pack
-        #: past this ratio is overdue for :func:`compact_pack`.
-        self.garbage_warn_ratio = garbage_warn_ratio
-        self._garbage_warned = False
         self._fh = open(self.path, "rb")
         try:
             size = os.fstat(self._fh.fileno()).st_size
@@ -218,14 +214,7 @@ class PackReader:
         self.bytes_served = Counter()
         self.decodes = Counter()
         self.checksum_failures = Counter()
-        self._maybe_warn_garbage()
-        if verify:
-            bad = self.verify_all()
-            if bad:
-                self.close()
-                raise PackError(
-                    f"checksum mismatch for {len(bad)} tile(s) in "
-                    f"{self.path}: {', '.join(str(t) for t in bad[:5])}")
+        self._warn_garbage()
 
     def _parse(self, size: int) -> None:
         (magic, version, _flags, tile_size, dir_off, dir_len, count,
@@ -308,16 +297,6 @@ class PackReader:
             self.checksum_failures.add()
             raise PackError(f"checksum mismatch for {tile} in {self.path}")
 
-    def verify_all(self) -> List[TileId]:
-        """Checksum every payload; returns the corrupt tiles."""
-        bad: List[TileId] = []
-        for tile in self._entries:
-            try:
-                self.verify(tile)
-            except PackError:
-                bad.append(tile)
-        return bad
-
     # -- accounting -----------------------------------------------------
     @property
     def file_bytes(self) -> int:
@@ -338,20 +317,18 @@ class PackReader:
         """Sum of directory element counts (no payload decode)."""
         return sum(e.n_elements for e in self._entries.values())
 
-    def _maybe_warn_garbage(self) -> None:
-        """One ``pack_garbage_large`` warning when dead bytes cross the
-        ``garbage_warn_ratio`` of the file (mirrors ``journal_large``)."""
-        if self.garbage_warn_ratio <= 0.0 or self._garbage_warned:
-            return
+    def _warn_garbage(self) -> None:
+        """One ``pack_garbage_large`` warning at open when dead bytes
+        cross :attr:`GARBAGE_WARN_RATIO` of the file (mirrors
+        ``journal_large``)."""
         garbage = self.garbage_bytes
-        if garbage < self.garbage_warn_ratio * self._file_size:
+        if garbage < self.GARBAGE_WARN_RATIO * self._file_size:
             return
-        self._garbage_warned = True
         _log.warning(
             "pack_garbage_large", path=self.path,
             garbage_bytes=garbage, file_bytes=self._file_size,
             ratio=round(garbage / self._file_size, 3),
-            threshold=self.garbage_warn_ratio)
+            threshold=self.GARBAGE_WARN_RATIO)
 
     def register_into(self, registry, prefix: str = "pack") -> None:
         """Register ``pack.*`` metrics: serving counters plus file-shape
@@ -391,20 +368,6 @@ class PackReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def write_pack(path: str, payloads: Iterable[Tuple[TileId, bytes]],
-               tile_size: float = 0.0,
-               versions: Optional[Dict[TileId, int]] = None,
-               counts: Optional[Dict[TileId, int]] = None) -> int:
-    """Write + publish a pack in one call; returns entries published."""
-    versions = versions or {}
-    counts = counts or {}
-    with PackWriter(path, tile_size=tile_size) as writer:
-        for tile, payload in payloads:
-            writer.add(tile, payload, version=versions.get(tile, 0),
-                       n_elements=counts.get(tile, 0))
-        return writer.publish()
 
 
 def compact_pack(src_path: str, dst_path: str) -> int:

@@ -9,12 +9,11 @@ source alone, especially for objects occluded from the vehicle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.transform import SE2
 from repro.sensors.lidar import Obstacle
 
 

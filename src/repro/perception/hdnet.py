@@ -17,7 +17,7 @@ nothing. The expected ordering (and the paper's finding) is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

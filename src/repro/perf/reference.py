@@ -283,65 +283,6 @@ def simulate_layout_error_reference(layout, range_sigma: float,
 
 
 # ----------------------------------------------------------------------
-# Line-segment matching: the nested observed x reference Python loop.
-# ----------------------------------------------------------------------
-def match_line_segments_reference(observed, reference, max_distance=2.0,
-                                  max_angle=0.35):
-    """The original ``match_line_segments`` association + solve."""
-    pairs = []
-    for a_obs, b_obs in observed:
-        mid_obs = (np.asarray(a_obs) + np.asarray(b_obs)) / 2.0
-        dir_obs = np.asarray(b_obs) - np.asarray(a_obs)
-        len_obs = float(np.hypot(*dir_obs))
-        if len_obs < 1e-6:
-            continue
-        dir_obs = dir_obs / len_obs
-        best = None
-        best_d = max_distance
-        for a_ref, b_ref in reference:
-            dir_ref = np.asarray(b_ref) - np.asarray(a_ref)
-            len_ref = float(np.hypot(*dir_ref))
-            if len_ref < 1e-6:
-                continue
-            dir_ref = dir_ref / len_ref
-            cos_angle = abs(float(dir_obs @ dir_ref))
-            if cos_angle < np.cos(max_angle):
-                continue
-            rel = mid_obs - np.asarray(a_ref)
-            d = abs(float(dir_ref[0] * rel[1] - dir_ref[1] * rel[0]))
-            along = float(rel @ dir_ref)
-            if d < best_d and -2.0 <= along <= len_ref + 2.0:
-                best_d = d
-                normal = np.array([-dir_ref[1], dir_ref[0]])
-                signed = float(rel @ normal)
-                best = (mid_obs, normal, signed)
-        if best is not None:
-            pairs.append(best)
-    if len(pairs) < 2:
-        return None
-
-    centroid = np.mean([mid for mid, _, _ in pairs], axis=0)
-    A = []
-    b = []
-    for mid, normal, signed in pairs:
-        rel = mid - centroid
-        jp = np.array([-rel[1], rel[0]])
-        A.append([normal[0], normal[1], float(normal @ jp)])
-        b.append(-signed)
-    A = np.asarray(A)
-    b = np.asarray(b)
-    reg = np.diag([1e-9, 1e-9, 1e-6])
-    sol = np.linalg.solve(A.T @ A + reg, A.T @ b)
-    dx, dy, dtheta = float(sol[0]), float(sol[1]), float(sol[2])
-    c_rot = np.array([
-        np.cos(dtheta) * centroid[0] - np.sin(dtheta) * centroid[1],
-        np.sin(dtheta) * centroid[0] + np.cos(dtheta) * centroid[1],
-    ])
-    shift = np.array([dx, dy]) + centroid - c_rot
-    return SE2(float(shift[0]), float(shift[1]), dtheta)
-
-
-# ----------------------------------------------------------------------
 # HDMV/HDDL codec: the ``BytesIO`` stream reader and writer, one
 # ``read(1)`` / ``write(bytes([b]))`` per byte and a numpy call per
 # polyline point — what ``BodyReader`` / ``BodyWriter`` replaced. The

@@ -14,7 +14,6 @@ import heapq
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.hdmap import HDMap
 from repro.core.ids import ElementId
 from repro.errors import NoRouteError
 from repro.planning.route_graph import LaneRouter, RouteResult, SearchStats

@@ -13,7 +13,7 @@ frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,10 +31,6 @@ class FrenetPath:
     laterals: np.ndarray
     terminal_offset: float
     cost: float = 0.0
-
-    def cartesian(self, frame: FrenetFrame) -> np.ndarray:
-        return frame.path_to_cartesian(self.stations, self.laterals)
-
 
 @dataclass
 class PlannerConfig:
@@ -141,6 +137,3 @@ class PathSetPlanner:
     def plan(self, s0: float, d0: float,
              obstacles: Sequence[Tuple[float, float]] = ()) -> FrenetPath:
         return self.select(self.generate(s0, d0), obstacles)
-
-    def reset_inertia(self) -> None:
-        self._last_choice = None

@@ -14,7 +14,7 @@ physics-based longitudinal fuel model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

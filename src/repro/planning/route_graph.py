@@ -9,7 +9,7 @@ the BHPS comparison [62] is about.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,9 +54,6 @@ class LaneRouter:
                 adj[u].append((v, float(data["length"])))
             self._adjacency = adj
         return self._adjacency
-
-    def invalidate(self) -> None:
-        self._adjacency = None
 
     # ------------------------------------------------------------------
     def route(self, start: ElementId, goal: ElementId,

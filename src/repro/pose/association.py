@@ -11,8 +11,8 @@ the mixture, which is the paper's headline benefit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from repro.core.elements import PointLandmark
 from repro.core.hdmap import HDMap
 from repro.core.ids import ElementId
 from repro.geometry.transform import SE2
-from repro.geometry.vec import wrap_angle
 
 
 @dataclass(frozen=True)

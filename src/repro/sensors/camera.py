@@ -17,18 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.elements import (
-    Lane,
-    LaneBoundary,
-    LightState,
-    PointLandmark,
-    TrafficLight,
-    TrafficSign,
-)
+from repro.core.elements import LightState, TrafficLight, TrafficSign
 from repro.core.hdmap import HDMap
 from repro.core.ids import ElementId
 from repro.geometry.transform import SE2

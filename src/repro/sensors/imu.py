@@ -60,23 +60,3 @@ def _speed_at(trajectory: Trajectory, t: float) -> float:
     speeds = np.array([s.speed for s in trajectory.samples])
     return float(np.interp(t, times, speeds))
 
-
-def dead_reckon(readings: List[ImuReading], start_pose, start_speed: float):
-    """Integrate IMU readings into a pose track (for drift illustration).
-
-    Returns a list of ``(t, SE2)`` — the classic error-growth curve that
-    motivates map-based localization.
-    """
-    from repro.geometry.transform import SE2
-
-    poses = [(readings[0].t, start_pose)]
-    x, y, theta = start_pose.x, start_pose.y, start_pose.theta
-    speed = start_speed
-    for prev, cur in zip(readings, readings[1:]):
-        dt = cur.t - prev.t
-        speed = max(0.0, speed + cur.accel * dt)
-        theta = wrap_angle(theta + cur.yaw_rate * dt)
-        x += speed * dt * np.cos(theta)
-        y += speed * dt * np.sin(theta)
-        poses.append((cur.t, SE2(x, y, theta)))
-    return poses

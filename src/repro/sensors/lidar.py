@@ -31,8 +31,7 @@ PAINT_HALF_WIDTH = 0.15  # painted line half width, metres
 CURB_HALF_WIDTH = 0.25
 LANDMARK_RADIUS = 0.25  # landmark cylinder radius for ray casting
 
-#: Cap on the (points x segments) temporary one distance chunk allocates;
-#: see :func:`_points_to_segments_min_distance`.
+#: Cap on the (points x segments) temporary one distance chunk allocates.
 DISTANCE_MAX_PAIRS = 2_000_000
 
 
@@ -374,31 +373,3 @@ def _segment_distances_block(points: np.ndarray, a: np.ndarray,
     fy = py - (ay[None, :] + t * dy[None, :])
     return np.sqrt(fx * fx + fy * fy)
 
-
-def _points_to_segments_min_distance(points: np.ndarray, a: np.ndarray,
-                                     b: np.ndarray,
-                                     max_pairs: int = DISTANCE_MAX_PAIRS
-                                     ) -> np.ndarray:
-    """Min distance from each of P points to any of S segments, vectorized.
-
-    ``points``: (P, 2); ``a``/``b``: (S, 2) segment endpoints. Returns (P,).
-    With no segments every distance is ``inf``. The (P, S) computation is
-    chunked over segments so peak memory stays below ``max_pairs`` pairs;
-    taking the min of per-chunk minima is exact, so chunking never changes
-    the result.
-    """
-    n_pts = points.shape[0]
-    n_seg = a.shape[0]
-    if n_seg == 0:
-        return np.full(n_pts, np.inf)
-    chunk = max(1, min(n_seg, max_pairs // max(n_pts, 1)))
-    if chunk >= n_seg:
-        return _segment_distances_block(points, a, b).min(axis=1)
-    best = np.full(n_pts, np.inf)
-    for lo in range(0, n_seg, chunk):
-        hi = lo + chunk
-        np.minimum(best,
-                   _segment_distances_block(points, a[lo:hi],
-                                            b[lo:hi]).min(axis=1),
-                   out=best)
-    return best

@@ -28,7 +28,7 @@ maps the observable symptoms to these knobs.
 """
 
 from repro.obs.metrics import Counter, LatencyHistogram
-from repro.serve.admission import AdmissionController, AdmissionPolicy
+from repro.serve.admission import AdmissionController
 from repro.serve.api import (
     ChangesSince,
     GetTile,
@@ -47,7 +47,6 @@ from repro.serve.service import MapService
 
 __all__ = [
     "AdmissionController",
-    "AdmissionPolicy",
     "ChangesSince",
     "Counter",
     "FleetReport",

@@ -1,17 +1,17 @@
 """Admission control: bounded queueing, backpressure, and load shedding.
 
 The serving layer refuses to build an unbounded backlog. Admission is a
-bounded FIFO: when it is full, ``offer`` fails immediately and the caller
-gets a REJECTED response (backpressure — the client should slow down, not
-the server fall behind). Once admitted, a request can still be *shed* at
-dispatch time: if it has waited longer than ``max_age_s`` and its priority
-is below ``shed_below``, answering it would waste a worker on data the
-vehicle has already driven past, so the worker drops it and reports SHED.
+bounded FIFO of ``max_queue`` entries: when it is full, ``offer`` fails
+immediately and the caller gets a REJECTED response (backpressure — the
+client should slow down, not the server fall behind). Once admitted, a
+request can still be *shed* at dispatch time: if it has waited longer than
+:data:`MAX_AGE_S` and its priority is below :data:`SHED_BELOW`, answering
+it would waste a worker on data the vehicle has already driven past, so
+the worker drops it and reports SHED.
 
-Shedding is *priority-aware at the door* too: when the queue is full and
-``displace`` is enabled (the default), an arriving request of strictly
-higher priority evicts the oldest queued entry of the lowest priority
-class below it instead of being rejected. A request-spike flood of LOW
+Shedding is *priority-aware at the door* too: when the queue is full, an
+arriving request of strictly higher priority evicts the oldest queued
+entry of the lowest priority class below it instead of being rejected. A request-spike flood of LOW
 prefetches can therefore never starve HIGH safety-relevant ingests and
 syncs — the spike displaces itself, and every displacement is counted
 (``displaced``) and reported through the shed callback, never silent.
@@ -24,27 +24,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Optional
 
 from repro.obs.metrics import Counter
 from repro.serve.api import Priority
 
 
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Limits enforced by the admission controller."""
-
-    max_queue: int = 256       # bounded backlog; offers beyond this fail
-    max_age_s: float = 0.5     # queueing age beyond which low-priority work
-    shed_below: Priority = Priority.NORMAL  # ... below this class is shed
-    displace: bool = True      # full queue: higher priority evicts lower
-
-    def __post_init__(self) -> None:
-        if self.max_queue < 1:
-            raise ValueError("max_queue must be >= 1")
-        if self.max_age_s < 0:
-            raise ValueError("max_age_s must be >= 0")
+#: queueing age beyond which work of a class below SHED_BELOW is shed
+MAX_AGE_S = 0.5
+SHED_BELOW = Priority.NORMAL
 
 
 class _Queued:
@@ -60,10 +48,12 @@ class _Queued:
 class AdmissionController:
     """A closeable bounded FIFO with dispatch-time load shedding."""
 
-    def __init__(self, policy: Optional[AdmissionPolicy] = None,
+    def __init__(self, max_queue: int = 256,
                  on_shed: Optional[Callable[[Any], None]] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        self.policy = policy or AdmissionPolicy()
+        if max_queue < 1:
+            raise ValueError("max_queue must be >= 1")
+        self.max_queue = max_queue
         self._on_shed = on_shed
         self._clock = clock
         self._cond = threading.Condition()
@@ -79,8 +69,7 @@ class AdmissionController:
               priority: Priority = Priority.NORMAL) -> bool:
         """Admit ``entry`` unless the queue is full or closed.
 
-        On a full queue with ``policy.displace`` set, a strictly
-        higher-priority offer evicts the oldest queued entry of the
+        On a full queue, a strictly higher-priority offer evicts the oldest queued entry of the
         lowest priority class below it (reported via the shed callback)
         and is admitted in its place.
         """
@@ -89,9 +78,8 @@ class AdmissionController:
             if self._closed:
                 self.rejected.add()
                 return False
-            if len(self._queue) >= self.policy.max_queue:
-                if self.policy.displace:
-                    victim = self._displaceable(priority)
+            if len(self._queue) >= self.max_queue:
+                victim = self._displaceable(priority)
                 if victim is None:
                     self.rejected.add()
                     return False
@@ -115,8 +103,8 @@ class AdmissionController:
         return victim
 
     def _sheddable(self, item: _Queued) -> bool:
-        return (item.priority < self.policy.shed_below
-                and self._clock() - item.enqueued_at > self.policy.max_age_s)
+        return (item.priority < SHED_BELOW
+                and self._clock() - item.enqueued_at > MAX_AGE_S)
 
     def take(self, timeout: Optional[float] = None) -> Optional[Any]:
         """Next live entry, shedding stale low-priority ones on the way.

@@ -22,7 +22,6 @@ low-priority work under load, which surfaces as ``Status.SHED`` responses.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,9 +42,6 @@ class Status(enum.Enum):
     REJECTED = "rejected"  # backpressure: bounded queue was full at submit
     SHED = "shed"          # admitted, then dropped as stale low-priority work
     ERROR = "error"        # the handler raised
-
-
-_request_ids = itertools.count(1)
 
 
 class Request:
@@ -71,7 +67,6 @@ class GetTile(Request):
 
     tile: TileId
     priority: Priority = Priority.NORMAL
-    request_id: int = field(default_factory=lambda: next(_request_ids))
     encoded: bool = False
 
 
@@ -83,24 +78,18 @@ class SpatialQuery(Request):
     y: float
     radius: float
     landmarks_only: bool = False
-    priority: Priority = Priority.NORMAL
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    priority: Priority = field(default=Priority.NORMAL, init=False)
 
 
 @dataclass
 class ChangesSince(Request):
     """Incremental sync: atomic delta of everything after ``since_version``.
 
-    With ``encoded=True`` the response payload is the binary delta wire
-    format (bytes, see :func:`repro.pack.encode_delta`) instead of the
-    :class:`~repro.update.distribution.SyncDelta` object — what a real
-    change feed ships over the network.
+    The payload is the :class:`~repro.update.distribution.SyncDelta`.
     """
 
     since_version: int
-    priority: Priority = Priority.HIGH
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-    encoded: bool = False
+    priority: Priority = field(default=Priority.HIGH, init=False)
 
 
 @dataclass
@@ -108,16 +97,14 @@ class IngestPatch(Request):
     """Submit a crowd-sourced patch to the authoritative database."""
 
     patch: MapPatch
-    priority: Priority = Priority.HIGH
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    priority: Priority = field(default=Priority.HIGH, init=False)
 
 
 @dataclass
 class Snapshot(Request):
     """Full map copy — the bootstrap path incremental sync avoids."""
 
-    priority: Priority = Priority.LOW
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    priority: Priority = field(default=Priority.LOW, init=False)
 
 
 @dataclass

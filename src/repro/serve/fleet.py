@@ -77,9 +77,13 @@ class FleetReport:
 class FleetSimulator:
     """Drive ``n_vehicles`` concurrent synthetic clients at a MapService."""
 
+    #: radius of each vehicle's SpatialQuery around its pose
+    QUERY_RADIUS_M = 60.0
+    #: trajectory sampling step between two requests of one vehicle
+    STEP_S = 2.0
+
     def __init__(self, service: MapService, world: HDMap,
                  n_vehicles: int = 4, route_length_m: float = 2000.0,
-                 query_radius_m: float = 60.0, step_s: float = 2.0,
                  sync_every: int = 5, ingest_every: int = 0,
                  seed: int = 0, trace_requests: bool = False) -> None:
         if n_vehicles < 1:
@@ -88,8 +92,6 @@ class FleetSimulator:
         self.world = world
         self.n_vehicles = n_vehicles
         self.route_length_m = route_length_m
-        self.query_radius_m = query_radius_m
-        self.step_s = step_s
         self.sync_every = sync_every
         self.ingest_every = ingest_every
         self.seed = seed
@@ -143,11 +145,11 @@ class FleetSimulator:
         rng = np.random.default_rng(self.seed + 13 * idx + 7)
         last_version = -1
         steps = np.arange(trajectory.start_time, trajectory.end_time,
-                          self.step_s)
+                          self.STEP_S)
         for step, t in enumerate(steps):
             pose = trajectory.pose_at(float(t))
             resp = self._request(idx, SpatialQuery(
-                pose.x, pose.y, self.query_radius_m))
+                pose.x, pose.y, self.QUERY_RADIUS_M))
             self._count(report, resp.status)
             if resp.ok:
                 if resp.version < last_version:

@@ -15,7 +15,7 @@ aggregate can be registered into a
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.obs.metrics import (
     FRESHNESS_BOUNDS,
@@ -28,11 +28,10 @@ from repro.obs.metrics import (
 class ServiceMetrics:
     """Per-request-type latency/outcome metrics plus admission counters.
 
-    ``freshness`` is the map-freshness lag histogram: the wall time from a
-    fleet observation entering the ingestion pipeline to the moment the
-    resulting patch is visible to ``ChangesSince`` on this service. The
-    ingest layer feeds it via :meth:`record_freshness`; it stays empty for
-    services with no live ingestion behind them.
+    ``freshness`` is the map-freshness lag histogram. The cluster router
+    feeds it via :meth:`record_freshness` (write accepted -> visible to
+    ``ChangesSince``); it stays empty on a single-node service, whose
+    freshness lives on the ingest side (``ingest.freshness``).
     """
 
     def __init__(self) -> None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.core.hdmap import HDMap
 from repro.core.tiles import TileId
@@ -41,7 +41,7 @@ from repro.errors import HDMapError
 from repro.obs.log import get_logger
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.trace import TRACER
-from repro.serve.admission import AdmissionController, AdmissionPolicy
+from repro.serve.admission import AdmissionController
 from repro.serve.api import (
     ChangesSince,
     GetTile,
@@ -80,11 +80,10 @@ class MapService:
     def __init__(self, server: MapDistributionServer, store: TileStore,
                  n_workers: int = 4,
                  cache_shards: int = 8, tiles_per_shard: int = 16,
-                 policy: Optional[AdmissionPolicy] = None,
+                 max_queue: int = 256,
                  storage_latency_s: float = 0.0,
                  service_latency_s: float = 0.0,
-                 registry: Optional[MetricsRegistry] = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.server = server
@@ -92,7 +91,6 @@ class MapService:
         self.n_workers = n_workers
         self.storage_latency_s = storage_latency_s
         self.service_latency_s = service_latency_s
-        self._clock = clock
         self.cache = ShardedTileCache(self._fetch_tile, cache_shards,
                                       tiles_per_shard)
         self.metrics = ServiceMetrics()
@@ -106,8 +104,7 @@ class MapService:
                               self.spatial_tiles_scanned)
             if store.pack_backed:
                 store.pack_reader.register_into(registry)
-        self.queue = AdmissionController(policy, on_shed=self._shed_item,
-                                         clock=clock)
+        self.queue = AdmissionController(max_queue, on_shed=self._shed_item)
         self._threads: List[threading.Thread] = []
         self._started = False
 
@@ -147,7 +144,7 @@ class MapService:
         immediately — callers never block on admission.
         """
         future: "Future[Response]" = Future()
-        item = _WorkItem(request, future, self._clock(),
+        item = _WorkItem(request, future, time.monotonic(),
                          trace_ctx=TRACER.propagate())
         if not self.queue.offer(item, request.priority):
             self.metrics.record(request.kind, Status.REJECTED.value, 0.0)
@@ -164,7 +161,7 @@ class MapService:
 
     # -- worker side ----------------------------------------------------
     def _shed_item(self, item: _WorkItem) -> None:
-        latency = self._clock() - item.submitted_at
+        latency = time.monotonic() - item.submitted_at
         self.metrics.record(item.request.kind, Status.SHED.value, latency)
         _log.warning("request_shed", kind=item.request.kind,
                      queued_age_s=round(latency, 6))
@@ -185,20 +182,20 @@ class MapService:
         with span:
             if span.context is not None:
                 span.set("queue_wait_s",
-                         round(self._clock() - item.submitted_at, 6))
+                         round(time.monotonic() - item.submitted_at, 6))
             if self.service_latency_s > 0:
                 time.sleep(self.service_latency_s)
             try:
                 payload, version = self._dispatch(item.request)
-                latency = self._clock() - item.submitted_at
+                latency = time.monotonic() - item.submitted_at
                 response = Response(Status.OK, payload, version, latency)
             except HDMapError as exc:
-                latency = self._clock() - item.submitted_at
+                latency = time.monotonic() - item.submitted_at
                 response = Response(Status.ERROR, latency_s=latency,
                                     error=str(exc))
                 _log.warning("request_failed", kind=kind, error=str(exc))
             except Exception as exc:  # keep the worker alive on handler bugs
-                latency = self._clock() - item.submitted_at
+                latency = time.monotonic() - item.submitted_at
                 response = Response(Status.ERROR, latency_s=latency,
                                     error=f"{type(exc).__name__}: {exc}")
                 _log.error("request_handler_error", kind=kind,
@@ -231,9 +228,6 @@ class MapService:
             return self._spatial(request), self.server.version
         if isinstance(request, ChangesSince):
             delta = self.server.delta_since(request.since_version)
-            if request.encoded:
-                from repro.pack.delta import encode_delta
-                return encode_delta(delta), delta.version
             return delta, delta.version
         if isinstance(request, IngestPatch):
             result = self.server.ingest(request.patch)

@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.hdmap import HDMap
-from repro.geometry.geodesy import MILE_METRES
 
 
 @dataclass
@@ -96,10 +95,3 @@ def build_pointcloud_map(hdmap: HDMap, rng: np.random.Generator,
         intensity=np.concatenate(intens),
     )
 
-
-def bytes_per_mile(total_bytes: int, hdmap: HDMap) -> float:
-    """Storage density normalized by *road* (segment reference) length."""
-    road_metres = sum(seg.reference_line.length for seg in hdmap.segments())
-    if road_metres == 0:
-        raise ValueError("map has no road segments")
-    return total_bytes / (road_metres / MILE_METRES)

@@ -11,10 +11,7 @@ import numpy as np
 from repro.core.hdmap import HDMap
 from repro.storage.binary import encode_map
 from repro.storage.geojson import map_to_dict
-from repro.storage.pointcloud import (
-    build_pointcloud_map,
-    bytes_per_mile,
-)
+from repro.storage.pointcloud import build_pointcloud_map
 
 
 @dataclass(frozen=True)

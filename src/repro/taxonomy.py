@@ -10,7 +10,7 @@ taxonomy it claims to reproduce.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 
@@ -102,8 +102,7 @@ TABLE_I: List[SubArea] = [
         category=APPLICATIONS,
         name="ATVs",
         references=("11", "64"),
-        modules=("repro.atv", "repro.atv.sign_update", "repro.atv.vslam",
-                 "repro.atv.occupancy"),
+        modules=("repro.atv", "repro.atv.sign_update", "repro.atv.vslam"),
     ),
 ]
 

@@ -11,7 +11,7 @@ reaches 98.7 % sensitivity / 81.2 % specificity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +21,6 @@ from repro.core.hdmap import HDMap
 from repro.core.tiles import TileId, TileScheme
 from repro.geometry.transform import SE2
 from repro.sensors.camera import Camera
-from repro.world.scenario import Scenario
 from repro.world.traffic import Trajectory
 
 

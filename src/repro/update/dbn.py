@@ -10,8 +10,8 @@ updated by the forward algorithm.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -76,6 +76,3 @@ class DiscreteDBN:
 
     def probability(self, state: int) -> float:
         return float(self.belief[state])
-
-    def map_state(self) -> int:
-        return int(np.argmax(self.belief))

@@ -11,7 +11,7 @@ differenced, and thresholded into change regions with scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy import ndimage

@@ -25,10 +25,9 @@ from __future__ import annotations
 import copy
 import enum
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
 
 from repro.core.changes import MapChange
 from repro.core.hdmap import HDMap
@@ -84,22 +83,15 @@ class SyncDelta:
 class MapDistributionServer:
     """The authoritative, versioned HD-map database (thread-safe)."""
 
-    def __init__(self, base: HDMap,
-                 policy: ConflictPolicy = ConflictPolicy.HIGHEST_CONFIDENCE,
-                 conflict_window: int = 3) -> None:
+    #: conflict rule of an :meth:`ingest` that names none
+    POLICY = ConflictPolicy.HIGHEST_CONFIDENCE
+    #: two patches touching one element within this many versions conflict
+    CONFLICT_WINDOW = 3
+
+    def __init__(self, base: HDMap) -> None:
         self.db = VersionedMap(base)
-        self.policy = policy
-        self.conflict_window = conflict_window
         self._touched: Dict[ElementId, _Provenance] = {}
         self._lock = threading.RLock()
-        self._listeners: List[Callable[[int, MapPatch], None]] = []
-
-    def add_listener(self, fn: Callable[[int, MapPatch], None]) -> None:
-        """Register ``fn(version, patch)``, called after each accepted
-        ingest (outside the server lock; listeners must not block long
-        and may call back into the server)."""
-        with self._lock:
-            self._listeners.append(fn)
 
     @property
     def version(self) -> int:
@@ -123,7 +115,7 @@ class MapDistributionServer:
             previous = self._touched.get(target)
             if previous is None:
                 continue
-            if self.version - previous.version < self.conflict_window:
+            if self.version - previous.version < self.CONFLICT_WINDOW:
                 out.append((op, previous))
         return out
 
@@ -132,19 +124,14 @@ class MapDistributionServer:
                policy: Optional[ConflictPolicy] = None) -> IngestResult:
         """Apply a pipeline's patch atomically under the conflict policy.
 
-        ``policy`` overrides the server's default for this one call, so
+        ``policy`` overrides :attr:`POLICY` for this one call, so
         independent ingestion pipelines can run different conflation rules
         against the same database.
         """
         if not patch.ops:
             return IngestResult(False, None, 0, "empty patch")
         with self._lock:
-            result = self._ingest_locked(patch, policy or self.policy)
-            listeners = list(self._listeners)
-        if result.accepted:
-            for fn in listeners:
-                fn(result.version, patch)
-        return result
+            return self._ingest_locked(patch, policy or self.POLICY)
 
     def _ingest_locked(self, patch: MapPatch,
                        policy: ConflictPolicy) -> IngestResult:

@@ -10,8 +10,8 @@ away — both behaviours straight from the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -117,9 +117,6 @@ class IncrementalFuser:
         for eid in dead:
             del self.elements[eid]
         return dead
-
-    def feedback_size(self) -> int:
-        return len(self._feedback)
 
     # ------------------------------------------------------------------
     def _match(self, position: np.ndarray) -> Optional[FusedElement]:

@@ -10,19 +10,12 @@ and sparse, the paper's operating regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.eval.metrics import ErrorStats, error_stats
 from repro.geometry.polyline import Polyline
-
-
-@dataclass
-class LaneLearnResult:
-    lane: Optional[Polyline]
-    error: ErrorStats
 
 
 class LaneLearner:

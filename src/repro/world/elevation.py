@@ -9,7 +9,6 @@ profiles with controllable hill wavelength and grade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,9 +44,6 @@ class ElevationProfile:
         if s1 - s0 < 1e-9:
             return 0.0
         return (self.height_at(s1) - self.height_at(s0)) / (s1 - s0)
-
-    def slopes(self, stations: np.ndarray, window: float = 10.0) -> np.ndarray:
-        return np.array([self.slope_at(float(s), window) for s in stations])
 
     @staticmethod
     def flat(length: float) -> "ElevationProfile":

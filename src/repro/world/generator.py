@@ -14,7 +14,7 @@ Three families cover the evaluation settings of the surveyed systems:
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -23,9 +23,7 @@ from repro.core.elements import (
     Pole,
     RoadMarking,
     SignType,
-    StopLine,
     TrafficLight,
-    TrafficSign,
 )
 from repro.core.hdmap import HDMap
 from repro.geometry.polyline import Polyline, straight

@@ -140,14 +140,6 @@ class MapStatistics:
     mean_abs_curvature: float
     mean_junction_degree: float
 
-    def plausible(self) -> bool:
-        """Crude urban-plausibility screen."""
-        return (self.n_lanes > 0
-                and 20.0 < self.mean_lane_length < 2000.0
-                and self.mean_abs_curvature < 0.1
-                and 1.0 <= self.mean_junction_degree <= 6.0)
-
-
 def map_statistics(hdmap: HDMap) -> MapStatistics:
     """Compute the structural statistics of a (generated) map."""
     lanes = list(hdmap.lanes())

@@ -10,8 +10,8 @@ conventions OSM actually uses (``lanes``, ``maxspeed``, ``oneway``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 

@@ -9,22 +9,14 @@ change list for scoring.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.core.changes import ChangeType, MapChange, diff_maps
-from repro.core.elements import PointLandmark, SignType, TrafficSign
+from repro.core.changes import MapChange, diff_maps
+from repro.core.elements import SignType, TrafficSign
 from repro.core.hdmap import HDMap
-
-
-class ChangeKind(enum.Enum):
-    ADD_SIGN = "add_sign"
-    REMOVE_SIGN = "remove_sign"
-    MOVE_SIGN = "move_sign"
-    CONSTRUCTION_SITE = "construction_site"  # cluster of construction signs
 
 
 @dataclass

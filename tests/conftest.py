@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.core.elements import Kind
+from repro.core.regulatory import RegulatoryElement
 from repro.world import generate_factory_floor, generate_grid_city, generate_highway
 
 # `--hypothesis-profile=ci`: examples derive from the test alone and no
@@ -60,3 +62,15 @@ def city():
 @pytest.fixture(scope="session")
 def factory():
     return generate_factory_floor(np.random.default_rng(303))
+
+
+def add_rule(hdmap, **kwargs) -> RegulatoryElement:
+    """Add one regulatory element with a fresh id to ``hdmap``."""
+    rule = RegulatoryElement(id=hdmap.new_id(Kind.REGULATORY), **kwargs)
+    hdmap.add(rule)
+    return rule
+
+
+def of_type(hdmap, cls) -> list:
+    """Every element of ``hdmap`` that is a ``cls``."""
+    return [e for e in hdmap.elements() if isinstance(e, cls)]

@@ -104,7 +104,7 @@ class TestFaultPlan:
 
 # Small enough to drain in well under a second per run.
 _WORKLOAD = ChaosWorkload(vehicles=2, routes_per_vehicle=1,
-                          route_length_m=450.0, serve_requests=30, seed=7)
+                          route_length_m=450.0, seed=7)
 
 
 class TestChaosHarness:

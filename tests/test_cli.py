@@ -1,6 +1,5 @@
 """CLI: generate / stats / validate / route / taxonomy."""
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -141,18 +140,70 @@ class TestObsCli:
                      "--trace-id", "nope"]) == 1
 
 
+def _load_tool(name: str):
+    """Import ``tools/<name>.py`` (the tools are scripts, not a package)."""
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestDocsConsistency:
     def test_handbooks_name_only_live_metrics_knobs_and_flags(self):
         """``tools/check_docs.py`` in-process: a handbook naming a deleted
         metric, constructor argument or CLI flag fails tier-1, not only
         the CI lint job."""
-        import importlib.util
-        import os
+        assert _load_tool("check_docs").main() == 0  # stale refs printed
 
-        path = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "tools", "check_docs.py")
-        spec = importlib.util.spec_from_file_location("check_docs", path)
-        check_docs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(check_docs)
 
-        assert check_docs.main() == 0  # stale references are printed
+class TestDeadSurface:
+    """``tools/check_dead.py`` in-process, plus re-added dead surface it
+    must catch (each mutation edits an in-memory copy of the tree)."""
+
+    @pytest.fixture(scope="class")
+    def tool(self):
+        tool = _load_tool("check_dead")
+        yield tool
+        # the per-file caches hold every parsed tree; later tests should
+        # not pay for them in garbage collection
+        for cached in (tool._parse_one, tool._references, tool._file_calls,
+                       tool._used_names):
+            cached.cache_clear()
+
+    @staticmethod
+    def _hits(tool, path, old, new):
+        files = tool.load_tree()
+        assert old in files[path]
+        files[path] = files[path].replace(old, new, 1)
+        return tool.failures(files)
+
+    def test_tree_has_no_dead_surface(self, tool):
+        assert tool.main() == 0  # hits are printed
+        assert len(tool.ALLOW) + len(tool.SEAMS) < 20
+
+    def test_readded_breaker_for_fails(self, tool):
+        hits = self._hits(
+            tool, "src/repro/ingest/breaker.py", "class CircuitBreaker:",
+            "def breaker_for(stage):\n"
+            "    return CircuitBreaker(stage)\n\n\n"
+            "class CircuitBreaker:")
+        assert any("dead definition repro.ingest.breaker.breaker_for" in h
+                   for h in hits), hits
+
+    def test_readded_unused_clock_option_fails(self, tool):
+        hits = self._hits(
+            tool, "src/repro/serve/service.py",
+            "registry: Optional[MetricsRegistry] = None) -> None:",
+            "registry: Optional[MetricsRegistry] = None,\n"
+            "                 clock=time.monotonic) -> None:")
+        assert any("MapService(clock=)" in h for h in hits), hits
+
+    def test_readded_unused_import_fails(self, tool):
+        hits = self._hits(tool, "src/repro/serve/api.py",
+                          "import enum\n", "import enum\nimport shelve\n")
+        assert any("unused import shelve" in h for h in hits), hits

@@ -189,8 +189,7 @@ class TestChaosTraceTagging:
                          seed=11)
         workload = ClusterWorkload(ops=6, reads_per_op=1,
                                    transport="local", replicas=0,
-                                   trace_sample_rate=1.0,
-                                   call_timeout_s=5.0)
+                                   trace_sample_rate=1.0)
         harness = ClusterChaosHarness(city, plan, workload)
         report = harness.run()
         assert report.certify(), report.format()

@@ -22,6 +22,7 @@ from repro.core.ids import ElementId
 from repro.core.validation import Severity
 from repro.errors import MapValidationError, UnknownElementError
 from repro.geometry.polyline import straight
+from tests.conftest import add_rule
 
 
 def _base_map():
@@ -198,7 +199,7 @@ class TestValidation:
         hdmap = _base_map()
         from repro.core import RuleType
 
-        hdmap.create_regulatory(rule_type=RuleType.STOP,
+        add_rule(hdmap, rule_type=RuleType.STOP,
                                 lanes=[ElementId("lane", 999)])
         issues = validate_map(hdmap)
         assert any(i.check == "regulatory" for i in issues)

@@ -10,16 +10,15 @@ from repro.core import (
     IdAllocator,
     Lane,
     LaneBoundary,
-    RegulatoryElement,
-    RoadSegment,
     RuleType,
     SignType,
     TrafficLight,
     TrafficSign,
 )
-from repro.core.elements import Kind, LightState, Node, Pole
+from repro.core.elements import LightState
 from repro.errors import MapModelError, UnknownElementError
 from repro.geometry.polyline import straight
+from tests.conftest import add_rule
 
 
 class TestIds:
@@ -63,21 +62,6 @@ class TestElements:
         assert light.state_at(11.0) is LightState.YELLOW
         assert light.state_at(15.0) is LightState.GREEN
         assert light.state_at(25.0) is LightState.RED  # wrapped
-
-    def test_lane_contains_point(self):
-        lane = Lane(id=ElementId("lane", 1),
-                    centerline=straight([0, 0], [50, 0]), width=3.5)
-        assert lane.contains_point(np.array([25.0, 1.0]))
-        assert not lane.contains_point(np.array([25.0, 3.0]))
-
-    def test_boundary_crossable(self):
-        assert BoundaryType.DASHED.is_crossable
-        assert not BoundaryType.SOLID.is_crossable
-
-    def test_landmark_position3d(self):
-        pole = Pole(id=ElementId("pole", 1), position=np.array([1.0, 2.0]))
-        assert np.allclose(pole.position3d(), [1.0, 2.0, 6.0])
-
 
 @pytest.fixture
 def small_map():
@@ -135,11 +119,6 @@ class TestHDMap:
         assert lane.id == lane_a.id
         assert d == pytest.approx(1.0)
 
-    def test_lanes_containing(self, small_map):
-        hdmap, lane_a, _ = small_map
-        hits = hdmap.lanes_containing(10.0, 0.5)
-        assert [l.id for l in hits] == [lane_a.id]
-
     def test_landmarks_in_radius_exact(self, small_map):
         hdmap, *_ = small_map
         assert len(hdmap.landmarks_in_radius(50.0, 0.0, 10.0)) == 1
@@ -180,13 +159,13 @@ class TestHDMap:
 
     def test_regulatory_speed_limit(self, small_map):
         hdmap, lane_a, _ = small_map
-        hdmap.create_regulatory(rule_type=RuleType.SPEED_LIMIT,
+        add_rule(hdmap, rule_type=RuleType.SPEED_LIMIT,
                                 lanes=[lane_a.id], value=8.33)
         assert hdmap.effective_speed_limit(lane_a.id) == pytest.approx(8.33)
 
     def test_rules_for_lane(self, small_map):
         hdmap, lane_a, lane_b = small_map
-        rule = hdmap.create_regulatory(rule_type=RuleType.STOP,
+        rule = add_rule(hdmap, rule_type=RuleType.STOP,
                                        lanes=[lane_a.id])
         assert [r.id for r in hdmap.rules_for_lane(lane_a.id)] == [rule.id]
         assert hdmap.rules_for_lane(lane_b.id) == []

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.geometry.polyline import Polyline, straight
+from repro.geometry.polyline import straight
 from repro.geometry.transform import SE2
+from tests.conftest import of_type
 
 
 class TestLateralPeaks:
@@ -92,7 +93,7 @@ class TestTrafficLightRoi:
         from repro.sensors.camera import LightObservation
 
         recognizer = TrafficLightRecognizer(city)
-        light = next(iter(city.lights()))
+        light = next(iter(of_type(city, TrafficLight)))
         pose = SE2(light.position[0] - 30.0, light.position[1], 0.0)
         good = LightObservation(t=0.0, bearing=0.0, range=30.0,
                                 state=LightState.RED, true_id=light.id)

@@ -34,6 +34,13 @@ def _add_sign_patch(server, source, confidence, position):
     return patch
 
 
+def _server(policy):
+    """A server over :func:`_base_map` whose default conflict rule is
+    ``policy`` instead of ``MapDistributionServer.POLICY``."""
+    server = MapDistributionServer(_base_map())
+    server.POLICY = policy
+    return server
+
 class TestDistributionServer:
     def test_ingest_bumps_version(self):
         server = MapDistributionServer(_base_map())
@@ -47,8 +54,7 @@ class TestDistributionServer:
         assert not server.ingest(MapPatch()).accepted
 
     def test_conflict_reject_policy(self):
-        server = MapDistributionServer(_base_map(),
-                                       policy=ConflictPolicy.REJECT)
+        server = _server(ConflictPolicy.REJECT)
         sign = next(iter(server.db.map.signs()))
         p1 = MapPatch(source="a", confidence=0.9).remove(sign.id)
         assert server.ingest(p1).accepted
@@ -61,8 +67,7 @@ class TestDistributionServer:
         assert "conflict" in result.reason
 
     def test_highest_confidence_drops_weaker_op(self):
-        server = MapDistributionServer(
-            _base_map(), policy=ConflictPolicy.HIGHEST_CONFIDENCE)
+        server = MapDistributionServer(_base_map())
         sign = next(iter(server.db.map.signs()))
         strong = MapPatch(source="survey", confidence=0.95).remove(sign.id)
         assert server.ingest(strong).accepted
@@ -75,8 +80,7 @@ class TestDistributionServer:
         assert sign.id not in server.db.map
 
     def test_stronger_update_overrides(self):
-        server = MapDistributionServer(
-            _base_map(), policy=ConflictPolicy.HIGHEST_CONFIDENCE)
+        server = MapDistributionServer(_base_map())
         first = _add_sign_patch(server, "crowd", 0.4, [20.0, 5.0])
         assert server.ingest(first).accepted
         new_id = first.ops[0].element.id
@@ -85,12 +89,11 @@ class TestDistributionServer:
         assert new_id not in server.db.map
 
     def test_old_conflicts_expire(self):
-        server = MapDistributionServer(
-            _base_map(), policy=ConflictPolicy.REJECT, conflict_window=2)
+        server = _server(ConflictPolicy.REJECT)
         sign = next(iter(server.db.map.signs()))
         assert server.ingest(
             MapPatch(source="a", confidence=0.9).remove(sign.id)).accepted
-        # Unrelated patches advance the version past the window.
+        # Unrelated patches advance the version past CONFLICT_WINDOW (3).
         for k in range(3):
             assert server.ingest(_add_sign_patch(
                 server, "a", 0.9, [30.0 + k, 5.0])).accepted
@@ -122,8 +125,7 @@ class TestConcurrentPolicyIngest:
         return results
 
     def test_reject_policy_single_winner_under_concurrency(self):
-        server = MapDistributionServer(_base_map(),
-                                       policy=ConflictPolicy.REJECT)
+        server = _server(ConflictPolicy.REJECT)
         sign = next(iter(server.db.map.signs()))
         patches = [MapPatch(source=f"pipeline-{i}",
                             confidence=0.9).remove(sign.id)
@@ -138,8 +140,7 @@ class TestConcurrentPolicyIngest:
                    for r in results if not r.accepted)
 
     def test_highest_confidence_concurrent_weak_writers_lose(self):
-        server = MapDistributionServer(
-            _base_map(), policy=ConflictPolicy.HIGHEST_CONFIDENCE)
+        server = MapDistributionServer(_base_map())
         sign = next(iter(server.db.map.signs()))
         strong = MapPatch(source="survey", confidence=0.95).remove(sign.id)
         assert server.ingest(strong).accepted
@@ -154,8 +155,7 @@ class TestConcurrentPolicyIngest:
         assert server.version == 1
 
     def test_highest_confidence_disjoint_elements_all_land(self):
-        server = MapDistributionServer(
-            _base_map(), policy=ConflictPolicy.HIGHEST_CONFIDENCE)
+        server = MapDistributionServer(_base_map())
         # Allocate ids up front: id allocation is not the object under
         # test, the concurrent ingest path is.
         patches = [_add_sign_patch(server, f"p{i}", 0.5 + 0.05 * i,
@@ -168,8 +168,7 @@ class TestConcurrentPolicyIngest:
         assert sorted(r.version for r in results) == list(range(1, 9))
 
     def test_per_call_policy_override(self):
-        server = MapDistributionServer(
-            _base_map(), policy=ConflictPolicy.LAST_WRITER_WINS)
+        server = _server(ConflictPolicy.LAST_WRITER_WINS)
         sign = next(iter(server.db.map.signs()))
         assert server.ingest(
             MapPatch(source="a", confidence=0.9).remove(sign.id)).accepted
@@ -180,16 +179,6 @@ class TestConcurrentPolicyIngest:
         assert not server.ingest(resurrect,
                                  policy=ConflictPolicy.REJECT).accepted
         assert server.ingest(resurrect).accepted
-
-    def test_listener_notified_on_accepted_ingest_only(self):
-        server = MapDistributionServer(_base_map())
-        events = []
-        server.add_listener(lambda v, p: events.append((v, p.source)))
-        server.ingest(_add_sign_patch(server, "slamcu", 0.9, [10.0, 5.0]))
-        assert events == [(1, "slamcu")]
-        assert not server.ingest(MapPatch()).accepted
-        assert len(events) == 1
-
 
 class TestVehicleSync:
     def test_incremental_sync_consistency(self):

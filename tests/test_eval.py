@@ -1,6 +1,5 @@
 """Metrics and the result-table harness."""
 
-import numpy as np
 import pytest
 
 from repro.eval import (
@@ -8,7 +7,6 @@ from repro.eval import (
     average_precision,
     error_histogram,
     error_stats,
-    precision_recall,
     sensitivity_specificity,
 )
 from repro.eval.harness import render_histogram
@@ -47,15 +45,6 @@ class TestHistogram:
 
 
 class TestClassificationMetrics:
-    def test_precision_recall(self):
-        m = precision_recall(tp=8, fp=2, fn=2)
-        assert m["precision"] == pytest.approx(0.8)
-        assert m["recall"] == pytest.approx(0.8)
-        assert m["f1"] == pytest.approx(0.8)
-
-    def test_zero_division_safe(self):
-        assert precision_recall(0, 0, 0)["f1"] == 0.0
-
     def test_sensitivity_specificity(self):
         m = sensitivity_specificity(tp=9, fp=1, tn=9, fn=1)
         assert m["sensitivity"] == pytest.approx(0.9)

@@ -2,9 +2,7 @@
 injection across the sensor/estimator stack."""
 
 import numpy as np
-import pytest
 
-from repro.geometry.geodesy import LocalProjector
 from repro.geometry.polyline import straight
 from repro.geometry.transform import SE2
 from repro.world.hdmapgen import (
@@ -14,33 +12,6 @@ from repro.world.hdmapgen import (
 )
 
 
-class TestGeodesyIngestion:
-    """Probe data arrives as lat/lon; the pipelines run in local metres."""
-
-    def test_latlon_probe_flow(self, highway, rng):
-        from repro.world import drive_route
-
-        projector = LocalProjector(lat0=33.97, lon0=-117.33)
-        lane = next(iter(highway.lanes()))
-        traj = drive_route(highway, lane.id, 500.0, rng)
-        # Vehicle reports WGS-84 fixes...
-        local_truth = traj.positions()[::10]
-        lat, lon = projector.to_geographic(local_truth)
-        # ...the ingestion side projects them back for map matching.
-        recovered = projector.to_local(lat, lon)
-        assert np.allclose(recovered, local_truth, atol=1e-6)
-        lane_again, dist = highway.nearest_lane(*recovered[5])
-        assert dist < 1.0
-
-    def test_projection_error_negligible_at_city_scale(self):
-        projector = LocalProjector(lat0=48.0, lon0=11.0)
-        # 10 km east: project, reproject, compare round trip.
-        pts = np.array([[10000.0, 0.0], [0.0, 10000.0], [7000.0, -7000.0]])
-        lat, lon = projector.to_geographic(pts)
-        back = projector.to_local(lat, lon)
-        assert np.abs(back - pts).max() < 0.01  # below sensor noise
-
-
 class TestHdmapgenStatistics:
     def test_generated_maps_are_plausible(self):
         for seed in (1, 2, 3):
@@ -48,7 +19,10 @@ class TestHdmapgenStatistics:
             hdmap = HDMapGenSampler(
                 MapTopologySpec(n_junctions=8)).sample_map(rng)
             stats = map_statistics(hdmap)
-            assert stats.plausible(), stats
+            assert stats.n_lanes > 0, stats
+            assert 20.0 < stats.mean_lane_length < 2000.0, stats
+            assert stats.mean_abs_curvature < 0.1, stats
+            assert 1.0 <= stats.mean_junction_degree <= 6.0, stats
 
     def test_curvature_scale_controls_curvature(self):
         rng1 = np.random.default_rng(4)

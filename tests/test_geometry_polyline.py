@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry.polyline import Polyline, arc, straight
-from repro.geometry.transform import SE2
+from repro.geometry.polyline import Polyline, straight
 
 
 @pytest.fixture
 def line():
     return straight([0.0, 0.0], [100.0, 0.0], spacing=5.0)
+
+
+def arc(center, radius, start_angle, end_angle, n):
+    """Polyline sampled on a circular arc (a curvature fixture)."""
+    angles = np.linspace(start_angle, end_angle, n)
+    pts = np.asarray(center, dtype=float) + radius * np.stack(
+        [np.cos(angles), np.sin(angles)], axis=1)
+    return Polyline(pts)
 
 
 class TestConstruction:
@@ -125,10 +132,6 @@ class TestDerivation:
         with pytest.raises(GeometryError):
             line.slice(60.0, 20.0)
 
-    def test_transformed(self, line):
-        moved = line.transformed(SE2(0.0, 5.0, 0.0))
-        assert np.allclose(moved.points[:, 1], 5.0)
-
     def test_simplify_straight_collapses(self, line):
         simple = line.simplify(0.01)
         assert len(simple) == 2
@@ -155,19 +158,6 @@ class TestDerivation:
         joined = line.concat(other)
         assert joined.length == pytest.approx(150.0)
 
-    def test_hausdorff_symmetric_offset(self, line):
-        shifted = line.offset(1.0)
-        assert line.hausdorff_distance(shifted) == pytest.approx(1.0, abs=0.05)
-
-    def test_mean_distance(self, line):
-        shifted = line.offset(0.8)
-        assert shifted.mean_distance_to_polyline(line) == pytest.approx(0.8, abs=0.05)
-
-
 def test_bounds(line):
     assert line.bounds() == (0.0, 0.0, 100.0, 0.0)
 
-
-def test_arc_needs_two_samples():
-    with pytest.raises(GeometryError):
-        arc([0, 0], 10.0, 0.0, 1.0, n=1)

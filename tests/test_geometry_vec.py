@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.geometry.vec import (
-    angle_diff,
-    as_point,
-    heading_of,
-    heading_to_unit,
     norm,
     perp_left,
-    point_in_polygon,
-    polygon_area,
     rotate2d,
     segment_point_distance,
     unit,
@@ -30,11 +24,6 @@ def test_unit_zero_vector_raises():
         unit([0.0, 0.0])
 
 
-def test_as_point_shape_check():
-    with pytest.raises(ValueError):
-        as_point([1.0, 2.0, 3.0])
-
-
 def test_perp_left_is_ccw_quarter_turn():
     assert np.allclose(perp_left([1.0, 0.0]), [0.0, 1.0])
     assert np.allclose(perp_left([0.0, 1.0]), [-1.0, 0.0])
@@ -47,22 +36,12 @@ def test_rotate2d_single_and_batch():
     assert np.allclose(batch, [[-1.0, 0.0], [0.0, -1.0]], atol=1e-12)
 
 
-def test_heading_roundtrip():
-    for h in np.linspace(-3.0, 3.0, 13):
-        assert heading_of(heading_to_unit(h)) == pytest.approx(h)
-
-
 def test_wrap_angle_range():
     for a in np.linspace(-20.0, 20.0, 101):
         w = wrap_angle(float(a))
         assert -math.pi < w <= math.pi
         # Same direction after wrapping.
         assert math.cos(w - a) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_angle_diff_signed_shortest():
-    assert angle_diff(0.1, -0.1) == pytest.approx(0.2)
-    assert angle_diff(math.pi - 0.05, -math.pi + 0.05) == pytest.approx(-0.1)
 
 
 def test_segment_point_distance_interior_and_clamped():
@@ -79,21 +58,3 @@ def test_segment_point_distance_degenerate_segment():
     assert d == pytest.approx(5.0)
     assert t == 0.0
 
-
-def test_polygon_area_signs():
-    square_ccw = [[0, 0], [2, 0], [2, 2], [0, 2]]
-    assert polygon_area(square_ccw) == pytest.approx(4.0)
-    assert polygon_area(square_ccw[::-1]) == pytest.approx(-4.0)
-
-
-def test_polygon_area_rejects_degenerate():
-    with pytest.raises(ValueError):
-        polygon_area([[0, 0], [1, 1]])
-
-
-def test_point_in_polygon():
-    square = np.array([[0, 0], [4, 0], [4, 4], [0, 4]], dtype=float)
-    assert point_in_polygon([2, 2], square)
-    assert not point_in_polygon([5, 2], square)
-    # Boundary counts as inside.
-    assert point_in_polygon([4, 2], square)

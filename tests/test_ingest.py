@@ -173,7 +173,7 @@ class TestPatchPublisher:
             ConfirmedPatch("k1", _add_patch(server, [10.0, 5.0])))
         assert redelivered.duplicate and not redelivered.published
         assert server.version == 1
-        assert publisher.published_count() == 1
+        assert publisher.seen("k1")
 
     def test_conflated_add_suppressed_across_keys(self):
         server = _sign_server()
@@ -194,7 +194,8 @@ class TestPatchPublisher:
         prior_sign = next(iter(server.db.map.signs()))
         assert server.ingest(MapPatch(source="survey", confidence=0.9)
                              .remove(prior_sign.id)).accepted
-        publisher = PatchPublisher(server, policy=ConflictPolicy.REJECT)
+        server.POLICY = ConflictPolicy.REJECT
+        publisher = PatchPublisher(server)
         conflicted = ConfirmedPatch("kr", MapPatch(
             source="ingest", confidence=0.9).add(
                 TrafficSign(id=prior_sign.id, position=prior_sign.position,
@@ -225,9 +226,7 @@ class TestPatchPublisher:
 
         flaky = FlakyServer(server, failures=10)
         metrics = IngestMetrics()
-        publisher = PatchPublisher(flaky, metrics=metrics,
-                                   max_publish_attempts=3,
-                                   publish_backoff_s=1e-4)
+        publisher = PatchPublisher(flaky, metrics=metrics)
         EVENT_LOG.clear()
         result = publisher.publish(
             ConfirmedPatch("kx", _add_patch(server, [10.0, 5.0])))
@@ -465,8 +464,7 @@ class TestEndToEndMaintenanceLoop:
         server = MapDistributionServer(scenario.prior.copy())
         store = TileStore.build(scenario.prior, tile_size=250.0)
         service = MapService(server, store, n_workers=2)
-        pipe = IngestPipeline(server, tile_size=250.0, n_workers=2,
-                              service_metrics=service.metrics)
+        pipe = IngestPipeline(server, tile_size=250.0, n_workers=2)
         source = FleetObservationSource(
             scenario, n_vehicles=4, route_length_m=1200.0, step_s=0.5,
             routes_per_vehicle=3, duplicate_rate=0.15, seed=seed)
@@ -509,7 +507,7 @@ class TestEndToEndMaintenanceLoop:
         assert stats["batches"]["dead_letters"] == 0
 
     def test_freshness_and_stage_latency_observable(self, loop):
-        _, service, pipe, _, _ = loop
+        _, _, pipe, _, _ = loop
         stats = pipe.stats()
         assert stats["freshness"]["count"] >= 1
         assert stats["freshness"]["max_s"] >= stats["freshness"]["p95_s"] > 0
@@ -517,9 +515,6 @@ class TestEndToEndMaintenanceLoop:
             snap = stats["stage_latency"][stage]
             assert snap["count"] > 0
             assert snap["min_s"] <= snap["p50_s"] <= snap["max_s"]
-        # The serving layer exports the same freshness lag to the fleet.
-        served = service.metrics.as_dict()
-        assert served["freshness"]["count"] == stats["freshness"]["count"]
 
     def test_bounded_versions(self, loop):
         scenario, _, pipe, _, delta = loop

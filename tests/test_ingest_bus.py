@@ -54,7 +54,6 @@ class BusModel(RuleBasedStateMachine):
         self.clock = FakeClock()
         self.bus = ObservationBus(tile_size=TILE, n_partitions=N_PARTITIONS,
                                   capacity_per_partition=10_000,
-                                  dedup_window=10_000,
                                   lease_timeout_s=LEASE_S, clock=self.clock)
         self.pending = [deque() for _ in range(N_PARTITIONS)]
         # partition -> [(due, batch_id)]

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.geometry.polyline import straight
 from repro.geometry.transform import SE2
 from repro.localization import (
     AdasFusionLocalizer,
@@ -17,18 +16,14 @@ from repro.localization import (
     SemanticAligner,
     associate_detections,
     detect_hrl,
-    match_line_segments,
     rasterize_map,
-    triangulate_pose,
 )
 from repro.localization.geometric import (
     LandmarkLayout,
     LayoutPattern,
-    geometric_dilution,
     simulate_layout_error,
 )
 from repro.localization.hdmi_loc import observe_patch
-from repro.localization.landmarks import RangeBearing
 from repro.localization.lane_marking import extract_marking_points, hough_lines
 from repro.localization.semantic import observe_semantics
 from repro.sensors import Camera, LidarScanner, WheelOdometry
@@ -81,29 +76,6 @@ class TestLaneMatcher:
         assert match is None
 
 
-class TestLineSegmentMatching:
-    def test_recovers_translation(self):
-        ref = [(np.array([0.0, 0.0]), np.array([50.0, 0.0])),
-               (np.array([0.0, 3.5]), np.array([50.0, 3.5])),
-               (np.array([10.0, -5.0]), np.array([10.0, 10.0]))]
-        shift = np.array([0.4, -0.6])
-        obs = [(a + shift, b + shift) for a, b in ref]
-        correction = match_line_segments(obs, ref)
-        assert correction is not None
-        # The operational contract: the correction maps observed midpoints
-        # back onto the reference lines (point-to-line, so a residual
-        # rotation along a line's direction is legitimate).
-        for (a_o, b_o), (a_r, b_r) in zip(obs, ref):
-            mid = correction.apply((a_o + b_o) / 2.0)
-            direction = (b_r - a_r) / np.linalg.norm(b_r - a_r)
-            normal = np.array([-direction[1], direction[0]])
-            assert abs(float((mid - a_r) @ normal)) < 0.1
-
-    def test_needs_two_segments(self):
-        ref = [(np.array([0.0, 0.0]), np.array([50.0, 0.0]))]
-        assert match_line_segments(ref, []) is None
-
-
 class TestHrlPipeline:
     def test_detect_hrl_finds_poles(self, highway, rng):
         scanner = LidarScanner(dropout=0.0)
@@ -115,24 +87,6 @@ class TestHrlPipeline:
         assert detections
         pairs = associate_detections(detections, pose, highway)
         assert pairs
-
-    def test_triangulation_accuracy(self, rng):
-        from repro.core.elements import Pole
-        from repro.core.hdmap import HDMap
-
-        hdmap = HDMap("t")
-        landmarks = [np.array([20.0, 10.0]), np.array([25.0, -12.0]),
-                     np.array([-8.0, 15.0])]
-        poles = [hdmap.create(Pole, position=p) for p in landmarks]
-        truth = SE2(1.0, 2.0, 0.3)
-        pairs = []
-        for pole in poles:
-            body = truth.inverse().apply(pole.position)
-            pairs.append((RangeBearing(float(np.hypot(*body)),
-                                       float(np.arctan2(body[1], body[0]))),
-                          pole))
-        est = triangulate_pose(pairs, SE2(0.0, 0.0, 0.0))
-        assert est.distance_to(truth) < 1e-6
 
     def test_localizer_tracks_drive(self, highway, hw_drive, rng):
         traj, odo = hw_drive
@@ -151,16 +105,6 @@ class TestHrlPipeline:
 
 
 class TestGeometricAnalysis:
-    def test_more_features_lower_dop(self, rng):
-        few = LandmarkLayout.generate(LayoutPattern.RANDOM, 3, 30.0, rng)
-        many = LandmarkLayout.generate(LayoutPattern.RANDOM, 20, 30.0, rng)
-        assert geometric_dilution(many) < geometric_dilution(few)
-
-    def test_clustered_worse_than_random(self, rng):
-        random = LandmarkLayout.generate(LayoutPattern.RANDOM, 8, 30.0, rng)
-        clustered = LandmarkLayout.generate(LayoutPattern.CLUSTERED, 8, 30.0, rng)
-        assert geometric_dilution(clustered) > geometric_dilution(random)
-
     def test_monte_carlo_matches_dop_ordering(self, rng):
         random = LandmarkLayout.generate(LayoutPattern.RANDOM, 8, 30.0, rng)
         clustered = LandmarkLayout.generate(LayoutPattern.CLUSTERED, 8, 30.0, rng)

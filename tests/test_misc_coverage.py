@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry.polyline import Polyline, straight
+from repro.geometry.polyline import straight
 from repro.geometry.raster import GridSpec, RasterGrid
 from repro.geometry.transform import SE2
 
@@ -57,17 +57,6 @@ class TestChangeLog:
         assert len(log.changes_since(1)) == 2
 
 
-class TestParticleFilterUniformInit:
-    def test_uniform_covers_bounds(self, rng):
-        from repro.localization import ParticleFilter2D
-
-        pf = ParticleFilter2D(500, rng)
-        pf.init_uniform((0.0, 0.0, 100.0, 50.0))
-        assert pf.states[:, 0].min() >= 0.0
-        assert pf.states[:, 0].max() <= 100.0
-        assert pf.states[:, 1].max() <= 50.0
-
-
 class TestCameraFov:
     def test_in_view_respects_fov(self):
         from repro.sensors import Camera
@@ -82,21 +71,6 @@ class TestCameraFov:
 
 
 class TestLaneMarkingHelpers:
-    def test_map_boundary_offsets_signs(self, highway):
-        from repro.localization.lane_marking import map_boundary_offsets
-
-        lane = next(iter(highway.lanes()))
-        s = 200.0
-        pose = SE2(*lane.centerline.point_at(s),
-                   lane.centerline.heading_at(s))
-        offsets = map_boundary_offsets(highway, pose)
-        assert offsets
-        # Driving in a lane: at least one boundary on each side.
-        assert any(o > 0 for o in offsets)
-        assert any(o < 0 for o in offsets)
-        # Nearest boundaries are about half a lane width away.
-        assert min(abs(o) for o in offsets) < 2.5
-
     def test_hough_requires_support(self, rng):
         from repro.localization.lane_marking import hough_lines
 
@@ -118,21 +92,6 @@ class TestBehaviorIdm:
         far = planner.decide(pose, 12.0, t=100.0,
                              lead=LeadVehicle(gap=25.0, speed=5.0))
         assert near.target_speed <= far.target_speed
-
-
-class TestImuDeadReckon:
-    def test_track_is_time_ordered(self, highway, rng):
-        from repro.sensors import ImuSensor
-        from repro.sensors.imu import dead_reckon
-        from repro.world import drive_route
-
-        lane = next(iter(highway.lanes()))
-        traj = drive_route(highway, lane.id, 300.0, rng)
-        readings = ImuSensor().measure(traj, rng)
-        track = dead_reckon(readings, traj.pose_at(readings[0].t), 25.0)
-        times = [t for t, _ in track]
-        assert times == sorted(times)
-        assert len(track) == len(readings)
 
 
 class TestStorageStatsProperties:

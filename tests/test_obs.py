@@ -32,10 +32,8 @@ from repro.obs import (
     WARNING,
     Counter,
     EventLog,
-    Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    SpanRecorder,
     Tracer,
     build_tree,
     format_trace,
@@ -266,7 +264,7 @@ class TestTracer:
         assert child.attrs["k"] == 1
         assert root.parent_id is None
         assert root.duration_s >= child.duration_s >= 0.0
-        tree = TRACER.recorder.span_tree(trace_id)
+        tree = build_tree([s.as_dict() for s in TRACER.recorder.trace(trace_id)])
         assert len(tree) == 1
         assert tree[0]["name"] == "root"
         assert tree[0]["children"][0]["name"] == "child"
@@ -316,8 +314,8 @@ class TestTracer:
 
     def test_continue_from_backdates_queue_wait(self):
         clock = [100.0]
-        tracer = Tracer(SpanRecorder(16), enabled=True,
-                        clock=lambda: clock[0])
+        tracer = Tracer(clock=lambda: clock[0]).configure(enabled=True,
+                                                          capacity=16)
         with tracer.start_trace("root") as root:
             ctx = root.context
         clock[0] = 105.0
@@ -328,7 +326,7 @@ class TestTracer:
         assert wait.duration_s == pytest.approx(4.0)
 
     def test_ring_buffer_wraps_and_counts_drops(self):
-        tracer = Tracer(SpanRecorder(capacity=3), enabled=True)
+        tracer = Tracer().configure(enabled=True, capacity=3)
         for i in range(5):
             with tracer.start_trace(f"s{i}"):
                 pass
@@ -373,7 +371,8 @@ class TestTracer:
 # ----------------------------------------------------------------------
 class TestEventLog:
     def test_level_filtering_and_counts(self):
-        log = EventLog(level=WARNING)
+        log = EventLog()
+        log.level = WARNING
         logger = get_logger("t", log)
         logger.info("dropped")
         logger.warning("kept", code=7)
@@ -387,7 +386,7 @@ class TestEventLog:
         assert log.counts_by_level["info"].value == 0
 
     def test_events_filter_by_name_and_level(self):
-        log = EventLog(level=INFO)
+        log = EventLog()
         logger = get_logger("t", log)
         logger.info("a")
         logger.error("a")
@@ -423,10 +422,14 @@ class TestEventLog:
         assert reg.snapshot()["log.events.error"] == 1
 
     def test_ring_is_bounded(self):
-        log = EventLog(capacity=3)
-        for i in range(6):
+        log = EventLog()
+        n = EventLog.CAPACITY + 3
+        for i in range(n):
             log.log(INFO, f"e{i}")
-        assert [e["event"] for e in log.events()] == ["e3", "e4", "e5"]
+        events = log.events()
+        assert len(events) == EventLog.CAPACITY
+        assert events[0]["event"] == "e3"
+        assert events[-1]["event"] == f"e{n - 1}"
 
 
 # ----------------------------------------------------------------------
@@ -463,8 +466,7 @@ class TestPipelineEventLogging:
         store = TileStore.build(server.snapshot(), tile_size=250.0)
         service = MapService(server, store, n_workers=1)
         # Not started: the queue fills, then overflow is rejected.
-        from repro.serve.admission import AdmissionPolicy
-        service.queue.policy = AdmissionPolicy(max_queue=1)
+        service.queue.max_queue = 1
         assert service.submit(GetTile(TileId(0, 0))) is not None
         service.submit(GetTile(TileId(0, 0)))
         assert len(EVENT_LOG.events(event="request_rejected")) == 1
@@ -571,7 +573,7 @@ class TestObservationJourney:
             trace["ingest.batch"].span_id
         assert trace["ingest.stage.fuse"].parent_id == \
             trace["ingest.batch"].span_id
-        tree = TRACER.recorder.span_tree(trace_id)
+        tree = build_tree([s.as_dict() for s in TRACER.recorder.trace(trace_id)])
         assert len(tree) == 1 and tree[0]["name"] == "ingest.enqueue"
         assert verify_spans(
             [s.as_dict() for s in TRACER.recorder.trace(trace_id)]) == []

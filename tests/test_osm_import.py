@@ -1,6 +1,7 @@
 """OSM-style ingestion (the Zhou et al. [38] bootstrap path)."""
 
-import numpy as np
+import math
+
 import pytest
 
 from repro.core import Severity, validate_map
@@ -13,9 +14,9 @@ LAT0, LON0 = 33.97, -117.33
 
 def _offset(metres_east: float, metres_north: float):
     """lat/lon ``metres`` away from the anchor (small-angle)."""
-    proj = LocalProjector(LAT0, LON0)
-    lat, lon = proj.to_geographic(np.array([[metres_east, metres_north]]))
-    return float(lat[0]), float(lon[0])
+    r_m, r_p = LocalProjector(LAT0, LON0)._radii()
+    return (LAT0 + math.degrees(metres_north / r_m),
+            LON0 + math.degrees(metres_east / r_p))
 
 
 @pytest.fixture

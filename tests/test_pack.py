@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import HDMap, MapPatch, SignType, TrafficSign
+from repro.core import MapPatch, SignType, TrafficSign
 from repro.core.changes import ChangeType, MapChange
 from repro.core.ids import ElementId
 from repro.core.tiles import TileId
@@ -27,10 +27,9 @@ from repro.pack import (
     decode_delta,
     encode_delta,
 )
-from repro.pack.format import write_pack
-from repro.serve.api import ChangesSince, GetTile, IngestPatch, Response, Status
+from repro.serve.api import GetTile, IngestPatch, Response, Status
 from repro.serve.service import MapService
-from repro.storage import TileStore, encode_map
+from repro.storage import TileStore
 from repro.storage.tilestore import StreamingMap
 from repro.update.distribution import (
     MapDistributionServer,
@@ -57,6 +56,14 @@ def packed(pack_path):
     store = TileStore.from_pack(pack_path)
     yield store
     store.pack_reader.close()
+
+
+def write_pack(path, payloads, tile_size=0.0):
+    """Write and publish a pack of ``(tile, blob)`` entries."""
+    with PackWriter(path, tile_size=tile_size) as writer:
+        for tile, payload in payloads:
+            writer.add(tile, payload)
+        return writer.publish()
 
 
 class TestPackFormat:
@@ -156,17 +163,10 @@ class TestPackFormat:
             assert event["ratio"] >= event["threshold"]
 
         EVENT_LOG.clear()
-        with PackReader(path, garbage_warn_ratio=0):
-            assert warnings() == []  # ratio 0 disables the check
-
-        EVENT_LOG.clear()
         fresh = str(tmp_path / "fresh.pack")
         write_pack(fresh, [(tile, blob)], tile_size=250.0)
         with PackReader(fresh):
             assert warnings() == []  # garbage-free pack stays quiet
-
-        with pytest.raises(PackError):
-            PackReader(path, garbage_warn_ratio=-0.1)
 
     def test_compaction_byte_identity(self, city_store, pack_path, tmp_path):
         tile = city_store.tiles()[0]
@@ -177,7 +177,9 @@ class TestPackFormat:
         with PackReader(pack_path) as before:
             reclaimed = compact_pack(pack_path, dst)
             assert reclaimed > 0
-            with PackReader(dst, verify=True) as after:
+            with PackReader(dst) as after:
+                for t in after.tiles():
+                    after.verify(t)
                 assert after.garbage_bytes == 0
                 assert after.tiles() == before.tiles()
                 for t in before.tiles():
@@ -196,9 +198,7 @@ class TestPackFormat:
             byte = fh.read(1)
             fh.seek(entry.offset + entry.length // 2)
             fh.write(bytes([byte[0] ^ 0xFF]))
-        with pytest.raises(PackError, match="checksum"):
-            PackReader(pack_path, verify=True)
-        with PackReader(pack_path) as reader:  # lazy open still fine ...
+        with PackReader(pack_path) as reader:  # lazy open is fine ...
             with pytest.raises(PackError):  # ... until the tile is verified
                 reader.verify(entry.tile)
             assert reader.checksum_failures.value == 1
@@ -357,28 +357,6 @@ class TestPackServing:
             response = service.request(GetTile(tile=packed.tiles()[0]))
             assert response.ok and len(response.payload) > 0
 
-    def test_encoded_changes_since(self, city, packed):
-        working = city.copy()
-        server = MapDistributionServer(working)
-        with MapService(server, packed, n_workers=1) as service:
-            patch = MapPatch(source="probe", confidence=0.9)
-            patch.add(TrafficSign(id=working.new_id("pk-sign"),
-                                  position=np.array([5.0, 5.0]),
-                                  sign_type=SignType.STOP))
-            assert service.request(IngestPatch(patch=patch)).ok
-            response = service.request(ChangesSince(since_version=0,
-                                                    encoded=True))
-            assert response.ok and isinstance(response.payload, bytes)
-            delta = decode_delta(response.payload)
-            assert delta.version == response.version
-            assert len(delta.changes) == 1
-            plain = service.request(ChangesSince(since_version=0))
-            assert isinstance(plain.payload, SyncDelta)
-            assert len(response.payload) < \
-                len(pickle.dumps(plain.payload,
-                                 protocol=pickle.HIGHEST_PROTOCOL))
-
-
 class TestRawRpcFrames:
     def _serve(self, dispatch):
         ours, theirs = socket.socketpair()
@@ -448,14 +426,14 @@ class TestClusterPack:
                 assert response.ok
                 assert bytes(response.payload) == city_store._blobs[tile]
 
-    def test_journal_gauge_and_warning(self, city, tmp_path):
+    def test_journal_gauge_and_warning(self, city, tmp_path, monkeypatch):
         from repro.cluster.router import ClusterRouter
         from repro.obs.log import EVENT_LOG
 
         EVENT_LOG.clear()
+        monkeypatch.setattr(ClusterRouter, "JOURNAL_WARN_ENTRIES", 2)
         with ClusterRouter(city, n_shards=1, tile_size=250.0,
-                           transport="local",
-                           journal_warn_threshold=2) as router:
+                           transport="local") as router:
             working = city.copy()
             for i in range(3):
                 patch = MapPatch(source=f"w{i}", confidence=0.9)

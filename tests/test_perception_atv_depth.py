@@ -15,9 +15,8 @@ from repro.sensors import LidarScanner, make_depth_scene
 from repro.sensors.lidar import Obstacle
 from repro.depthmap import WeightedModeFilter
 from repro.depthmap.wmof import nearest_neighbour_upsample
-from repro.atv import AtvSignUpdater, OccupancyGrid, VisualSlam
-from repro.geometry.raster import GridSpec
-from repro.world import ChangeSpec, apply_changes, drive_lane_sequence
+from repro.atv import AtvSignUpdater, VisualSlam
+from repro.world import ChangeSpec, apply_changes
 
 
 @pytest.fixture(scope="module")
@@ -127,27 +126,6 @@ class TestCooperativePerception:
             obs = camera.observe([Obstacle(position=hidden)], rng)
             tracker.step(0.5, [(m, camera.sigma) for m in obs])
         assert tracker.position_errors([hidden], min_hits=3)[0] < 1.0
-
-
-class TestOccupancyGrid:
-    def test_ray_marks_free_and_occupied(self):
-        grid = OccupancyGrid(GridSpec.from_bounds((0, 0, 20, 20), 0.5))
-        origin = np.array([1.0, 10.0])
-        hit = np.array([15.0, 10.0])
-        for _ in range(5):
-            grid.integrate_ray(origin, hit)
-        prob = grid.probability()
-        hit_cell = grid.spec.world_to_cell(hit[None, :])[0]
-        mid_cell = grid.spec.world_to_cell(np.array([[8.0, 10.0]]))[0]
-        assert prob[hit_cell[1], hit_cell[0]] > 0.9
-        assert prob[mid_cell[1], mid_cell[0]] < 0.2
-
-    def test_agreement_of_identical_grids(self):
-        spec = GridSpec.from_bounds((0, 0, 10, 10), 0.5)
-        a, b = OccupancyGrid(spec), OccupancyGrid(spec)
-        for grid in (a, b):
-            grid.integrate_ray(np.array([1.0, 5.0]), np.array([8.0, 5.0]))
-        assert a.occupancy_agreement(b) == pytest.approx(1.0)
 
 
 class TestVisualSlam:

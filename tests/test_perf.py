@@ -41,7 +41,6 @@ from repro.localization.geometric import (
     solve_positions,
 )
 from repro.localization.lane_marking import _batch_signed_laterals
-from repro.localization.map_matching import match_line_segments
 from repro.pack.delta import decode_delta, encode_delta
 from repro.perf import PerfRegistry, timed
 from repro.perf import reference
@@ -52,10 +51,7 @@ from repro.perf.runner import (
     run_bench,
     write_report,
 )
-from repro.sensors.lidar import (
-    LidarScanner,
-    _points_to_segments_min_distance,
-)
+from repro.sensors.lidar import LidarScanner
 from repro.serve import GetTile, IngestPatch, MapService, Status
 from repro.storage import TileStore
 from repro.storage.binary import (
@@ -66,10 +62,10 @@ from repro.storage.binary import (
     encode_map,
 )
 from repro.update.distribution import MapDistributionServer, SyncDelta
-from repro.world import generate_grid_city
 
 from tests.body_fuzz import delta_of
 from tests.test_serve import _add_sign_patch
+from tests.conftest import of_type
 
 
 # ----------------------------------------------------------------------
@@ -290,26 +286,6 @@ class TestLidarEquivalence:
         np.testing.assert_array_equal(fresh.ground.intensity,
                                       ref.ground.intensity)
 
-    def test_min_distance_empty_segments_returns_inf(self):
-        points = np.array([[0.0, 0.0], [3.0, 4.0]])
-        empty = np.zeros((0, 2))
-        d = _points_to_segments_min_distance(points, empty, empty)
-        assert d.shape == (2,)
-        assert np.all(np.isinf(d))
-
-    def test_min_distance_chunked_matches_reference(self):
-        rng = np.random.default_rng(8)
-        points = rng.uniform(0.0, 100.0, (37, 2))
-        a = rng.uniform(0.0, 100.0, (53, 2))
-        b = a + rng.uniform(-5.0, 5.0, (53, 2))
-        expect = reference.points_to_segments_min_distance_reference(
-            points, a, b)
-        got = _points_to_segments_min_distance(points, a, b)
-        chunked = _points_to_segments_min_distance(points, a, b, max_pairs=64)
-        np.testing.assert_array_equal(got, expect)
-        np.testing.assert_array_equal(chunked, expect)
-
-
 class TestParticleWeightEquivalence:
     def test_batched_laterals_match_scalar(self, city):
         rng = np.random.default_rng(21)
@@ -375,21 +351,6 @@ class TestMatchAndGeometricEquivalence:
                               length * np.sin(angle)], axis=1)
             return [(a[i], b[i]) for i in range(n)]
         return segs(n_obs), segs(n_ref)
-
-    def test_match_line_segments_matches_reference(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            observed, ref_lines = self._segment_world(rng, 6, 18)
-            got = match_line_segments(observed, ref_lines)
-            expect = reference.match_line_segments_reference(
-                observed, ref_lines)
-            if expect is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert got.x == expect.x
-                assert got.y == expect.y
-                assert got.theta == expect.theta
 
     def test_solve_positions_matches_sequential(self):
         rng = np.random.default_rng(41)
@@ -559,7 +520,7 @@ class TestCodecEquivalence:
         hdmap.create(Crosswalk, polygon=zigzag[:4].copy())
         hdmap.create(Node, position=np.array([-0.005, 0.005]))
         blob = assert_codec_matches_twin(hdmap)
-        line = next(iter(decode_map(blob).stop_lines())).line
+        line = of_type(decode_map(blob), StopLine)[0].line
         assert np.array_equal(line.points[1], [-3.0, 4.0])
 
     def test_nine_byte_varints(self):
@@ -612,7 +573,7 @@ class TestCodecEquivalence:
         stop = hdmap.create(StopLine, line=Polyline(pts))
         assert len(stop.line) == 6
         blob = assert_codec_matches_twin(hdmap)
-        line = next(iter(decode_map(blob).stop_lines())).line
+        line = of_type(decode_map(blob), StopLine)[0].line
         assert np.array_equal(line.points,
                               [[0.0, 0.0], [10.0, 0.0], [20.0, 5.0]])
         assert line.length == pytest.approx(10.0 + math.hypot(10.0, 5.0))

@@ -10,7 +10,6 @@ from repro.planning import (
     LaneRouter,
     PathSetPlanner,
     PccPlanner,
-    PlannerConfig,
     bhps_route,
     constant_speed_profile,
     simulate_fuel,
@@ -117,12 +116,6 @@ class TestFrenetPlanner:
         paths = self.planner.generate(0.0, 1.2)
         for path in paths:
             assert path.laterals[0] == pytest.approx(1.2)
-
-    def test_cartesian_conversion(self):
-        best = self.planner.plan(0.0, 0.0)
-        pts = best.cartesian(self.planner.frame)
-        assert pts.shape[0] == best.stations.shape[0]
-
 
 class TestPcc:
     @pytest.fixture(scope="class")

@@ -14,7 +14,6 @@ from repro.core.tiles import TileId
 from repro.errors import StorageError
 from repro.serve import (
     AdmissionController,
-    AdmissionPolicy,
     ChangesSince,
     Counter,
     GetTile,
@@ -56,8 +55,7 @@ def _add_sign_patch(server, source="crowd", confidence=0.9,
 # ----------------------------------------------------------------------
 class TestAdmissionControl:
     def test_backpressure_when_full(self):
-        queue = AdmissionController(AdmissionPolicy(max_queue=2),
-                                    clock=FakeClock())
+        queue = AdmissionController(max_queue=2, clock=FakeClock())
         assert queue.offer("a")
         assert queue.offer("b")
         assert not queue.offer("c")  # bounded: overflow is rejected
@@ -73,11 +71,10 @@ class TestAdmissionControl:
     def test_stale_low_priority_is_shed(self):
         clock = FakeClock()
         shed = []
-        queue = AdmissionController(AdmissionPolicy(max_age_s=0.5),
-                                    on_shed=shed.append, clock=clock)
+        queue = AdmissionController(on_shed=shed.append, clock=clock)
         queue.offer("stale-low", Priority.LOW)
         queue.offer("fresh-normal", Priority.NORMAL)
-        clock.advance(1.0)  # both now aged past max_age_s
+        clock.advance(1.0)  # both now aged past MAX_AGE_S
         # The LOW request is shed; NORMAL survives regardless of age.
         assert queue.take(0) == "fresh-normal"
         assert shed == ["stale-low"]
@@ -85,8 +82,7 @@ class TestAdmissionControl:
 
     def test_young_low_priority_survives(self):
         clock = FakeClock()
-        queue = AdmissionController(AdmissionPolicy(max_age_s=0.5),
-                                    clock=clock)
+        queue = AdmissionController(clock=clock)
         queue.offer("low", Priority.LOW)
         clock.advance(0.4)
         assert queue.take(0) == "low"
@@ -106,9 +102,7 @@ class TestAdmissionControl:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            AdmissionPolicy(max_queue=0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(max_age_s=-1.0)
+            AdmissionController(max_queue=0)
 
 
 # ----------------------------------------------------------------------
@@ -454,7 +448,7 @@ class TestMapService:
 
     def test_backpressure_rejects_when_not_started(self, city):
         service, store, _ = _world_service(
-            city, policy=AdmissionPolicy(max_queue=2))
+            city, max_queue=2)
         tile = store.tiles()[0]
         futures = [service.submit(GetTile(tile)) for _ in range(3)]
         assert not futures[0].done() and not futures[1].done()
@@ -519,7 +513,7 @@ class TestConcurrentConsistency:
         service, _, server = _world_service(city, n_workers=3)
         with service:
             fleet = FleetSimulator(service, city, n_vehicles=3,
-                                   route_length_m=600.0, step_s=3.0,
+                                   route_length_m=600.0,
                                    sync_every=3, ingest_every=4, seed=5)
             report = fleet.run()
         assert report.error_total == 0

@@ -33,7 +33,8 @@ from repro.storage.binary import (
     BodyWriter,
     element_count,
 )
-from repro.storage.pointcloud import PointCloudMap, bytes_per_mile
+from repro.storage.pointcloud import PointCloudMap
+from tests.conftest import add_rule
 
 
 class TestGeoJson:
@@ -46,7 +47,7 @@ class TestGeoJson:
     def test_roundtrip_regulatory(self):
         hdmap = HDMap("r")
         lane = hdmap.create(Lane, centerline=straight([0, 0], [50, 0]))
-        hdmap.create_regulatory(rule_type=RuleType.SPEED_LIMIT,
+        add_rule(hdmap, rule_type=RuleType.SPEED_LIMIT,
                                 lanes=[lane.id], value=8.33)
         again = map_from_dict(map_to_dict(hdmap))
         rule = next(iter(again.regulatory_elements()))
@@ -154,7 +155,7 @@ class TestDecodeHardening:
         lane = hdmap.create(Lane, centerline=straight([0, 0], [40, 0]))
         hdmap.create(TrafficSign, position=np.array([10.0, 3.0]),
                      sign_type=SignType.STOP)
-        hdmap.create_regulatory(rule_type=RuleType.SPEED_LIMIT,
+        add_rule(hdmap, rule_type=RuleType.SPEED_LIMIT,
                                 lanes=[lane.id], value=13.9)
         return encode_map(hdmap)
 
@@ -333,11 +334,6 @@ class TestPointCloud:
         again = PointCloudMap.from_bytes(cloud.to_bytes())
         assert again.n_points == 100
         assert np.allclose(again.points, cloud.points)
-
-    def test_bytes_per_mile_requires_segments(self):
-        with pytest.raises(ValueError):
-            bytes_per_mile(1000, HDMap("empty"))
-
 
 class TestStorageReport:
     def test_ordering_matches_survey(self, highway, rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.elements import LightState, SignType, TrafficLight, TrafficSign
+from repro.core.elements import SignType, TrafficLight, TrafficSign
 from repro.errors import StorageError
 from repro.geometry.polyline import straight
 from repro.geometry.transform import SE2
@@ -14,6 +14,7 @@ from repro.planning import (
     simulate_approach,
 )
 from repro.storage import StreamingMap, TileStore
+from tests.conftest import add_rule
 
 
 class TestTileStore:
@@ -166,7 +167,7 @@ class TestBehaviorPlanner:
         from repro.core import RuleType
 
         hdmap, lane = straight_road_with_light
-        hdmap.create_regulatory(rule_type=RuleType.SPEED_LIMIT,
+        add_rule(hdmap, rule_type=RuleType.SPEED_LIMIT,
                                 lanes=[lane.id], value=8.33)
         planner = BehaviorPlanner(hdmap)
         decision = planner.decide(SE2(10.0, 0.0, 0.0), 10.0, t=40.0)

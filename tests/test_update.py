@@ -17,7 +17,7 @@ from repro.update import (
     Slamcu,
     TraversalFeatures,
 )
-from repro.update.mec import CentralAggregator, MecServer, RsuRegion, build_rsu_grid
+from repro.update.mec import CentralAggregator, build_rsu_grid
 from repro.core.tiles import TileId
 from repro.world import ChangeSpec, apply_changes, drive_route
 
@@ -192,7 +192,7 @@ class TestIncrementalFuser:
         for k in range(3):
             fuser.observe(np.array([5.0, 5.0]), 0.3, t=float(k))
         assert any(eid.kind == "fused" for eid in fuser.elements)
-        assert fuser.feedback_size() == 0
+        assert fuser._feedback == []
 
     def test_prune_drops_dead_elements(self):
         fuser = IncrementalFuser(confidence_loss=0.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Severity, validate_map
-from repro.core.elements import BoundaryType, SignType
+from repro.core.elements import BoundaryType, Pole, SignType, TrafficLight
 from repro.errors import PlanningError
 from repro.geometry.polyline import straight
 from repro.world import (
@@ -19,6 +19,7 @@ from repro.world import (
     drive_route,
 )
 from repro.world.traffic import drive_polyline
+from tests.conftest import of_type
 
 
 class TestBuilder:
@@ -69,7 +70,7 @@ class TestGenerators:
 
     def test_highway_has_furniture(self, highway):
         assert len(list(highway.signs())) > 5
-        assert len(list(highway.poles())) > 10
+        assert len(list(of_type(highway, Pole))) > 10
 
     def test_city_connected(self, city):
         import networkx as nx
@@ -78,7 +79,7 @@ class TestGenerators:
         assert nx.number_weakly_connected_components(graph) == 1
 
     def test_city_has_intersection_furniture(self, city):
-        assert len(list(city.lights())) > 0
+        assert len(list(of_type(city, TrafficLight))) > 0
         assert len(list(city.crosswalks())) > 0
 
     def test_factory_single_direction_aisles(self, factory):
@@ -137,12 +138,6 @@ class TestTrajectories:
         pose = traj.pose_at(5.0)
         assert pose.x == pytest.approx(50.0, abs=1.0)
 
-    def test_resampled(self):
-        path = straight([0, 0], [100, 0], spacing=5.0)
-        traj = drive_polyline(path, speed=10.0).resampled(0.5)
-        dts = np.diff([s.t for s in traj.samples])
-        assert np.allclose(dts, 0.5)
-
     def test_drive_lane_sequence_rejects_empty(self, highway):
         with pytest.raises(PlanningError):
             drive_lane_sequence(highway, [])
@@ -187,7 +182,7 @@ class TestElevation:
     def test_rolling_grade_bounded(self, rng):
         profile = ElevationProfile.rolling(10000.0, rng, max_grade=0.05)
         stations = np.linspace(0, 10000, 400)
-        slopes = profile.slopes(stations)
+        slopes = np.array([profile.slope_at(s) for s in stations])
         assert np.abs(slopes).max() <= 0.055
 
     def test_height_interpolation(self):
