@@ -82,13 +82,12 @@ class ClusterMapClient:
             self.bootstrap()
 
     def bootstrap(self) -> None:
-        """Full merged download (what incremental sync avoids)."""
-        from repro.storage.binary import encode_map
-
-        snapshot, vector = self.router.bootstrap()
-        self.bytes_downloaded += len(encode_map(snapshot))
-        self.local = snapshot
-        self.vector = vector
+        """Full merged download (what incremental sync avoids): a copy
+        of the router's bootstrap image, counted at its encoded size."""
+        image = self.router.bootstrap_image()
+        self.bytes_downloaded += image.encoded_bytes
+        self.local = image.checkout()
+        self.vector = dict(image.vector)
 
     def sync(self) -> int:
         """Incremental update; returns the number of changes applied."""
@@ -126,7 +125,7 @@ class ClusterMapClient:
 
     def is_consistent(self) -> bool:
         """Local matches the cluster's merged snapshot id-for-id."""
-        merged, _ = self.router.bootstrap()
+        merged = self.router.bootstrap_image().map
         local_ids = {e.id for e in self.local.elements()}
         return {e.id for e in merged.elements()} == local_ids
 

@@ -46,7 +46,10 @@ scaling nor failover ever weakens version monotonicity. If no candidate
 answers, the primary is restarted from the journal and asked once more.
 Scatter-gather ops issue every shard call at once and join; identical
 concurrent GetTiles coalesce into a single flight
-(``cluster.read.coalesced``).
+(``cluster.read.coalesced``). Bootstrap is served from one
+:class:`BootstrapImage`, the merged map of the last Snapshot gather,
+reused for as long as a ``ChangesSince`` probe finds every shard still
+at the image's version (:meth:`ClusterRouter.bootstrap_image`).
 
 Writes restart a dead primary first (replicas receive acked patches
 synchronously, so a replica is always at-or-behind the journal and
@@ -110,6 +113,9 @@ from repro.storage.tilestore import TileStore
 from repro.update.distribution import IngestResult, SyncDelta
 
 _log = get_logger("cluster.router")
+
+#: ``_element_tile`` lookup default: ``None`` is a real home (non-spatial).
+_UNKNOWN = object()
 
 _CHANGE_FOR_OP = {
     AddElement: ChangeType.ADDED,
@@ -289,6 +295,23 @@ class _ShardHandle:
             out.append(("primary", self.primary))
         return out + [(slot, replica) for slot, replica
                       in enumerate(self.replicas) if replica.alive]
+
+
+@dataclass(frozen=True)
+class BootstrapImage:
+    """One merged full map, built once and served to every bootstrap
+    until a shard changes. Never mutated: callers get :meth:`checkout`
+    copies."""
+
+    map: HDMap
+    vector: Dict[int, int]      # per-shard versions the map merges
+    version: int                # cluster version it was stamped with
+    owner: Dict[TileId, int]    # ownership map it was filtered under
+    encoded_bytes: int          # len(encode_map(map)): one download
+
+    def checkout(self) -> HDMap:
+        """A private copy, same name and version."""
+        return self.map.copy(name=self.map.name)
 
 
 class _Flight:
@@ -560,6 +583,12 @@ class ClusterRouter:
         # leaders insert, followers wait.
         self._flights: Dict[Tuple, _Flight] = {}
         self._flight_lock = threading.Lock()
+        # The bootstrap image (one merged map, see bootstrap_image) and
+        # the lock that makes its rebuilds single-flight.
+        self._image: Optional[BootstrapImage] = None
+        self._image_lock = threading.Lock()
+        self.bootstrap_builds = Counter()
+        self.bootstrap_hits = Counter()
         self._shard_latency: Dict[str, LatencyHistogram] = {}
         self._shard_outcomes: Dict[str, int] = {}
         # Telemetry plane: harvested span/event/drop accounting, plus
@@ -1139,8 +1168,57 @@ class ClusterRouter:
         return Response(Status.OK, merged)
 
     def bootstrap(self) -> Tuple[HDMap, Dict[int, int]]:
-        """Merged full-map snapshot plus the per-shard version vector it
-        was captured at (the cluster client's bootstrap payload)."""
+        """A private copy of the merged full map plus the per-shard
+        version vector it was captured at (the cluster client's bootstrap
+        payload), served from the bootstrap image."""
+        image = self.bootstrap_image()
+        return image.checkout(), dict(image.vector)
+
+    def bootstrap_image(self) -> BootstrapImage:
+        """The current bootstrap image, rebuilt first if it is stale.
+
+        A hit costs one ``ChangesSince`` probe per shard; any stale
+        probe, probe error or ownership change rebuilds. Rebuilds are
+        single-flight: a caller that waited on another's rebuild probes
+        that image instead of building its own.
+        """
+        seen = self._image
+        if seen is not None and self._image_current(seen):
+            self.bootstrap_hits.add()
+            return seen
+        with self._image_lock:
+            image = self._image
+            if (image is not seen and image is not None
+                    and self._image_current(image)):
+                self.bootstrap_hits.add()
+                return image
+            image = self._image = self._build_image()
+            self.bootstrap_builds.add()
+            return image
+
+    def _image_current(self, image: BootstrapImage) -> bool:
+        """Whether every shard still answers at the image's version with
+        no changes, under the ownership and cluster version it was
+        stamped with. The shards' answers decide, through the same read
+        path and version floor a Snapshot takes; a restarted shard
+        replays to the version it had acked, so a restart is a hit."""
+        if image.owner is not self._owner:
+            return False
+        vector = image.vector
+        responses = self._scatter(
+            sorted(vector),
+            lambda i: self._read(i, ChangesSince(since_version=vector[i])))
+        for index, response in responses.items():
+            if not response.ok:
+                return False
+            delta: SyncDelta = response.payload
+            if delta.version != vector[index] or delta.changes:
+                return False
+        return image.version == self.version
+
+    def _build_image(self) -> BootstrapImage:
+        """Gather every shard's Snapshot and merge it under current
+        ownership into a new image."""
         owner, n_shards = self._owner, self.n_shards
         indices = list(range(n_shards))
         merged = HDMap(f"{self._name}@cluster")
@@ -1157,12 +1235,15 @@ class ClusterRouter:
                 # disjoint — except after a rebalance, when the old
                 # owner still holds stale copies of moved elements.
                 # Current ownership decides which copy is authoritative.
-                home = self._element_tile.get(element.id,
-                                              self._centre_tile(element))
+                home = self._element_tile.get(element.id, _UNKNOWN)
+                if home is _UNKNOWN:  # bounds only for an unknown id
+                    home = self._centre_tile(element)
                 if self._owner_of(home, owner, n_shards) == index:
                     merged.add(element)
         merged.version = self.version
-        return merged, vector
+        return BootstrapImage(map=merged, vector=vector,
+                              version=merged.version, owner=owner,
+                              encoded_bytes=len(encode_map(merged)))
 
     def _collect_deltas(self, since: Dict[int, int]) -> "ClusterDelta":
         from repro.cluster.client import ClusterDelta
@@ -1388,6 +1469,9 @@ class ClusterRouter:
         - ``cluster.telemetry.spans`` / ``cluster.telemetry.events`` /
           ``cluster.telemetry.dropped`` / ``cluster.telemetry.harvests``
           — the cross-process trace harvest;
+        - ``cluster.router.bootstrap_builds`` /
+          ``cluster.router.bootstrap_hits`` — bootstraps that rebuilt the
+          bootstrap image vs. were served from it;
         - ``cluster.shard.latency.<kind>`` — per-shard histograms merged
           by :meth:`collect_shard_metrics`, and
           ``cluster.shard.requests.<kind>.<status>`` summed across
@@ -1413,6 +1497,10 @@ class ClusterRouter:
                           self.telemetry_dropped)
         registry.register(f"{prefix}.telemetry.harvests",
                           self.telemetry_harvests)
+        registry.register(f"{prefix}.router.bootstrap_builds",
+                          self.bootstrap_builds)
+        registry.register(f"{prefix}.router.bootstrap_hits",
+                          self.bootstrap_hits)
 
         def collect() -> Dict[str, object]:
             out: Dict[str, object] = {
@@ -1447,4 +1535,6 @@ class ClusterRouter:
             "late_discards": self.late_discards_total(),
             "telemetry_spans": self.telemetry_spans.value,
             "telemetry_dropped": self.telemetry_dropped.value,
+            "bootstrap_builds": self.bootstrap_builds.value,
+            "bootstrap_hits": self.bootstrap_hits.value,
         }

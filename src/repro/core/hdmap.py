@@ -17,6 +17,7 @@ with traditional routing while exposing per-lane detail.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple, Type, TypeVar
 
 import numpy as np
@@ -40,6 +41,8 @@ from repro.errors import MapModelError, UnknownElementError
 from repro.geometry.index import GridIndex
 
 E = TypeVar("E", bound=MapElement)
+
+_id_num = attrgetter("num")
 
 # Ordered tuples (not sets): iteration order must be process-deterministic.
 PHYSICAL_KINDS = (Kind.BOUNDARY, Kind.SIGN, Kind.LIGHT, Kind.POLE,
@@ -356,15 +359,35 @@ class HDMap:
         return float(sum(lane.length for lane in self.lanes()))
 
     def copy(self, name: Optional[str] = None) -> "HDMap":
-        """Deep-enough copy: new container, shared immutable geometry."""
-        import copy as _copy
+        """Deep-enough copy: new container, shared immutable geometry.
 
+        The clone answers exactly like a fresh map that ``add``-ed a
+        shallow copy of every element and then every rule, in order —
+        same element order, query order, ``new_id`` and
+        ``mutation_count`` — but its spatial index is a copy of this
+        one's cells (same cell size): only an element whose bounds
+        changed since it was indexed is re-inserted.
+        """
         clone = HDMap(name or f"{self.name}-copy")
         clone.version = self.version
-        for element in self._elements.values():
-            clone.add(_copy.copy(element))
-        for rule in self._regulatory.values():
-            clone.add(_copy.copy(rule))
+        clone.mutation_count = len(self)
+        by_kind = clone._by_kind
+        new = object.__new__
+        for source, target in ((self._elements, clone._elements),
+                               (self._regulatory, clone._regulatory)):
+            for eid, element in source.items():
+                # copy.copy of a plain dataclass, without its
+                # __reduce_ex__ round trip.
+                shallow = new(type(element))
+                shallow.__dict__.update(element.__dict__)
+                target[eid] = shallow
+                by_kind.setdefault(eid.kind, {})[eid] = shallow
+        for members in by_kind.values():
+            # add() reserves every id; only the highest of a kind counts.
+            clone._ids.reserve(max(members, key=_id_num))
+        clone._index = self._index.reindexed(
+            (eid, element.bounds())
+            for eid, element in clone._elements.items())
         return clone
 
     def __repr__(self) -> str:

@@ -96,12 +96,40 @@ class GridIndex(Generic[K]):
         self._order.pop(key, None)
         if bounds is None:
             return
+        self._uncover(key, bounds)
+
+    def _uncover(self, key: K, bounds: Bounds) -> None:
         for cell in self._cells_for_bounds(bounds):
             members = self._cells.get(cell)
             if members is not None:
                 members.discard(key)
                 if not members:
                     del self._cells[cell]
+
+    def reindexed(self, items: Iterable[Tuple[K, Bounds]]) -> "GridIndex[K]":
+        """A new index equal to inserting ``items`` into an empty one, in
+        order, built from a copy of this index's cells.
+
+        ``items`` holds every key indexed here, once each. Tickets follow
+        its order; only a key whose bounds differ from the ones indexed
+        here pays an insert's cell walk.
+        """
+        out: GridIndex[K] = GridIndex(self.cell_size)
+        out._cells.update((cell, set(members))
+                          for cell, members in self._cells.items())
+        bounds_of, order, indexed = out._bounds, out._order, self._bounds
+        for ticket, (key, bounds) in enumerate(items):
+            old = indexed.get(key)
+            if old != bounds:
+                if old is not None:
+                    out._uncover(key, old)
+                # insert() validates and covers; it also sets the key's
+                # ticket, which the assignment below overrides.
+                out.insert(key, bounds)
+            bounds_of[key] = bounds
+            order[key] = ticket
+        out._ticket = itertools.count(len(order))
+        return out
 
     @timed("grid.query_box")
     def query_box(self, bounds: Bounds) -> List[K]:

@@ -115,6 +115,9 @@ class WorldBuilder:
                                    segment.id, reverse=True)
             segment.backward_lanes.append(lane.id)
 
+        # The segment's bounds pad by its lane count, so re-index it now
+        # that its lanes are attached (``replace`` keeps element order).
+        self.map.replace(segment)
         return segment
 
     def _make_lane(self, ref: Polyline, offset: float, spec: RoadSpec,

@@ -74,3 +74,12 @@ def add_rule(hdmap, **kwargs) -> RegulatoryElement:
 def of_type(hdmap, cls) -> list:
     """Every element of ``hdmap`` that is a ``cls``."""
     return [e for e in hdmap.elements() if isinstance(e, cls)]
+
+
+def stale_index_entries(hdmap) -> dict:
+    """``{id: (indexed bounds, current bounds)}`` for every spatial element
+    whose grid-index entry no longer matches ``element.bounds()``."""
+    indexed = hdmap._index._bounds
+    return {eid: (indexed.get(eid), element.bounds())
+            for eid, element in hdmap._elements.items()
+            if indexed.get(eid) != element.bounds()}

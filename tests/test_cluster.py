@@ -3,6 +3,7 @@
 import os
 import pickle
 import socket
+import sys
 import threading
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.cluster.rpc import (
 from repro.core import MapPatch, SignType, TrafficSign
 from repro.core.tiles import TileId, consistent_hash_owner, ownership_map
 from repro.errors import ClusterError
-from repro.obs.metrics import Counter, Gauge, LatencyHistogram
+from repro.obs.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
 from repro.serve.api import (
     ChangesSince,
     GetTile,
@@ -37,6 +38,7 @@ from repro.serve.api import (
     Status,
 )
 from repro.serve.metrics import ServiceMetrics
+from repro.storage.binary import encode_map
 from repro.storage.tilestore import TileStore, TileStoreStats
 
 TILE_GRID = [TileId(x, y) for x in range(16) for y in range(16)]
@@ -623,6 +625,148 @@ class TestGetTileCoalescing:
             want = store._blobs[tile]
             assert all(p == want for p in payloads)
             assert router.read_coalesced.value >= 1
+
+
+def _encoded_bootstrap(router):
+    merged, vector = router.bootstrap()
+    return encode_map(merged), vector
+
+
+def _uncached_merge(router):
+    """Encoded Snapshot-gather-merge, bypassing the bootstrap image."""
+    return encode_map(router._build_image().map)
+
+
+class TestBootstrapImage:
+    def test_repeat_bootstrap_builds_once(self, city):
+        with _local_router(city) as router:
+            first, second = router.bootstrap(), router.bootstrap()
+            assert router.bootstrap_builds.value == 1
+            assert router.bootstrap_hits.value == 1
+            assert encode_map(first[0]) == encode_map(second[0])
+            assert first[1] == second[1] == router.version_vector()
+            assert first[0] is not second[0]
+            assert first[0].name == f"{city.name}@cluster"
+            assert first[0].version == router.version
+
+    def test_write_forces_rebuild_holding_the_write(self, city):
+        with _local_router(city) as router:
+            router.bootstrap()
+            eid, patch = _sign_patch(city, (33.0, 44.0))
+            assert router.request(IngestPatch(patch=patch)).payload.accepted
+            merged, vector = router.bootstrap()
+            assert router.bootstrap_builds.value == 2
+            assert eid in merged
+            assert vector == router.version_vector()
+            assert encode_map(merged) == _uncached_merge(router)
+
+    def test_image_survives_kill_and_restart(self, city):
+        with _local_router(city) as router:
+            _, patch = _sign_patch(city, (33.0, 44.0))
+            assert router.request(IngestPatch(patch=patch)).payload.accepted
+            before, vector = _encoded_bootstrap(router)
+            for index in range(router.n_shards):
+                router.kill_shard(index)
+            after, vector_after = _encoded_bootstrap(router)
+            assert router.restarts.value == router.n_shards
+            assert router.bootstrap_builds.value == 1
+            assert router.bootstrap_hits.value == 1
+            assert after == before == _uncached_merge(router)
+            assert vector_after == vector
+
+    def test_rebalance_forces_rebuild(self, city):
+        with _local_router(city) as router:
+            before, _ = router.bootstrap()
+            router.rebalance(3)
+            merged, vector = router.bootstrap()
+            assert router.bootstrap_builds.value == 2
+            assert set(vector) == {0, 1, 2}
+            assert {e.id for e in merged.elements()} == \
+                {e.id for e in before.elements()}
+            assert encode_map(merged) == _uncached_merge(router)
+
+    def test_editing_a_returned_map_leaves_the_image_alone(self, city):
+        with _local_router(city) as router:
+            mine, _ = router.bootstrap()
+            want, _ = _encoded_bootstrap(router)
+            elements = list(mine.elements())
+            mine.remove(elements[0].id)
+            moved = elements[1]
+            moved.position = np.array([1.0, 1.0]) \
+                if hasattr(moved, "position") else None
+            mine.replace(moved)
+            _, patch = _sign_patch(city, (5.0, 5.0))
+            mine.add(patch.ops[0].element)
+            assert _encoded_bootstrap(router)[0] == want
+            assert router.bootstrap_builds.value == 1
+
+    def test_concurrent_bootstraps_after_a_write_build_once(self, city):
+        # service latency keeps both callers' probes in flight together
+        with _local_router(city, service_latency_s=0.05) as router:
+            router.bootstrap()
+            _, patch = _sign_patch(city, (33.0, 44.0))
+            assert router.request(IngestPatch(patch=patch)).payload.accepted
+            n = 4
+            start = threading.Barrier(n)
+            encoded = [None] * n
+
+            def one(slot):
+                start.wait()
+                encoded[slot] = _encoded_bootstrap(router)[0]
+
+            threads = [threading.Thread(target=one, args=(s,))
+                       for s in range(n)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert router.bootstrap_builds.value == 2
+            assert router.bootstrap_hits.value == n - 1
+            assert len(set(encoded)) == 1
+
+    def test_client_counts_the_encoded_map(self, city):
+        with _local_router(city) as router:
+            for _ in range(2):
+                client = ClusterMapClient(router)
+                assert client.bytes_downloaded == \
+                    len(encode_map(client.local))
+                assert client.is_consistent()
+            assert router.bootstrap_builds.value == 1
+
+    def test_counters_reach_stats_and_registry(self, city):
+        registry = MetricsRegistry()
+        with _local_router(city, registry=registry) as router:
+            router.bootstrap()
+            router.bootstrap()
+            stats = router.stats()
+            assert (stats["bootstrap_builds"], stats["bootstrap_hits"]) \
+                == (1, 1)
+            snap = registry.snapshot()
+            assert snap["cluster.router.bootstrap_builds"] == 1
+            assert snap["cluster.router.bootstrap_hits"] == 1
+
+    def test_process_transport_hit_after_restart(self, city):
+        router = ClusterRouter(city, n_shards=2, tile_size=120.0,
+                               transport="process")
+        try:
+            before, _ = _encoded_bootstrap(router)
+            router.kill_shard(0)
+            after, _ = _encoded_bootstrap(router)
+            assert (router.bootstrap_builds.value,
+                    router.bootstrap_hits.value) == (1, 1)
+            assert after == before == _uncached_merge(router)
+            _, patch = _sign_patch(city, (33.0, 44.0))
+            assert router.request(IngestPatch(patch=patch)).payload.accepted
+            assert _encoded_bootstrap(router)[0] == _uncached_merge(router)
+            assert router.bootstrap_builds.value == 2
+        finally:
+            router.close()
 
 
 class TestProcessTransport:

@@ -4,8 +4,9 @@ A hypothesis state machine drives an in-process :class:`ClusterRouter`
 (2 shards growing to at most 4, 0 or 1 replica per shard) and a plain
 :class:`~repro.update.distribution.MapDistributionServer` over the same
 map through one generated schedule of writes and faults — primary and
-replica kills, rebalances, lease expiry, ambiguous writes — and checks
-after every step that the cluster is observably the single node.
+replica kills, rebalances, lease expiry, ambiguous writes, cold-vehicle
+bootstraps — and checks after every step that the cluster is observably
+the single node, bootstrap image included.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from repro.cluster.rpc import ShardTimeout
 from repro.core import MapPatch, SignType, TrafficSign
 from repro.core.ids import ElementId
 from repro.serve.api import ChangesSince, IngestPatch
+from repro.storage.binary import BodyWriter, encode_element, referenced_ids
 from repro.update.distribution import MapDistributionServer
 from repro.world import generate_grid_city
 
@@ -86,6 +88,22 @@ def _remove_patch(eid, confidence):
 
 def _change_counts(changes):
     return Counter((c.element_id, c.change_type) for c in changes)
+
+
+def _encoded_elements(hdmap):
+    """``{id: encoded element}``: content element for element, not ids."""
+    kinds = set()
+    for element in hdmap.elements():
+        kinds.add(element.id.kind)
+        kinds.update(ref.kind for ref in referenced_ids(element)
+                     if ref is not None)
+    out = {}
+    for element in hdmap.elements():
+        writer = BodyWriter()
+        writer.kind_table(kinds)
+        encode_element(writer, element)
+        out[element.id] = bytes(writer.buf)
+    return out
 
 
 class ClusterModel(RuleBasedStateMachine):
@@ -161,6 +179,12 @@ class ClusterModel(RuleBasedStateMachine):
     def expire_leases(self):
         self.now += LEASE_S + 1.0
 
+    @rule()
+    def cold_vehicle(self):
+        """A new vehicle bootstraps (from the image when it is current)
+        and becomes the client every later step syncs."""
+        self.client = ClusterMapClient(self.router)
+
     @invariant()
     def observably_single_node(self):
         want = {e.id for e in self.reference.snapshot().elements()}
@@ -177,6 +201,13 @@ class ClusterModel(RuleBasedStateMachine):
         assert delta.ok, delta.error
         assert _change_counts(c for _, c in delta.payload.changes()) \
             == _change_counts(self.reference.changes_since(0))
+
+    @invariant()
+    def bootstrap_is_the_reference_snapshot(self):
+        merged, vector = self.router.bootstrap()
+        assert _encoded_elements(merged) == \
+            _encoded_elements(self.reference.snapshot())
+        assert vector == self.router.version_vector()
 
 
 ClusterModel.TestCase.settings = settings(

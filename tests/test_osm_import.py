@@ -8,6 +8,7 @@ from repro.core import Severity, validate_map
 from repro.errors import MapModelError
 from repro.geometry.geodesy import LocalProjector
 from repro.world.osm import OsmDocument, _parse_maxspeed, import_osm
+from tests.conftest import stale_index_entries
 
 LAT0, LON0 = 33.97, -117.33
 
@@ -63,6 +64,9 @@ class TestImport:
                   if i.severity is Severity.ERROR]
         assert errors == []
         assert len(list(hdmap.lanes())) > 4
+
+    def test_index_holds_current_bounds(self, crossroads_doc):
+        assert stale_index_entries(import_osm(crossroads_doc)) == {}
 
     def test_footway_skipped(self, crossroads_doc):
         hdmap = import_osm(crossroads_doc)

@@ -19,7 +19,7 @@ from repro.world import (
     drive_route,
 )
 from repro.world.traffic import drive_polyline
-from tests.conftest import of_type
+from tests.conftest import of_type, stale_index_entries
 
 
 class TestBuilder:
@@ -116,6 +116,30 @@ class TestHDMapGen:
                   if i.severity is Severity.ERROR]
         assert errors == []
         assert len(list(hdmap.lanes())) > 0
+
+
+class TestIndexedBounds:
+    """Every generated element sits in the grid index under its own
+    bounds; a segment indexed before its lanes were attached used to keep
+    the 2 m padding of a lane-less segment."""
+
+    def test_generated_worlds(self, city, highway, factory):
+        for world in (city, highway, factory):
+            assert stale_index_entries(world) == {}
+
+    def test_hdmapgen_map(self, rng):
+        hdmap = HDMapGenSampler(MapTopologySpec(n_junctions=6)).sample_map(rng)
+        assert stale_index_entries(hdmap) == {}
+
+    def test_segment_found_by_radius_query(self):
+        builder = WorldBuilder("t")
+        segment = builder.add_road(RoadSpec(
+            reference=straight([0, 0], [200, 0], spacing=10.0),
+            forward_lanes=2, backward_lanes=1, lane_width=3.5))
+        # 8.5 m off the reference line: inside the bounds padded for three
+        # lanes (9.4 m), outside those of a lane-less segment (2 m).
+        ids = {e.id for e in builder.map.elements_in_radius(100.0, 8.5, 0.5)}
+        assert segment.id in ids
 
 
 class TestTrajectories:
