@@ -5,23 +5,23 @@ disabled tracer costs one attribute check per instrumentation point and
 that production-style sampling (1%) stays under 5% median overhead on
 the ``GetTile`` hot path. One warmed MapService serves bursts of
 ``REQUESTS_PER_ITER`` concurrent GetTile requests (so thread-handoff
-jitter averages out). The comparison is paired: each of ``ROUNDS``
-rounds times a tracing-off burst and a 1%-sampled burst back to back,
-alternating which runs first, and the gate is the median of the
-per-round ratios — slow machine drift moves both halves of a pair
+jitter averages out). The comparison is :func:`repro.perf.paired`: each
+of ``ROUNDS`` pairs times a tracing-off burst and a 1%-sampled burst
+back to back, alternating which runs first, and the gate is the median
+of the per-pair ratios — slow machine drift moves both halves of a pair
 together instead of biasing whichever sweep ran last. 100% sampling is
 reported from its own ``FULL_ROUNDS`` pairs.
 """
 
 import itertools
-import time
+import statistics
 
-import numpy as np
 from conftest import once
 
 from repro.core.tiles import TileId
 from repro.eval import ResultTable
 from repro.obs import TRACER
+from repro.perf import paired
 from repro.serve import GetTile, MapService
 from repro.storage import TileStore
 from repro.update.distribution import MapDistributionServer
@@ -40,8 +40,8 @@ FULL = (True, 1.0)
 
 
 def _experiment(rng):
-    """Per-round burst seconds: ``(off, sampled)`` pairs for the gate and
-    ``(off, full)`` pairs for the reported 100% row."""
+    """Paired bursts: tracing off vs 1% sampled (the gate) and tracing
+    off vs 100% sampled (the reported row)."""
     world = generate_grid_city(rng, blocks_x=3, blocks_y=2,
                                block_size=150.0)
     server = MapDistributionServer(world.copy())
@@ -49,55 +49,39 @@ def _experiment(rng):
     tiles = store.tiles() or [TileId(0, 0)]
     cycle = list(itertools.islice(itertools.cycle(tiles),
                                   REQUESTS_PER_ITER))
+    TRACER.configure(enabled=False, capacity=65536, reset=True)
     with MapService(server, store, n_workers=2,
                     tiles_per_shard=len(tiles) + 1) as service:
 
-        def timed_burst(config):
+        def burst(config):
             enabled, rate = config
-            TRACER.configure(enabled=enabled, sample_rate=rate,
-                             capacity=65536, reset=True)
-            start = time.perf_counter()
-            futures = [service.submit(GetTile(tile)) for tile in cycle]
-            for future in futures:
-                future.result()
-            return time.perf_counter() - start
 
-        def paired(config, rounds):
-            # back to back, alternating which half runs first
-            out = []
-            for i in range(rounds):
-                if i % 2 == 0:
-                    off, on = timed_burst(OFF), timed_burst(config)
-                else:
-                    on, off = timed_burst(config), timed_burst(OFF)
-                out.append((off, on))
-            return np.array(out)
+            def run():
+                TRACER.configure(enabled=enabled, sample_rate=rate)
+                futures = [service.submit(GetTile(tile)) for tile in cycle]
+                for future in futures:
+                    future.result()
+            return run
 
-        for _ in range(WARMUP):
-            for config in (OFF, SAMPLED, FULL):
-                timed_burst(config)
-        sampled = paired(SAMPLED, ROUNDS)
-        full = paired(FULL, FULL_ROUNDS)
+        sampled = paired(burst(OFF), burst(SAMPLED), ROUNDS, WARMUP)
+        full = paired(burst(OFF), burst(FULL), FULL_ROUNDS, WARMUP)
         TRACER.configure(enabled=False, reset=True)
     return sampled, full
 
 
 def test_s04_tracing_overhead(benchmark, rng):
     sampled, full = once(benchmark, _experiment, rng)
-    ratio = sampled[:, 1] / sampled[:, 0]
-    q1, median, q3 = np.percentile(ratio, [25, 50, 75])
-    full_median = float(np.median(full[:, 1] / full[:, 0]))
 
     table = ResultTable("S4", "observability overhead on GetTile")
     table.add(f"median burst ({REQUESTS_PER_ITER} reqs), tracing off",
-              "reported", f"{1e3 * float(np.median(sampled[:, 0])):.2f} ms",
-              ok=bool(np.all(sampled > 0)))
+              "reported", f"{1e3 * statistics.median(sampled.a_s):.2f} ms",
+              ok=min(sampled.a_s + sampled.b_s) > 0)
     table.add("overhead at 1% sampling (median paired ratio)", "< 5%",
-              f"{100 * (median - 1):+.1f}% (N={len(ratio)} pairs, "
-              f"IQR {q1:.3f}-{q3:.3f})",
-              ok=median <= 1.05)
+              f"{100 * (sampled.median - 1):+.1f}% "
+              f"(N={len(sampled.ratios)} pairs, {sampled.describe()})",
+              ok=sampled.median <= 1.05)
     table.add("overhead at 100% sampling (median paired ratio)",
-              "reported", f"{100 * (full_median - 1):+.1f}% "
-              f"(N={len(full)} pairs)", ok=full_median > 0)
+              "reported", f"{100 * (full.median - 1):+.1f}% "
+              f"(N={len(full.ratios)} pairs)", ok=full.median > 0)
     table.print()
     assert table.all_ok()

@@ -6,12 +6,10 @@ Usage::
     python -m repro stats city.json [--tiles] [--tile-size 500]
     python -m repro validate city.json
     python -m repro route city.json --from 100,100 --to 600,400
-    python -m repro serve-bench city.json --workers 1,4 --vehicles 8
     python -m repro chaos-bench city.json --classes sensor,pipeline
-    python -m repro cluster-bench city.json --shards 1,2 --check-scaling 1.5
     python -m repro taxonomy
-    python -m repro perf-bench --out BENCH_PERF.json
     python -m repro obs export city.json --format prometheus
+    python -m repro obs export city.json --format spans > spans.jsonl
     python -m repro obs trace --input spans.jsonl [--trace-id ID]
     python -m repro obs top --input spans.jsonl
     python -m repro obs smoke city.json
@@ -117,77 +115,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_worker_list(text: str) -> List[int]:
-    try:
-        workers = [int(w) for w in text.split(",") if w]
-        if not workers or any(w < 1 for w in workers):
-            raise ValueError
-        return workers
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated worker counts, got {text!r}") from None
-
-
-def _trace_sample_setup(args: argparse.Namespace) -> bool:
-    """Enable tracing when the bench asked for a span dump."""
-    if not getattr(args, "trace_sample", None):
-        return False
-    from repro.obs import configure_tracing
-    configure_tracing(enabled=True, sample_rate=args.trace_sample_rate,
-                      capacity=65536, reset=True)
-    return True
-
-
-def _trace_sample_dump(args: argparse.Namespace) -> None:
-    from repro.obs import TRACER
-    n = TRACER.recorder.dump_jsonl(args.trace_sample)
-    print(f"wrote {n} spans "
-          f"({len(TRACER.recorder.trace_ids())} traces, "
-          f"sample rate {args.trace_sample_rate}) -> {args.trace_sample}")
-    TRACER.configure(enabled=False)
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve import FleetSimulator, MapService
-    from repro.storage import TileStore, load_map
-    from repro.update.distribution import MapDistributionServer
-
-    tracing = _trace_sample_setup(args)
-    hdmap = load_map(args.map)
-    store = TileStore.build(hdmap, tile_size=args.tile_size)
-    print(f"serving {hdmap.name}: {len(store.tiles())} tiles, "
-          f"{store.total_bytes() / 1024:.1f} KB, "
-          f"{args.vehicles} vehicles x {args.route / 1000:.1f} km")
-    header = (f"{'workers':>7}  {'throughput':>12}  {'hit rate':>8}  "
-              f"{'p95 query':>9}  {'shed':>5}  {'rejected':>8}  "
-              f"{'consistent':>10}")
-    print(header)
-    print("-" * len(header))
-    for workers in args.workers:
-        server = MapDistributionServer(hdmap.copy())
-        service = MapService(server, store, n_workers=workers,
-                             service_latency_s=args.service_latency_ms / 1e3,
-                             storage_latency_s=args.storage_latency_ms / 1e3)
-        with service:
-            fleet = FleetSimulator(service, hdmap,
-                                   n_vehicles=args.vehicles,
-                                   route_length_m=args.route,
-                                   sync_every=5, ingest_every=7,
-                                   seed=args.seed, trace_requests=tracing)
-            report = fleet.run()
-        query = report.latency.get("SpatialQuery", {})
-        consistent = report.consistency_violations == 0 \
-            and report.version_regressions == 0
-        print(f"{workers:>7}  {report.throughput_rps:>8.0f} rps  "
-              f"{100 * report.cache_hit_rate:>7.1f}%  "
-              f"{1e3 * query.get('p95_s', 0.0):>6.1f} ms  "
-              f"{report.shed_total:>5}  {report.rejected_total:>8}  "
-              f"{'yes' if consistent else 'NO':>10}")
-    if tracing:
-        _trace_sample_dump(args)
-    return 0
-
-
 def _obs_workload(map_path: str, seed: int):
     """Run one small fully-traced serve+ingest workload.
 
@@ -241,12 +168,23 @@ def _obs_workload(map_path: str, seed: int):
 
 
 def _cmd_obs_export(args: argparse.Namespace) -> int:
+    from repro.obs import TRACER
+
     registry = _obs_workload(args.map, args.seed)
     if args.format == "json":
         print(registry.to_json())
+    elif args.format == "spans":
+        # the recorder's own dump is the one JSONL writer; it takes a path
+        import os
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spans.jsonl")
+            TRACER.recorder.dump_jsonl(path)
+            with open(path, encoding="utf-8") as fh:
+                sys.stdout.write(fh.read())
     else:
         print(registry.to_prometheus(), end="")
-    from repro.obs import TRACER
     TRACER.configure(enabled=False)
     return 0
 
@@ -454,118 +392,10 @@ def _cmd_chaos_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    """Sweep shard counts: aggregate encoded-GetTile throughput per count.
-
-    Connections are pipelined, so N shards x W workers concurrent
-    requests overlap their simulated service cost. ``--check-scaling
-    FACTOR`` fails the run unless the best count clears FACTOR x the
-    first; ``--trace-sample PATH`` samples the sweep's requests and dumps
-    the merged (router + harvested shard) spans for ``obs trace
-    --cluster``.
-    """
-    import json
-
-    from repro.cluster import ClusterRouter, read_throughput
-    from repro.storage import load_map
-
-    tracing = _trace_sample_setup(args)
-    hdmap = load_map(args.map)
-    print(f"cluster GetTile sweep against {hdmap.name} "
-          f"({args.requests} requests, {args.clients} client(s), "
-          f"{args.service_latency_ms:g} ms simulated service cost, "
-          f"transport={args.transport})")
-    print(f"{'shards':>6} {'errors':>7} {'elapsed':>9} "
-          f"{'throughput':>12}")
-    sweep: List[dict] = []
-    for n_shards in args.shards:
-        router = ClusterRouter(
-            hdmap, n_shards=n_shards, tile_size=args.tile_size,
-            replicas=args.replicas, transport=args.transport,
-            n_workers=args.workers,
-            service_latency_s=args.service_latency_ms / 1e3)
-        try:
-            throughput, failed, elapsed = read_throughput(
-                router, args.requests, args.clients)
-        finally:
-            router.close()  # with tracing on: the final shard harvest
-        sweep.append({"shards": n_shards,
-                      "throughput_rps": round(throughput, 1),
-                      "errors": failed, "elapsed_s": round(elapsed, 3)})
-        print(f"{n_shards:>6} {failed:>7} {elapsed:>8.2f}s "
-              f"{throughput:>9.1f} req/s")
-    report: dict = {
-        "map": hdmap.name, "transport": args.transport,
-        "service_latency_ms": args.service_latency_ms,
-        "requests": args.requests, "clients": args.clients,
-        "sweep": sweep,
-    }
-    failures: List[str] = []
-    if any(row["errors"] for row in sweep):
-        failures.append("request errors during the shard sweep")
-    if args.check_scaling is not None and len(sweep) >= 2:
-        base = sweep[0]
-        peak = max(sweep[1:], key=lambda row: row["throughput_rps"])
-        factor = peak["throughput_rps"] / base["throughput_rps"] \
-            if base["throughput_rps"] > 0 else 0.0
-        report["scaling"] = {"factor": round(factor, 2),
-                             "required": args.check_scaling}
-        print(f"scaling: {peak['shards']} shard(s) vs {base['shards']} -> "
-              f"{factor:.2f}x (required >= {args.check_scaling:g}x)")
-        if factor < args.check_scaling:
-            failures.append(f"shard scaling {factor:.2f}x below "
-                            f"{args.check_scaling:g}x")
-    if tracing:
-        _trace_sample_dump(args)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    print(f"report -> {args.out}")
-    for failure in failures:
-        print(f"CLUSTER BENCH FAILED: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _cmd_taxonomy(args: argparse.Namespace) -> int:
     from repro import taxonomy
 
     print(taxonomy.render_table())
-    return 0
-
-
-def _cmd_perf_bench(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        HEADLINE_KERNELS,
-        check_baseline,
-        load_report,
-        run_perf_suite,
-        write_report,
-    )
-
-    results, speedups, counters = run_perf_suite(
-        repetitions=args.repetitions, warmup=args.warmup)
-
-    print(f"{'kernel':<28} {'median':>10} {'p95':>10} {'reps':>5}")
-    for result in results:
-        print(f"{result.name:<28} {1e3 * result.median_s:>8.3f}ms "
-              f"{1e3 * result.p95_s:>8.3f}ms {len(result.samples_s):>5}")
-    print()
-    for name, factor in sorted(speedups.items()):
-        print(f"speedup {name:<28} {factor:>6.2f}x")
-
-    report = write_report(args.out, results, speedups=speedups,
-                          counters=counters)
-    print(f"\nwrote {args.out}")
-
-    if args.check_baseline:
-        baseline = load_report(args.check_baseline)
-        failures = check_baseline(report, baseline, HEADLINE_KERNELS,
-                                  max_regression=args.max_regression)
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"baseline check passed for {len(HEADLINE_KERNELS)} headline "
-              f"kernels (limit {args.max_regression}x)")
     return 0
 
 
@@ -606,37 +436,17 @@ def build_parser() -> argparse.ArgumentParser:
                        required=True, metavar="X,Y")
     route.set_defaults(func=_cmd_route)
 
-    bench = sub.add_parser(
-        "serve-bench",
-        help="load-test the serving layer with a synthetic fleet")
-    bench.add_argument("map")
-    bench.add_argument("--workers", type=_parse_worker_list, default=[1, 4],
-                       metavar="N,M,...",
-                       help="worker-pool sizes to sweep (default 1,4)")
-    bench.add_argument("--vehicles", type=int, default=8)
-    bench.add_argument("--route", type=float, default=2000.0,
-                       help="route length per vehicle, metres")
-    bench.add_argument("--tile-size", type=float, default=250.0)
-    bench.add_argument("--service-latency-ms", type=float, default=2.0,
-                       help="simulated per-request network/serialization cost")
-    bench.add_argument("--storage-latency-ms", type=float, default=2.0,
-                       help="simulated blob-fetch cost on tile cache misses")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--trace-sample", metavar="PATH",
-                       help="enable tracing and dump sampled spans (JSONL)")
-    bench.add_argument("--trace-sample-rate", type=float, default=0.05,
-                       help="root-span sampling rate with --trace-sample")
-    bench.set_defaults(func=_cmd_serve_bench)
-
     obs = sub.add_parser(
         "obs", help="unified observability: export, traces, smoke gate")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
     obs_export = obs_sub.add_parser(
         "export",
-        help="run a traced workload and export the unified registry")
+        help="run a traced workload and export the unified registry "
+             "(or, with --format spans, its span dump as JSONL)")
     obs_export.add_argument("map")
-    obs_export.add_argument("--format", choices=("prometheus", "json"),
+    obs_export.add_argument("--format",
+                            choices=("prometheus", "json", "spans"),
                             default="prometheus")
     obs_export.add_argument("--seed", type=int, default=0)
     obs_export.set_defaults(func=_cmd_obs_export)
@@ -644,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_trace = obs_sub.add_parser(
         "trace", help="render span trees from a JSONL span dump")
     obs_trace.add_argument("--input", required=True,
-                           help="span dump (from --trace-sample or "
-                                "SpanRecorder.dump_jsonl)")
+                           help="span dump (from `obs export --format "
+                                "spans` or SpanRecorder.dump_jsonl)")
     obs_trace.add_argument("--trace-id", help="render one specific trace")
     obs_trace.add_argument("--limit", type=int, default=3,
                            help="max traces to render without --trace-id")
@@ -700,67 +510,25 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = off)")
     chaos.set_defaults(func=_cmd_chaos_bench)
 
-    cluster = sub.add_parser(
-        "cluster-bench",
-        help="sweep shard counts and check aggregate GetTile scaling")
-    cluster.add_argument("map")
-    cluster.add_argument("--shards", type=_parse_worker_list, default=[1, 2],
-                         metavar="N,M,...",
-                         help="shard counts to sweep (default 1,2)")
-    cluster.add_argument("--requests", type=int, default=400,
-                         help="total GetTile requests per shard count")
-    cluster.add_argument("--clients", type=int, default=16,
-                         help="concurrent client threads (must exceed "
-                              "aggregate shard capacity for the sweep "
-                              "to show scaling)")
-    cluster.add_argument("--workers", type=int, default=2,
-                         help="MapService workers per shard")
-    cluster.add_argument("--replicas", type=int, default=0,
-                         help="read replicas per shard")
-    cluster.add_argument("--tile-size", type=float, default=250.0)
-    cluster.add_argument("--service-latency-ms", type=float, default=20.0,
-                         help="simulated per-request service cost inside "
-                              "each shard; must dominate the ~1 ms "
-                              "serial RPC overhead for the sweep to show "
-                              "shard-count scaling on few cores")
-    cluster.add_argument("--transport", choices=("process", "local"),
-                         default="process")
-    cluster.add_argument("--check-scaling", type=float, default=None,
-                         metavar="FACTOR",
-                         help="fail unless the best sweep throughput is "
-                              ">= FACTOR x the first shard count's "
-                              "(absent: report only)")
-    cluster.add_argument("--trace-sample", metavar="PATH",
-                         help="enable tracing and dump the merged (router "
-                              "+ harvested shard) spans as JSONL")
-    cluster.add_argument("--trace-sample-rate", type=float, default=0.05,
-                         help="root-span sampling rate with --trace-sample")
-    cluster.add_argument("--out", default="CLUSTER_BENCH.json",
-                         help="machine-readable report path")
-    cluster.set_defaults(func=_cmd_cluster_bench)
-
     tax = sub.add_parser("taxonomy", help="print Table I with coverage")
     tax.set_defaults(func=_cmd_taxonomy)
 
-    perf = sub.add_parser(
-        "perf-bench",
-        help="run the hot-path kernel microbenchmark suite")
-    perf.add_argument("--repetitions", type=int, default=20)
-    perf.add_argument("--warmup", type=int, default=3)
-    perf.add_argument("--out", default="BENCH_PERF.json",
-                      help="machine-readable report path")
-    perf.add_argument("--check-baseline", metavar="PATH",
-                      help="fail on median regressions vs this report")
-    perf.add_argument("--max-regression", type=float, default=2.5,
-                      help="regression multiplier the baseline check allows")
-    perf.set_defaults(func=_cmd_perf_bench)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; a bad input file is a one-line error, exit 2."""
+    from repro.errors import HDMapError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, HDMapError) as exc:
+        command = " ".join(filter(None, (args.command,
+                                         getattr(args, "obs_command", None))))
+        print(f"repro {command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

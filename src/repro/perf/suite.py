@@ -1,20 +1,16 @@
-"""The curated hot-path microbenchmark suite.
+"""The curated hot-path suite: every optimized kernel against its twin.
 
-Each kernel is a closure over a deterministic fixture world (pinned seed)
-so runs are comparable across machines and commits. Optimized kernels are
-benchmarked next to their frozen pre-optimization twins from
-:mod:`repro.perf.reference`, and the suite reports the resulting speedups
-alongside raw medians. ``run_perf_suite`` powers both the ``perf-bench``
-CLI subcommand and the CI perf-smoke gate.
+Each kernel is a closure over a deterministic fixture world (pinned
+seed) and is timed with :func:`repro.perf.pairing.paired` against its
+frozen pre-optimization twin from :mod:`repro.perf.reference` in the
+same process, so the speedup S3 gates is a median per-pair ratio that
+host drift moves on both sides at once.
 """
 
 from __future__ import annotations
 
-import statistics
 import threading
-import time
-from concurrent.futures import wait
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -24,23 +20,13 @@ from repro.geometry.polyline import Polyline
 from repro.geometry.transform import SE2
 from repro.perf import reference
 from repro.perf.instrument import REGISTRY
-from repro.perf.runner import BenchResult, run_bench
+from repro.perf.pairing import Paired, paired
 from repro.sensors.lidar import LidarScanner
-from repro.serve import GetTile, MapService, SpatialQuery
 from repro.storage import TileStore
 from repro.storage.binary import decode_map, encode_map
-from repro.update.distribution import MapDistributionServer
 from repro.world import generate_grid_city
 
-#: Kernels the CI gate checks against the checked-in baseline.
-HEADLINE_KERNELS: Tuple[str, ...] = (
-    "polyline.project_batch",
-    "lidar.scan",
-    "grid.query_box",
-    "codec.decode_tile",
-)
-
-#: Pinned fixture seed — keep stable so baselines stay comparable.
+#: Pinned fixture seed — keep stable so speedups stay comparable.
 _SEED = 7
 
 
@@ -70,39 +56,21 @@ def _fixture_boundaries(city, pose: SE2):
 
 
 def run_perf_suite(repetitions: int = 20, warmup: int = 3
-                   ) -> Tuple[List[BenchResult], Dict[str, float],
-                              Dict[str, Dict[str, float]]]:
-    """Run every curated kernel; returns (results, speedups, counters)."""
+                   ) -> Tuple[Dict[str, Paired], Dict[str, Dict[str, float]]]:
+    """Pair every curated kernel with its twin.
+
+    Returns ``(pairs, counters)``: ``pairs[name]`` has the kernel as side
+    ``a`` and the twin as side ``b``, so its ratios are speedups;
+    ``counters`` is the instrument registry's snapshot over the run.
+    """
     rng = np.random.default_rng(_SEED)
     city = generate_grid_city(rng, 3, 2, block_size=150.0)
     pose = SE2(150.0, 150.0, 0.3)
+    pairs: Dict[str, Paired] = {}
 
-    results: List[BenchResult] = []
-    speedups: Dict[str, float] = {}
-
-    def bench(name: str, fn: Callable[[], object]) -> BenchResult:
-        result = run_bench(name, fn, repetitions=repetitions, warmup=warmup)
-        results.append(result)
-        return result
-
-    def bench_pair(name: str, fn: Callable[[], object],
-                   twin: Callable[[], object], per: int) -> None:
-        """Time ``fn`` and its frozen ``twin`` in alternation, so host
-        drift lands on both, and report the median per-pair ratio. Each
-        call does ``per`` operations; samples are per operation."""
-        for _ in range(warmup):
-            fn()
-            twin()
-        new, ref = BenchResult(name), BenchResult(f"{name}_reference")
-        for _ in range(repetitions):
-            for result, call in ((new, fn), (ref, twin)):
-                start = time.perf_counter()
-                call()
-                result.samples_s.append(
-                    (time.perf_counter() - start) / per)
-        results.extend((new, ref))
-        speedups[name] = statistics.median(
-            r / max(n, 1e-12) for n, r in zip(new.samples_s, ref.samples_s))
+    def pair(name: str, fn: Callable[[], object],
+             twin: Callable[[], object]) -> None:
+        pairs[name] = paired(fn, twin, repetitions, warmup)
 
     REGISTRY.reset()
     REGISTRY.enable()
@@ -113,23 +81,16 @@ def run_perf_suite(repetitions: int = 20, warmup: int = 3
             rng.uniform(0.0, 400.0, 1000),
             rng.uniform(-25.0, 25.0, 1000),
         ], axis=1)
-        batch = bench("polyline.project_batch",
-                      lambda: line.project_batch(points))
-        scalar = bench("polyline.project_scalar",
-                       lambda: reference.project_scalar(line, points))
-        speedups["polyline.project_batch"] = (scalar.median_s
-                                              / max(batch.median_s, 1e-12))
+        pair("polyline.project_batch",
+             lambda: line.project_batch(points),
+             lambda: reference.project_scalar(line, points))
 
         # -- LiDAR scan at a fixed pose cell: cached vs re-cropping -------
         scanner = LidarScanner()
-        scan = bench("lidar.scan",
-                     lambda: scanner.scan(city, pose,
-                                          np.random.default_rng(_SEED)))
-        scan_ref = bench(
-            "lidar.scan_reference",
-            lambda: reference.scan_reference(scanner, city, pose,
-                                             np.random.default_rng(_SEED)))
-        speedups["lidar.scan"] = scan_ref.median_s / max(scan.median_s, 1e-12)
+        pair("lidar.scan",
+             lambda: scanner.scan(city, pose, np.random.default_rng(_SEED)),
+             lambda: reference.scan_reference(scanner, city, pose,
+                                              np.random.default_rng(_SEED)))
 
         # -- particle weighting: whole-cloud batch vs per-particle loop ---
         from repro.localization.lane_marking import _batch_signed_laterals
@@ -163,12 +124,9 @@ def run_perf_suite(repetitions: int = 20, warmup: int = 3
             log_w -= log_w.max()
             return np.exp(log_w)
 
-        pf_batch = bench("pf.weight_batched", weight_batched)
-        pf_ref = bench(
-            "pf.weight_reference",
-            lambda: reference.particle_weights_reference(
-                states, measurements, boundaries, sigma_offset))
-        speedups["pf.weight"] = pf_ref.median_s / max(pf_batch.median_s, 1e-12)
+        pair("pf.weight", weight_batched,
+             lambda: reference.particle_weights_reference(
+                 states, measurements, boundaries, sigma_offset))
 
         # -- grid index: ticket-sorted vs repr-sorted queries -------------
         index: GridIndex = GridIndex(cell_size=50.0)
@@ -177,12 +135,8 @@ def run_perf_suite(repetitions: int = 20, warmup: int = 3
             w, h = rng.uniform(1.0, 40.0, 2)
             index.insert(("element", i), (x, y, x + w, y + h))
         query = (200.0, 200.0, 650.0, 650.0)
-        grid = bench("grid.query_box", lambda: index.query_box(query))
-        grid_ref = bench(
-            "grid.query_box_repr",
-            lambda: reference.query_box_repr_sorted(index, query))
-        speedups["grid.query_box"] = (grid_ref.median_s
-                                      / max(grid.median_s, 1e-12))
+        pair("grid.query_box", lambda: index.query_box(query),
+             lambda: reference.query_box_repr_sorted(index, query))
 
         # -- tile codec: index-cursor reader/writer vs the BytesIO twins --
         # Every 4th tile of macrobench's ``local_spatial_drive`` tile set
@@ -201,54 +155,25 @@ def run_perf_suite(repetitions: int = 20, warmup: int = 3
                 decode(blob)
 
         def decode_all_2thr(decode) -> None:
-            pair = [threading.Thread(target=decode_all, args=(decode,))
+            threads = [threading.Thread(target=decode_all, args=(decode,))
                     for _ in range(2)]
-            for thread in pair:
+            for thread in threads:
                 thread.start()
-            for thread in pair:
+            for thread in threads:
                 thread.join()
 
-        bench_pair("codec.decode_tile",
-                   lambda: decode_all(decode_map),
-                   lambda: decode_all(reference.decode_map_reference),
-                   per=len(blobs))
-        bench_pair("codec.decode_tile_2thr",
-                   lambda: decode_all_2thr(decode_map),
-                   lambda: decode_all_2thr(reference.decode_map_reference),
-                   per=2 * len(blobs))
-        bench_pair("codec.encode_tile",
-                   lambda: [encode_map(m) for m in shards],
-                   lambda: [reference.encode_map_reference(m)
-                            for m in shards],
-                   per=len(shards))
+        pair("codec.decode_tile",
+             lambda: decode_all(decode_map),
+             lambda: decode_all(reference.decode_map_reference))
+        pair("codec.decode_tile_2thr",
+             lambda: decode_all_2thr(decode_map),
+             lambda: decode_all_2thr(reference.decode_map_reference))
+        pair("codec.encode_tile",
+             lambda: [encode_map(m) for m in shards],
+             lambda: [reference.encode_map_reference(m) for m in shards])
 
-        # -- serving: GetTile / SpatialQuery under worker concurrency -----
-        store = TileStore.build(city, tile_size=150.0)
-        server = MapDistributionServer(city.copy())
-        tiles = store.tiles()
-        with MapService(server, store, n_workers=4) as service:
-            def serve_tiles() -> None:
-                futures = [service.submit(GetTile(tiles[i % len(tiles)]))
-                           for i in range(32)]
-                wait(futures)
-
-            def serve_tiles_encoded() -> None:
-                futures = [service.submit(
-                    GetTile(tiles[i % len(tiles)], encoded=True))
-                    for i in range(32)]
-                wait(futures)
-
-            def serve_spatial() -> None:
-                futures = [service.submit(
-                    SpatialQuery(150.0 + 10.0 * (i % 5), 150.0, 60.0))
-                    for i in range(16)]
-                wait(futures)
-
-            bench("serve.get_tile", serve_tiles)
-            bench("serve.get_tile_encoded", serve_tiles_encoded)
-            bench("serve.spatial_query", serve_spatial)
         counters = REGISTRY.snapshot()
     finally:
         REGISTRY.disable()
         REGISTRY.reset()
-    return results, speedups, counters
+    return pairs, counters

@@ -1,4 +1,9 @@
-"""CLI: generate / stats / validate / route / taxonomy."""
+"""CLI: generate / stats / validate / route / taxonomy / obs, the docs and
+dead-surface gates, and the import surface macrobench relies on."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +78,21 @@ class TestCli:
         assert "TABLE I" in out
         assert "Localization" in out
 
+    def test_missing_file_is_one_line_error(self, capsys):
+        assert main(["stats", "/nonexistent.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro stats: error: ")
+        assert "/nonexistent.json" in err
+        assert len(err.strip().splitlines()) == 1  # no traceback
+
+    def test_not_a_map_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "feature.json"
+        path.write_text('{"type": "Feature"}')
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro validate: error: not a FeatureCollection " \
+                      "document\n"
+
     def test_reproducible_generation(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -117,17 +137,22 @@ class TestObsCli:
         assert main(["obs", "smoke", str(map_file)]) == 0
         assert "obs smoke passed" in capsys.readouterr().out
 
-    def test_trace_sample_roundtrip_serve_bench(self, map_file, tmp_path,
-                                                capsys):
+    def test_trace_roundtrip_obs_export_spans(self, map_file, tmp_path,
+                                              capsys):
+        from repro.obs import load_spans_jsonl
+
+        assert main(["obs", "export", str(map_file),
+                     "--format", "spans"]) == 0
         spans = tmp_path / "spans.jsonl"
-        assert main(["serve-bench", str(map_file), "--workers", "1",
-                     "--vehicles", "2", "--route", "300",
-                     "--trace-sample", str(spans),
-                     "--trace-sample-rate", "0.5"]) == 0
-        assert "wrote" in capsys.readouterr().out
-        assert spans.exists()
+        spans.write_text(capsys.readouterr().out)
+        dump = load_spans_jsonl(str(spans))
+        fleet = next(s["trace_id"] for s in dump
+                     if s["name"].startswith("fleet.request"))
 
         assert main(["obs", "trace", "--input", str(spans)]) == 0
+        assert f"{len(dump)} span(s) total" in capsys.readouterr().out
+        assert main(["obs", "trace", "--input", str(spans),
+                     "--trace-id", fleet]) == 0
         out = capsys.readouterr().out
         assert "fleet.request" in out
         assert "serve.request" in out
@@ -138,6 +163,44 @@ class TestObsCli:
 
         assert main(["obs", "trace", "--input", str(spans),
                      "--trace-id", "nope"]) == 1
+
+    def test_obs_trace_cluster_filters_a_merged_dump(self, tmp_path,
+                                                     capsys):
+        """``obs trace --cluster`` on a merged 2-shard process dump keeps
+        the cross-process trace and drops the router-only one."""
+        import numpy as np
+
+        from repro.cluster import ClusterRouter
+        from repro.obs import TRACER, configure_tracing
+        from repro.serve.api import GetTile
+        from repro.world import generate_grid_city
+
+        city = generate_grid_city(np.random.default_rng(3), 2, 2,
+                                  block_size=150.0)
+        configure_tracing(enabled=True, sample_rate=1.0, reset=True)
+        router = ClusterRouter(city, n_shards=2, tile_size=120.0,
+                               transport="process")
+        try:
+            tile = sorted(router.tiles())[0]
+            assert router.request(GetTile(tile=tile, encoded=True)).ok
+            router.harvest_telemetry()
+        finally:
+            router.close()
+        with TRACER.start_trace("cli.local_only"):
+            pass  # a trace that never left the router process
+        spans = tmp_path / "cluster-spans.jsonl"
+        TRACER.recorder.dump_jsonl(str(spans))
+        TRACER.configure(enabled=False)
+
+        assert main(["obs", "trace", "--input", str(spans)]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"2 trace(s), {len(TRACER.recorder.spans())} span(s) total\n")
+        assert main(["obs", "trace", "--cluster", "--input",
+                     str(spans)]) == 0
+        out = capsys.readouterr().out
+        assert "cluster.request.GetTile" in out and "shard.serve" in out
+        assert "cli.local_only" not in out
+        assert out.startswith("trace ") and "1 trace(s)" in out
 
 
 def _load_tool(name: str):
@@ -159,6 +222,22 @@ class TestDocsConsistency:
         metric, constructor argument or CLI flag fails tier-1, not only
         the CI lint job."""
         assert _load_tool("check_docs").main() == 0  # stale refs printed
+
+    def test_doc_naming_a_retired_subcommand_fails(self, tmp_path):
+        """The CLI check runs both ways: a doc that tells a reader to run
+        a subcommand the parser does not register is a stale reference."""
+        tool = _load_tool("check_docs")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "README.md").write_text(
+            "python -m repro generate ... python -m repro obs smoke\n")
+        (tmp_path / "docs" / "RUNBOOK.md").write_text(
+            "Run `python -m repro cluster-bench city.json --shards 1,2`.\n")
+        errors = []
+        tool.check_cli_docs(errors, root=str(tmp_path))
+        assert os.path.join("docs", "RUNBOOK.md") + \
+            ": `python -m repro cluster-bench` is not a registered " \
+            "subcommand" in errors
+        assert not any("`generate`" in e or "`obs`" in e for e in errors)
 
 
 class TestDeadSurface:
@@ -207,3 +286,17 @@ class TestDeadSurface:
         hits = self._hits(tool, "src/repro/serve/api.py",
                           "import enum\n", "import enum\nimport shelve\n")
         assert any("unused import shelve" in h for h in hits), hits
+
+
+def test_macrobench_imports_resolve():
+    """macrobench's modules import against this tree: renaming or removing
+    anything they import fails here, not in the benchmark run. Nothing is
+    built; a subprocess keeps macrobench's top-level module names off this
+    interpreter's path."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; "
+            "import tapes, workloads, layers")
+    subprocess.run([sys.executable, "-c", code,
+                    os.path.join(repo, "src"),
+                    os.path.join(repo, "macrobench")],
+                   check=True, timeout=120)

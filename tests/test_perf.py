@@ -1,4 +1,5 @@
-"""repro.perf: instrumentation, runner, kernel equivalence, serve memoization.
+"""repro.perf: instrumentation, paired timing, kernel equivalence, serve
+memoization.
 
 The equivalence classes here are the heart of the optimization PR: every
 vectorized hot-path kernel must produce **bit-identical** output to its
@@ -9,7 +10,6 @@ kernel slip into the physics.
 
 import dataclasses
 import enum
-import json
 import math
 import pickle
 import threading
@@ -42,15 +42,8 @@ from repro.localization.geometric import (
 )
 from repro.localization.lane_marking import _batch_signed_laterals
 from repro.pack.delta import decode_delta, encode_delta
-from repro.perf import PerfRegistry, timed
-from repro.perf import reference
-from repro.perf.runner import (
-    BenchResult,
-    check_baseline,
-    load_report,
-    run_bench,
-    write_report,
-)
+from repro.perf import PerfRegistry, paired, timed
+from repro.perf import pairing, reference
 from repro.sensors.lidar import LidarScanner
 from repro.serve import GetTile, IngestPatch, MapService, Status
 from repro.storage import TileStore
@@ -136,56 +129,70 @@ class TestInstrument:
 
 
 # ----------------------------------------------------------------------
-# Runner
+# Paired timing
 # ----------------------------------------------------------------------
-class TestRunner:
-    def test_run_bench_counts_reps(self):
-        calls = []
-        result = run_bench("k", lambda: calls.append(1),
-                           repetitions=5, warmup=2)
-        assert len(calls) == 7  # warmup included in calls, not samples
-        assert len(result.samples_s) == 5
-        assert result.min_s <= result.median_s <= result.max_s
+class TestPaired:
+    """``paired`` on a fake clock: each side advances it by a scripted
+    duration per call, so every ratio is known in advance."""
 
-    def test_p95_linear_interpolation(self):
-        r = BenchResult("k", samples_s=[float(i) for i in range(1, 21)])
-        # rank = 0.95 * 19 = 18.05 over sorted 1..20 -> 19.05
-        assert r.p95_s == pytest.approx(19.05)
-        assert BenchResult("k", samples_s=[3.0]).p95_s == 3.0
-        assert BenchResult("k").p95_s == 0.0
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(pairing, "perf_counter", lambda: now[0])
+        return now
 
-    def test_write_load_roundtrip(self, tmp_path):
-        path = str(tmp_path / "perf.json")
-        results = [BenchResult("a", [0.1, 0.2, 0.3]),
-                   BenchResult("b", [0.5])]
-        report = write_report(path, results, speedups={"a": 3.5},
-                              counters={"a": {"calls": 7}})
-        loaded = load_report(path)
-        assert loaded == json.loads(json.dumps(report))
-        assert loaded["kernels"]["a"]["median_s"] == pytest.approx(0.2)
-        assert loaded["speedups"]["a"] == 3.5
-        assert loaded["counters"]["a"]["calls"] == 7
+    @staticmethod
+    def side(clock, name, durations, log):
+        durations = iter(durations)
 
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"schema": "other/9", "kernels": {}}')
-        with pytest.raises(ValueError, match="schema"):
-            load_report(str(path))
+        def call():
+            log.append(name)
+            clock[0] += next(durations)
+        return call
 
-    def test_check_baseline_gates_regressions(self):
-        fresh = {"kernels": {"a": {"median_s": 0.30},
-                             "b": {"median_s": 0.10},
-                             "new": {"median_s": 1.0}}}
-        base = {"kernels": {"a": {"median_s": 0.10},
-                            "b": {"median_s": 0.10}}}
-        failures = check_baseline(fresh, base, ["a", "b", "new", "gone"],
-                                  max_regression=2.5)
-        # a regressed 3.0x; new has no baseline (skipped); gone is missing
-        # from the fresh report (fails).
-        assert len(failures) == 2
-        assert any("a:" in f and "3.00x" in f for f in failures)
-        assert any("gone" in f for f in failures)
-        assert check_baseline(fresh, base, ["b"]) == []
+    def test_call_order_alternates(self, clock):
+        log = []
+        paired(self.side(clock, "a", [1.0] * 8, log),
+               self.side(clock, "b", [1.0] * 8, log), n=3, warmup=1)
+        assert log == ["a", "b",                     # warm-up
+                       "a", "b", "b", "a", "a", "b"]  # timed pairs
+
+    def test_warmup_calls_are_untimed(self, clock):
+        log = []
+        result = paired(self.side(clock, "a", [100.0, 50.0, 1.0, 2.0], log),
+                        self.side(clock, "b", [100.0, 50.0, 3.0, 4.0], log),
+                        n=2, warmup=2)
+        assert len(log) == 8
+        assert result.a_s == (1.0, 2.0)
+        assert result.b_s == (3.0, 4.0)
+
+    def test_ratios_wins_and_sign_test_by_hand(self, clock):
+        log = []
+        a = [1.0, 1.0, 2.0, 1.0, 1.0, 4.0]
+        b = [2.0, 3.0, 2.0, 0.5, 1.5, 6.0]
+        result = paired(self.side(clock, "a", a, log),
+                        self.side(clock, "b", b, log), n=6)
+        assert result.ratios == (2.0, 3.0, 1.0, 0.5, 1.5, 1.5)
+        assert result.median == 1.5
+        # inclusive quartiles of 0.5 1.0 1.5 1.5 2.0 3.0
+        assert (result.q1, result.q3) == (1.125, 1.875)
+        # 4 wins, 1 loss, 1 tie dropped: p = 2 * (1 + 5) / 2**5
+        assert result.wins == 4
+        assert result.p == pytest.approx(0.375)
+        assert "4/6" in result.describe()
+
+    def test_unanimous_wins_reach_small_p(self, clock):
+        log = []
+        result = paired(self.side(clock, "a", [1.0] * 10, log),
+                        self.side(clock, "b", [2.0] * 10, log), n=10)
+        assert result.wins == 10
+        assert result.p == pytest.approx(2 / 2 ** 10)
+        assert result.q1 == result.median == result.q3 == 2.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_raises(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            paired(lambda: None, lambda: None, n=n)
 
 
 # ----------------------------------------------------------------------

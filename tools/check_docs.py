@@ -6,7 +6,9 @@ Three checks, run by CI's lint job (and locally via
 ``PYTHONPATH=src python tools/check_docs.py``):
 
 1. every ``python -m repro`` subcommand registered by
-   :func:`repro.cli.build_parser` is mentioned in README.md;
+   :func:`repro.cli.build_parser` is mentioned in README.md, and every
+   ``python -m repro <command>`` that README.md, DESIGN.md, docs/*.md or
+   a ``.claude/skills/*/SKILL.md`` names is registered;
 2. every canonical metric name written in the operator handbooks
    (docs/OPERATIONS.md and docs/MAP_QUALITY.md — backticked
    ``serve.* / ingest.* / perf.* / log.*`` tokens, with ``<placeholder>``
@@ -24,6 +26,7 @@ Exits non-zero listing every stale reference.
 
 from __future__ import annotations
 
+import glob
 import inspect
 import os
 import re
@@ -56,6 +59,11 @@ METRIC_TOKEN = re.compile(
 KNOB_CALL = re.compile(
     r"`([A-Za-z][A-Za-z0-9_]*)\(([a-z][a-z0-9_]*)=")
 CLI_FLAG = re.compile(r"`(--[a-z][a-z0-9-]+)`")
+CLI_MENTION = re.compile(r"python -m repro\s+([a-z][a-z0-9-]*)")
+
+#: Docs whose ``python -m repro <command>`` mentions must be registered.
+CLI_DOCS = ("README.md", "DESIGN.md", os.path.join("docs", "*.md"),
+            os.path.join(".claude", "skills", "*", "SKILL.md"))
 
 
 def _read(path: str) -> str:
@@ -63,18 +71,27 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def check_cli_in_readme(errors: List[str]) -> None:
+def check_cli_docs(errors: List[str], root: str = REPO) -> None:
     from repro.cli import build_parser
 
     parser = build_parser()
     subcommands: Set[str] = set()
     for action in parser._subparsers._group_actions:
         subcommands.update(action.choices)
-    readme = _read("README.md")
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
     for name in sorted(subcommands):
         if name not in readme:
             errors.append(
                 f"README.md: CLI subcommand `{name}` is not mentioned")
+    for pattern in CLI_DOCS:
+        for path in sorted(glob.glob(os.path.join(root, pattern))):
+            with open(path, encoding="utf-8") as fh:
+                named = set(CLI_MENTION.findall(fh.read()))
+            for name in sorted(named - subcommands):
+                errors.append(
+                    f"{os.path.relpath(path, root)}: `python -m repro "
+                    f"{name}` is not a registered subcommand")
 
 
 def _metric_universe() -> Set[str]:
@@ -222,7 +239,7 @@ def check_handbook_knobs(errors: List[str]) -> None:
 
 def main() -> int:
     errors: List[str] = []
-    check_cli_in_readme(errors)
+    check_cli_docs(errors)
     check_handbook_knobs(errors)
     check_handbook_metrics(errors)
     if errors:
