@@ -304,7 +304,7 @@ class ClusterChaosHarness:
                 fault_class=label, plan=self.plan.describe(),
                 fired=self.plan.fired_counts(), invariants=invariants,
                 stats=stats,
-                serve_stats={"router": router.metrics.snapshot(),
+                serve_stats={"router": router.metrics.as_dict(),
                              "per_shard": {str(k): v for k, v
                                            in per_shard.items()}},
                 elapsed_s=time.perf_counter() - t_start)

@@ -434,7 +434,7 @@ class ChaosHarness:
         for resp in responses:
             if resp.ok and resp.version < base_version:
                 regressions += 1
-        stats = service.metrics.snapshot()
+        stats = service.metrics.as_dict()
         stats["admission"] = {
             "admitted": service.queue.admitted.value,
             "rejected": service.queue.rejected.value,

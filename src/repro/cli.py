@@ -92,6 +92,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if errors else 0
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _parse_point(text: str) -> tuple:
     try:
         x, y = text.split(",")
@@ -118,8 +125,9 @@ def _cmd_route(args: argparse.Namespace) -> int:
 def _obs_workload(map_path: str, seed: int):
     """Run one small fully-traced serve+ingest workload.
 
-    Everything registers into one :class:`MetricsRegistry` (serve, ingest,
-    perf kernels, log counters); tracing runs at sample rate 1.0 into a
+    One :class:`MetricsRegistry` composes the event log's, the
+    pipeline's and the service's registries plus the perf kernels;
+    tracing runs at sample rate 1.0 into a
     ring large enough that nothing wraps. Returns the registry — the
     recorder/event log are the global ones on ``repro.obs``.
     """
@@ -142,7 +150,7 @@ def _obs_workload(map_path: str, seed: int):
         hdmap, ChangeSpec(remove_signs=1, add_signs=1), rng)
 
     registry = MetricsRegistry()
-    EVENT_LOG.register_into(registry)
+    registry.register_collector(EVENT_LOG.registry.collect)
     configure_tracing(enabled=True, sample_rate=1.0, capacity=65536,
                       reset=True)
     PERF_REGISTRY.enable()
@@ -151,14 +159,15 @@ def _obs_workload(map_path: str, seed: int):
     server = MapDistributionServer(scenario.prior.copy())
     store = TileStore.build(scenario.prior, tile_size=250.0)
     pipe = IngestPipeline(server, tile_size=250.0, n_workers=2)
-    pipe.register_into(registry)
+    registry.register_collector(pipe.registry.collect)
     source = FleetObservationSource(scenario, n_vehicles=2,
                                     route_length_m=600.0, step_s=1.0,
                                     seed=seed)
     with pipe:
         source.run(pipe.submit)
         pipe.drain(30.0)
-    service = MapService(server, store, n_workers=2, registry=registry)
+    service = MapService(server, store, n_workers=2)
+    registry.register_collector(service.registry.collect)
     with service:
         FleetSimulator(service, scenario.prior, n_vehicles=2,
                        route_length_m=400.0, sync_every=3, ingest_every=5,
@@ -174,15 +183,7 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(registry.to_json())
     elif args.format == "spans":
-        # the recorder's own dump is the one JSONL writer; it takes a path
-        import os
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "spans.jsonl")
-            TRACER.recorder.dump_jsonl(path)
-            with open(path, encoding="utf-8") as fh:
-                sys.stdout.write(fh.read())
+        TRACER.recorder.dump_jsonl(sys.stdout)
     else:
         print(registry.to_prometheus(), end="")
     TRACER.configure(enabled=False)
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("map")
     stats.add_argument("--tiles", action="store_true",
                        help="also report tile-store serving capacity")
-    stats.add_argument("--tile-size", type=float, default=500.0,
+    stats.add_argument("--tile-size", type=_positive_float, default=500.0,
                        help="tile edge length in metres (with --tiles)")
     stats.set_defaults(func=_cmd_stats)
 
@@ -524,6 +525,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout's reader went away (``| head``): not a bad input. Point
+        # stdout at /dev/null so the flush at exit cannot raise again.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, HDMapError) as exc:
         command = " ".join(filter(None, (args.command,
                                          getattr(args, "obs_command", None))))

@@ -90,12 +90,7 @@ from repro.core.versioning import (
 )
 from repro.errors import ClusterError
 from repro.obs.log import EVENT_LOG, get_logger
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, LatencyHistogram, MetricsRegistry
 from repro.obs.trace import TRACER, attach_context
 from repro.serve.api import (
     ChangesSince,
@@ -497,7 +492,6 @@ class ClusterRouter:
                  storage_latency_s: float = 0.0,
                  call_timeout_s: float = 10.0,
                  lease_s: float = 2.0,
-                 registry: Optional[MetricsRegistry] = None,
                  pack_path: Optional[str] = None,
                  clock: Callable[[], float] = time.monotonic,
                  telemetry_interval_s: Optional[float] = None) -> None:
@@ -546,11 +540,10 @@ class ClusterRouter:
 
         self._journal: List[_JournalEntry] = []
         self._journal_lock = threading.Lock()   # leaf lock: append/copy
-        #: journal growth guard: every restart replays the whole journal,
-        #: so an unbounded journal silently turns restarts O(history). The
-        #: gauge makes the depth scrapeable; crossing the threshold emits
-        #: one ``journal_large`` warning event.
-        self.journal_gauge = Gauge()
+        # Journal growth guard: every restart replays the whole journal,
+        # so an unbounded journal silently turns restarts O(history). The
+        # cluster.journal.entries gauge makes the depth scrapeable;
+        # crossing the threshold emits one ``journal_large`` warning.
         self._journal_warned = False
         self._ingest_lock = threading.Lock()    # one writer at a time
         self._spawn_lock = threading.Lock()     # no concurrent forks
@@ -558,24 +551,29 @@ class ClusterRouter:
         self._version_floor = 0
 
         # cluster.* metrics: the standard per-kind latency/outcome
-        # aggregate plus router-specific counters, and a collector for
-        # merged per-shard histograms (fed by collect_shard_metrics()).
-        self.metrics = ServiceMetrics()
-        self.failovers = Counter()
-        self.restarts = Counter()
-        self.timeouts = Counter()
-        self.rebalances = Counter()
-        self.shards_gauge = Gauge()
+        # aggregate plus router-specific instruments, all on one registry,
+        # and a collector for values computed on export: late discards
+        # and pending calls summed across connections, and the merged
+        # per-shard histograms (fed by collect_shard_metrics()).
+        self.registry = MetricsRegistry()
+        self.metrics = ServiceMetrics(self.registry, "cluster")
+        counter, gauge = self.registry.counter, self.registry.gauge
+        self.failovers = counter("cluster.failovers")
+        self.restarts = counter("cluster.restarts")
+        self.timeouts = counter("cluster.timeouts")
+        self.rebalances = counter("cluster.rebalances")
+        self.shards_gauge = gauge("cluster.shards")
         self.shards_gauge.set(n_shards)
+        self.journal_gauge = gauge("cluster.journal.entries")
         # Read-path concurrency instrumentation: replica_hits counts
         # reads a replica actually served, replica_lag counts reads a
         # replica answered below the version floor (retried on the
         # primary), read_coalesced counts GetTile callers that piggy-
         # backed on another caller's identical in-flight read.
-        self.replica_hits = Counter()
-        self.replica_lag = Counter()
-        self.read_coalesced = Counter()
-        self.rpc_inflight = Gauge()
+        self.replica_hits = counter("cluster.read.replica_hits")
+        self.replica_lag = counter("cluster.read.replica_lag")
+        self.read_coalesced = counter("cluster.read.coalesced")
+        self.rpc_inflight = gauge("cluster.rpc.inflight")
         self._inflight = 0
         self._inflight_peak = 0
         self._inflight_lock = threading.Lock()
@@ -587,23 +585,22 @@ class ClusterRouter:
         # the lock that makes its rebuilds single-flight.
         self._image: Optional[BootstrapImage] = None
         self._image_lock = threading.Lock()
-        self.bootstrap_builds = Counter()
-        self.bootstrap_hits = Counter()
+        self.bootstrap_builds = counter("cluster.router.bootstrap_builds")
+        self.bootstrap_hits = counter("cluster.router.bootstrap_hits")
         self._shard_latency: Dict[str, LatencyHistogram] = {}
         self._shard_outcomes: Dict[str, int] = {}
         # Telemetry plane: harvested span/event/drop accounting, plus
         # late-discard counts folded in from retired (restarted/killed)
         # connections so the collector's sum survives restarts.
-        self.telemetry_spans = Counter()
-        self.telemetry_events = Counter()
-        self.telemetry_dropped = Counter()
-        self.telemetry_harvests = Counter()
+        self.telemetry_spans = counter("cluster.telemetry.spans")
+        self.telemetry_events = counter("cluster.telemetry.events")
+        self.telemetry_dropped = counter("cluster.telemetry.dropped")
+        self.telemetry_harvests = counter("cluster.telemetry.harvests")
         self._late_discards_retired = Counter()
+        self.registry.register_collector(self._collect_metrics)
         self.telemetry = TelemetryHarvester(
             self, interval_s=telemetry_interval_s
             if telemetry_interval_s is not None else 1.0)
-        if registry is not None:
-            self.register_into(registry)
 
         self._handles: List[_ShardHandle] = [
             self._boot(index, self._owner, n_shards)
@@ -1417,7 +1414,7 @@ class ClusterRouter:
                     merged[kind].merge(hist)
                 else:
                     merged[kind] = hist
-            for key, value in shipped["outcomes"].items():
+            for key, value in shipped["snapshot"]["outcomes"].items():
                 outcomes[key] = outcomes.get(key, 0) + value
         self._shard_latency = merged
         self._shard_outcomes = outcomes
@@ -1450,91 +1447,42 @@ class ClusterRouter:
                    for handle in self._handles
                    for shard in [handle.primary] + list(handle.replicas))
 
-    def register_into(self, registry: MetricsRegistry,
-                      prefix: str = "cluster") -> None:
-        """Register router metrics under canonical ``cluster.*`` names:
-
-        - ``cluster.latency.<kind>`` / ``cluster.requests.<kind>.<status>``
-          / ``cluster.rejected|shed|errors`` / ``cluster.freshness``
-          (the standard serving aggregate, router-side);
-        - ``cluster.failovers`` / ``cluster.restarts`` /
-          ``cluster.timeouts`` / ``cluster.rebalances`` /
-          ``cluster.shards`` / ``cluster.journal.entries``;
-        - ``cluster.rpc.inflight`` (router-wide concurrent shard calls)
-          / ``cluster.read.replica_hits`` / ``cluster.read.replica_lag``
-          / ``cluster.read.coalesced`` — the pipelined read path;
-        - ``cluster.rpc.late_discards`` (replies dropped because their
-          caller timed out, summed across connections and restarts) /
-          ``cluster.rpc.pending`` (reader-thread in-flight tables);
-        - ``cluster.telemetry.spans`` / ``cluster.telemetry.events`` /
-          ``cluster.telemetry.dropped`` / ``cluster.telemetry.harvests``
-          — the cross-process trace harvest;
-        - ``cluster.router.bootstrap_builds`` /
-          ``cluster.router.bootstrap_hits`` — bootstraps that rebuilt the
-          bootstrap image vs. were served from it;
-        - ``cluster.shard.latency.<kind>`` — per-shard histograms merged
-          by :meth:`collect_shard_metrics`, and
-          ``cluster.shard.requests.<kind>.<status>`` summed across
-          shards.
-        """
-        self.metrics.register_into(registry, prefix=prefix)
-        registry.register(f"{prefix}.failovers", self.failovers)
-        registry.register(f"{prefix}.restarts", self.restarts)
-        registry.register(f"{prefix}.timeouts", self.timeouts)
-        registry.register(f"{prefix}.rebalances", self.rebalances)
-        registry.register(f"{prefix}.shards", self.shards_gauge)
-        registry.register(f"{prefix}.journal.entries", self.journal_gauge)
-        registry.register(f"{prefix}.rpc.inflight", self.rpc_inflight)
-        registry.register(f"{prefix}.read.replica_hits",
-                          self.replica_hits)
-        registry.register(f"{prefix}.read.replica_lag", self.replica_lag)
-        registry.register(f"{prefix}.read.coalesced", self.read_coalesced)
-        registry.register(f"{prefix}.telemetry.spans",
-                          self.telemetry_spans)
-        registry.register(f"{prefix}.telemetry.events",
-                          self.telemetry_events)
-        registry.register(f"{prefix}.telemetry.dropped",
-                          self.telemetry_dropped)
-        registry.register(f"{prefix}.telemetry.harvests",
-                          self.telemetry_harvests)
-        registry.register(f"{prefix}.router.bootstrap_builds",
-                          self.bootstrap_builds)
-        registry.register(f"{prefix}.router.bootstrap_hits",
-                          self.bootstrap_hits)
-
-        def collect() -> Dict[str, object]:
-            out: Dict[str, object] = {
-                f"{prefix}.rpc.late_discards": self.late_discards_total(),
-                f"{prefix}.rpc.pending": self.rpc_pending_total(),
-            }
-            for kind, hist in self._shard_latency.items():
-                out[f"{prefix}.shard.latency.{kind}"] = hist
-            for key, value in self._shard_outcomes.items():
-                out[f"{prefix}.shard.requests.{key}"] = value
-            return out
-
-        registry.register_collector(collect)
+    def _collect_metrics(self) -> Dict[str, object]:
+        """Export-time ``cluster.rpc.late_discards`` / ``.pending`` and
+        the ``cluster.shard.latency.<kind>`` /
+        ``cluster.shard.requests.<kind>.<status>`` merge of the last
+        :meth:`collect_shard_metrics`."""
+        out: Dict[str, object] = {
+            "cluster.rpc.late_discards": self.late_discards_total(),
+            "cluster.rpc.pending": self.rpc_pending_total(),
+        }
+        for kind, hist in self._shard_latency.items():
+            out[f"cluster.shard.latency.{kind}"] = hist
+        for key, value in self._shard_outcomes.items():
+            out[f"cluster.shard.requests.{key}"] = value
+        return out
 
     def stats(self) -> Dict[str, object]:
-        return {
-            "shards": self.n_shards,
+        """Topology facts plus every scalar ``cluster.*`` metric outside
+        the per-kind families, keyed by its name past ``cluster.`` and a
+        ``read.``/``router.``/``rpc.`` section, dots as underscores
+        (``cluster.read.coalesced`` -> ``coalesced``,
+        ``cluster.journal.entries`` -> ``journal_entries``)."""
+        out: Dict[str, object] = {
             "replicas": self.replicas,
             "transport": self.transport,
             "version": self.version,
             "version_vector": self.version_vector(),
-            "journal_entries": len(self.journal_entries()),
             "tiles": len(self._all_tiles),
-            "failovers": self.failovers.value,
-            "restarts": self.restarts.value,
-            "timeouts": self.timeouts.value,
-            "rebalances": self.rebalances.value,
-            "replica_hits": self.replica_hits.value,
-            "replica_lag": self.replica_lag.value,
-            "coalesced": self.read_coalesced.value,
             "inflight_peak": self._inflight_peak,
-            "late_discards": self.late_discards_total(),
-            "telemetry_spans": self.telemetry_spans.value,
-            "telemetry_dropped": self.telemetry_dropped.value,
-            "bootstrap_builds": self.bootstrap_builds.value,
-            "bootstrap_hits": self.bootstrap_hits.value,
         }
+        for name, value in self.registry.snapshot().items():
+            key = name[len("cluster."):]
+            if isinstance(value, dict) or key.startswith(
+                    ("requests.", "shard.")):
+                continue
+            for section in ("read.", "router.", "rpc."):
+                if key.startswith(section):
+                    key = key[len(section):]
+            out[key.replace(".", "_")] = value
+        return out

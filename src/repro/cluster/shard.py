@@ -216,9 +216,8 @@ class ShardBackend:
         if op == "metrics":
             metrics = self.service.metrics
             return {
-                "snapshot": metrics.snapshot(),
+                "snapshot": metrics.as_dict(),
                 "latency": metrics.latency_histograms(),
-                "outcomes": metrics.outcome_counts(),
             }
         if op == "slow":
             with self._slow_lock:

@@ -33,7 +33,7 @@ from repro.core.tiles import TileId, TileScheme
 from repro.errors import IngestError
 from repro.ingest.observation import Observation, ObservationBatch
 from repro.obs.log import get_logger
-from repro.obs.metrics import Counter
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
 
 _log = get_logger("ingest.bus")
@@ -86,11 +86,14 @@ class ObservationBus:
         self._partitions = [_Partition() for _ in range(n_partitions)]
         self._ticks = itertools.count()  # retry tiebreaks, lease recency
         self._closed = False
-        self.published = Counter()
-        self.deduplicated = Counter()
-        self.shed_oldest = Counter()
-        self.redelivered = Counter()
-        self.acked_batches = Counter()
+        #: the producer-side ``ingest.bus.*`` counters
+        self.registry = MetricsRegistry()
+        counter = self.registry.counter
+        self.published = counter("ingest.bus.published")
+        self.deduplicated = counter("ingest.bus.deduplicated")
+        self.shed_oldest = counter("ingest.bus.shed_oldest")
+        self.redelivered = counter("ingest.bus.redelivered")
+        self.acked_batches = counter("ingest.bus.acked_batches")
 
     # -- producer side --------------------------------------------------
     def partition_of(self, tile: TileId) -> int:

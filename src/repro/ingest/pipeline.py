@@ -132,11 +132,14 @@ class IngestPipeline:
         self.delivery_hook = delivery_hook
 
         self.config = IngestConfig()
-        self.metrics = IngestMetrics()
+        #: every ingest.* instrument: the pipeline's and its bus's
+        self.registry = MetricsRegistry()
+        self.metrics = IngestMetrics(self.registry)
         self.bus = ObservationBus(tile_size=tile_size,
                                   n_partitions=self.n_partitions,
                                   capacity_per_partition=capacity_per_partition,
                                   lease_timeout_s=lease_timeout_s)
+        self.registry.register_collector(self.bus.registry.collect)
         self.prior = server.snapshot()
         # The mandatory constraint gate between fuse and publish
         # (ROADMAP item 4): one VerifyGate shared by the verify stage
@@ -371,42 +374,14 @@ class IngestPipeline:
             self._stop_event.wait(self.supervisor_tick_s)
 
     # -- observability --------------------------------------------------
-    def register_into(self, registry: MetricsRegistry,
-                      prefix: str = "ingest") -> None:
-        """Register pipeline + bus metrics under canonical dotted names."""
-        self.metrics.register_into(registry, prefix)
-        registry.register(f"{prefix}.bus.published", self.bus.published)
-        registry.register(f"{prefix}.bus.deduplicated",
-                          self.bus.deduplicated)
-        registry.register(f"{prefix}.bus.shed_oldest", self.bus.shed_oldest)
-        registry.register(f"{prefix}.bus.redelivered", self.bus.redelivered)
-        registry.register(f"{prefix}.bus.acked_batches",
-                          self.bus.acked_batches)
-
     def stats(self) -> Dict[str, object]:
-        """Pipeline metrics merged with the bus's producer-side counters."""
+        """:meth:`IngestMetrics.as_dict` (bus counters included) plus the
+        quarantine record count, breaker states and total queue depth."""
         out = self.metrics.as_dict()
-        observations = dict(out["observations"])  # type: ignore[arg-type]
-        observations.update({
-            "published": self.bus.published.value,
-            "deduplicated": self.bus.deduplicated.value,
-            "shed": self.bus.shed_oldest.value,
-        })
-        out["observations"] = observations
-        batches = dict(out["batches"])  # type: ignore[arg-type]
-        batches.update({
-            "redelivered": self.bus.redelivered.value,
-            "acked": self.bus.acked_batches.value,
-        })
-        out["batches"] = batches
-        out["patches"] = dict(out["patches"])  # type: ignore[arg-type]
-        verify = dict(out["verify"])  # type: ignore[arg-type]
         if self.verify_gate is not None:
-            verify["quarantine_records"] = len(self.verify_gate.quarantine)
-        out["verify"] = verify
-        breaker = dict(out["breaker"])  # type: ignore[arg-type]
-        breaker["stages"] = {name: b.state
-                             for name, b in sorted(self.breakers.items())}
-        out["breaker"] = breaker
+            out["verify"]["quarantine_records"] = \
+                len(self.verify_gate.quarantine)  # type: ignore[index]
+        out["breaker"]["stages"] = {  # type: ignore[index]
+            name: b.state for name, b in sorted(self.breakers.items())}
         out["queue_depth_total"] = self.bus.total_depth()
         return out

@@ -153,8 +153,6 @@ class VerifyGate:
         # Bound once for the per-publish hot path (attribute chains
         # cost real time at this call rate).
         self._check = self.engine.check_patch
-        self._mark_clean = None if metrics is None \
-            else metrics.verify_mark_clean
 
     def admit(self, confirmed: ConfirmedPatch) -> bool:
         """Verify one patch; True admits it, False quarantines it."""
@@ -170,9 +168,7 @@ class VerifyGate:
         report = self._check(self.prior, confirmed.patch)
         confirmed.verified = True
         if not report.violations:
-            if self._mark_clean is not None:
-                self._mark_clean()
-            return True
+            return self._clean()
         return self._flag(confirmed, report)
 
     def _admit(self, confirmed: ConfirmedPatch) -> bool:
@@ -181,10 +177,15 @@ class VerifyGate:
         report = self._check(self.prior, confirmed.patch)
         confirmed.verified = True
         if not report.violations:
-            if self._mark_clean is not None:
-                self._mark_clean()
-            return True
+            return self._clean()
         return self._flag(confirmed, report)
+
+    def _clean(self) -> bool:
+        """The clean path: count one checked-and-passed decision."""
+        if self.metrics is not None:
+            self.metrics.verify_checked.add()
+            self.metrics.verify_passed.add()
+        return True
 
     def _flag(self, confirmed: ConfirmedPatch,
               report: ConstraintReport) -> bool:

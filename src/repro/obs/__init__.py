@@ -8,9 +8,9 @@ cross-cutting layer those questions are answered from:
 
 - :mod:`repro.obs.metrics` — the shared thread-safe primitives
   (:class:`Counter`, :class:`Gauge`, :class:`LatencyHistogram` with
-  cross-worker ``merge()``) and the :class:`MetricsRegistry` that
-  serve/ingest/perf metrics register into under canonical dotted names,
-  with ``snapshot()``, Prometheus-text, and JSON exporters;
+  cross-worker ``merge()``) and the :class:`MetricsRegistry` each
+  component owns and creates its instruments on under canonical dotted
+  names, with ``snapshot()``, Prometheus-text, and JSON exporters;
 - :mod:`repro.obs.trace` — :class:`TraceContext` propagation via
   ``contextvars`` (and explicit hand-off across thread boundaries),
   sampled spans recorded into a lock-free-append :class:`SpanRecorder`
@@ -26,7 +26,7 @@ These surfaces are also the evidence base for fault certification:
 :mod:`repro.chaos` checks its degradation invariants against the event
 log, metrics, and the database change log — never against harness
 bookkeeping — and ``docs/OPERATIONS.md`` keys its symptom → knob
-entries to the canonical metric names registered here.
+entries to the canonical metric names created on these registries.
 """
 
 from repro.obs.log import (
@@ -44,7 +44,6 @@ from repro.obs.metrics import (
     FRESHNESS_BOUNDS,
     Counter,
     Gauge,
-    HotCounter,
     LatencyHistogram,
     MetricsRegistry,
     register_perf_registry,
@@ -75,7 +74,6 @@ __all__ = [
     "EventLog",
     "FRESHNESS_BOUNDS",
     "Gauge",
-    "HotCounter",
     "INFO",
     "LatencyHistogram",
     "MetricsRegistry",

@@ -12,8 +12,8 @@ Events are key-value dicts with a wall-clock stamp, a level, the logger
 name, and — when emitted inside an active trace span — the trace/span
 ids, so a trace dump and the event log can be joined on ``trace_id``.
 Storage is a bounded in-memory ring (thread-safe, no I/O on the hot
-path) plus an optional JSONL sink; per-level counters can be registered
-into a :class:`~repro.obs.metrics.MetricsRegistry`.
+path) plus an optional JSONL sink; per-level counters live on the log's
+own :class:`~repro.obs.metrics.MetricsRegistry` as ``log.events.<level>``.
 
 Import discipline: imports only sibling ``repro.obs`` modules; the
 serving/ingest layers import it, never the reverse.
@@ -51,8 +51,10 @@ class EventLog:
         self.jsonl_path = jsonl_path
         self._lock = threading.Lock()
         self._events: Deque[Dict[str, object]] = deque(maxlen=self.CAPACITY)
+        self.registry = MetricsRegistry()
         self.counts_by_level: Dict[str, Counter] = {
-            name: Counter() for name in _LEVEL_NAMES.values()}
+            name: self.registry.counter(f"log.events.{name}")
+            for name in _LEVEL_NAMES.values()}
 
     def log(self, level: int, event: str, logger: str = "",
             **fields: object) -> Optional[Dict[str, object]]:
@@ -126,23 +128,9 @@ class EventLog:
                 if e["level"] in names and (event is None
                                             or e["event"] == event)]
 
-    def dump_jsonl(self, path: str) -> int:
-        events = self.events()
-        with open(path, "w", encoding="utf-8") as f:
-            for entry in events:
-                f.write(json.dumps(entry, sort_keys=True, default=str)
-                        + "\n")
-        return len(events)
-
     def clear(self) -> None:
         with self._lock:
             self._events.clear()
-
-    def register_into(self, registry: MetricsRegistry,
-                      prefix: str = "log") -> None:
-        """Expose per-level event counters as ``<prefix>.events.<level>``."""
-        for name, counter in self.counts_by_level.items():
-            registry.register(f"{prefix}.events.{name}", counter)
 
 
 #: Process-wide event log; ``get_logger`` binds names onto this one.

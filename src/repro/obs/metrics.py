@@ -1,15 +1,16 @@
-"""Shared metric primitives and the unified :class:`MetricsRegistry`.
+"""Shared metric primitives and the :class:`MetricsRegistry`.
 
-Before this module existed the repo had three telemetry silos —
-``repro.serve.metrics``, ``repro.ingest.metrics``, and
-``repro.perf.instrument`` — each with its own primitives and export
-shape. This module is the single home of the thread-safe primitives
+This module is the single home of the thread-safe primitives
 (:class:`Counter`, :class:`Gauge`, :class:`LatencyHistogram`) and of the
-:class:`MetricsRegistry` every subsystem registers into under canonical
-dotted names (``serve.requests.GetTile.ok``, ``ingest.freshness``,
-``perf.<kernel>.calls`` …), with one consistent point-in-time
-``snapshot()`` and two exporters: Prometheus text exposition format and
-JSON.
+:class:`MetricsRegistry`. Every component that counts something —
+``MapService``, ``ClusterRouter``, ``IngestPipeline`` and its bus,
+``PackReader``, ``EventLog`` — owns one registry as ``.registry`` and
+creates each instrument on it once, under its canonical dotted name
+(``serve.requests.GetTile.ok``, ``ingest.freshness``, ``pack.reads`` …).
+A caller that wants one export composes registries with
+``register_collector(component.registry.collect)``. Exports are one
+consistent point-in-time ``snapshot()`` (or its :meth:`nested` view for
+summaries), Prometheus text exposition format and JSON.
 
 Import discipline: this module is stdlib-only and must never import
 back into the rest of ``repro`` — the serving, ingest, and perf layers
@@ -18,8 +19,6 @@ all import it.
 
 from __future__ import annotations
 
-import copy
-import itertools
 import json
 import re
 import threading
@@ -27,12 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 
 class Counter:
-    """A thread-safe monotonically increasing counter.
-
-    Picklable: the lock is dropped on serialization and recreated on
-    load, so counters can cross a process boundary (shard→router
-    metric shipping) without ad-hoc dict shims.
-    """
+    """A thread-safe monotonically increasing counter."""
 
     __slots__ = ("_lock", "_value")
 
@@ -49,57 +43,9 @@ class Counter:
         with self._lock:
             return self._value
 
-    def __getstate__(self) -> Dict[str, int]:
-        with self._lock:
-            return {"value": self._value}
-
-    def __setstate__(self, state: Dict[str, int]) -> None:
-        self._lock = threading.Lock()
-        self._value = state["value"]
-
-
-class HotCounter(Counter):
-    """A lock-free :class:`Counter` for per-publish hot paths.
-
-    ``itertools.count.__next__`` runs entirely in C, so under the GIL a
-    single increment can never interleave with another thread's — the
-    same exactness the base class buys with a lock, at a fraction of
-    the cost. Reads peek a ``copy.copy`` of the iterator (copying a
-    ``count`` is non-consuming). Registry dispatch and pickling behave
-    exactly like the base class.
-    """
-
-    __slots__ = ("_count",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._count = itertools.count()
-
-    def add(self, n: int = 1) -> None:
-        if n == 1:
-            next(self._count)
-            return
-        for _ in range(n):  # each step is atomic; no lock needed
-            next(self._count)
-
-    @property
-    def value(self) -> int:
-        return next(copy.copy(self._count))
-
-    def __getstate__(self) -> Dict[str, int]:
-        return {"value": self.value}
-
-    def __setstate__(self, state: Dict[str, int]) -> None:
-        self._lock = threading.Lock()
-        self._value = 0
-        self._count = itertools.count(state["value"])
-
 
 class Gauge:
-    """A thread-safe last-value gauge (queue depths, in-flight counts).
-
-    Picklable on the same terms as :class:`Counter`.
-    """
+    """A thread-safe last-value gauge (queue depths, in-flight counts)."""
 
     __slots__ = ("_lock", "_value")
 
@@ -115,14 +61,6 @@ class Gauge:
     def value(self) -> int:
         with self._lock:
             return self._value
-
-    def __getstate__(self) -> Dict[str, int]:
-        with self._lock:
-            return {"value": self._value}
-
-    def __setstate__(self, state: Dict[str, int]) -> None:
-        self._lock = threading.Lock()
-        self._value = state["value"]
 
 
 #: Log-spaced bucket upper bounds (seconds): 0.1 ms .. 10 s, then +inf.
@@ -290,9 +228,6 @@ class LatencyHistogram:
         self._min_s = float(state["min_s"])  # type: ignore[arg-type]
         self._max_s = float(state["max_s"])  # type: ignore[arg-type]
 
-    def as_dict(self) -> Dict[str, float]:
-        return self.snapshot()
-
 
 Metric = Union[Counter, Gauge, LatencyHistogram, int, float,
                Callable[[], float]]
@@ -309,6 +244,15 @@ def _prom_name(name: str) -> str:
     return out
 
 
+def prom_type(metric: Metric) -> str:
+    """The Prometheus ``# TYPE`` a metric exports as."""
+    if isinstance(metric, Counter):
+        return "counter"
+    if isinstance(metric, LatencyHistogram):
+        return "histogram"
+    return "gauge"
+
+
 def _fmt(value: float) -> str:
     if value == float("inf"):
         return "+Inf"
@@ -318,20 +262,19 @@ def _fmt(value: float) -> str:
 
 
 class MetricsRegistry:
-    """One registry for every subsystem's metrics, under dotted names.
+    """One component's metrics, under canonical dotted names.
 
-    Two registration styles:
+    - :meth:`counter` / :meth:`gauge` / :meth:`histogram` create (or
+      return) the instrument of a name; a component calls them once per
+      name, or per request kind for families minted lazily;
+    - :meth:`register_collector` adds a callback invoked at export time
+      that returns a ``{name: metric-or-value}`` mapping: for values
+      computed on export (merged histograms, cache hit rate) and for
+      composing another component's registry.
 
-    - :meth:`register` / :meth:`counter` / :meth:`gauge` /
-      :meth:`histogram` for metrics whose names are known up front;
-    - :meth:`register_collector` for subsystems that mint metrics
-      dynamically (per-request-kind latency histograms, per-kernel perf
-      counters): the callback is invoked at export time and returns a
-      ``{name: metric-or-value}`` mapping.
-
-    Exports are :meth:`snapshot` (plain dicts), :meth:`to_json`, and
-    :meth:`to_prometheus` (text exposition format: counters, gauges, and
-    cumulative-bucket histograms).
+    Exports are :meth:`snapshot` (plain values), :meth:`nested`,
+    :meth:`to_json`, and :meth:`to_prometheus` (text exposition format:
+    counters, gauges, and cumulative-bucket histograms).
     """
 
     def __init__(self) -> None:
@@ -340,45 +283,39 @@ class MetricsRegistry:
         self._collectors: List[Callable[[], Dict[str, Metric]]] = []
 
     # -- registration ---------------------------------------------------
-    def register(self, name: str, metric: Metric) -> Metric:
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        with self._lock:
-            if name in self._metrics:
-                raise ValueError(f"metric {name!r} already registered")
-            self._metrics[name] = metric
-        return metric
-
     def register_collector(
             self, collect: Callable[[], Dict[str, Metric]]) -> None:
         """Add a callback contributing dynamically named metrics."""
         with self._lock:
             self._collectors.append(collect)
 
-    def _get_or_create(self, name: str, factory, kind) -> Metric:
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                if not _NAME_RE.match(name):
-                    raise ValueError(f"invalid metric name {name!r}")
-                metric = self._metrics[name] = factory()
-            elif not isinstance(metric, kind):
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{type(metric).__name__}")
-            return metric
+    def _get_or_create(self, name: str, kind, *args) -> Metric:
+        # A dict read is atomic under the GIL, so a hit (every call after
+        # the first for a name) takes no lock; creation does.
+        metric = self._metrics.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._metrics.get(name)
+                if metric is None:
+                    if not _NAME_RE.match(name):
+                        raise ValueError(f"invalid metric name {name!r}")
+                    metric = self._metrics[name] = kind(*args)
+        if not isinstance(metric, kind):
+            raise ValueError(
+                f"metric {name!r} already registered as "
+                f"{type(metric).__name__}")
+        return metric
 
     def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter, Counter)
+        return self._get_or_create(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge, Gauge)
+        return self._get_or_create(name, Gauge)
 
     def histogram(self, name: str,
                   bounds: Optional[Sequence[float]] = None
                   ) -> LatencyHistogram:
-        return self._get_or_create(
-            name, lambda: LatencyHistogram(bounds), LatencyHistogram)
+        return self._get_or_create(name, LatencyHistogram, bounds)
 
     # -- export ---------------------------------------------------------
     def collect(self) -> Dict[str, Metric]:
@@ -410,6 +347,33 @@ class MetricsRegistry:
         return {name: self._value_of(metric)
                 for name, metric in sorted(self.collect().items())}
 
+    def nested(self, prefix: str, keys: Dict[str, str]) -> Dict[str, object]:
+        """:meth:`snapshot` of the names under ``prefix.`` as a summary.
+
+        ``<prefix>.<section>.<rest>`` lands at ``out[section][rest]`` and
+        ``<prefix>.<name>`` at ``out[name]``. ``keys`` renames a leading
+        part of a name first, dots in the new key nesting one level each
+        (``{"verify.constraint": "verify.by_constraint"}``); whatever
+        follows the renamed part is again one key.
+        """
+        head = prefix + "."
+        out: Dict[str, object] = {}
+        for name, value in self.snapshot().items():
+            if not name.startswith(head):
+                continue
+            rest = name[len(head):]
+            path, _, key = rest.partition(".")
+            for old, new in keys.items():
+                if rest == old or rest.startswith(old + "."):
+                    path, key = new, rest[len(old) + 1:]
+                    break
+            parts = path.split(".") + ([key] if key else [])
+            node = out
+            for part in parts[:-1]:
+                node = node.setdefault(part, {})  # type: ignore[assignment]
+            node[parts[-1]] = value
+        return out
+
     def to_json(self) -> str:
         return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
@@ -418,11 +382,9 @@ class MetricsRegistry:
         lines: List[str] = []
         for name, metric in sorted(self.collect().items()):
             pname = _prom_name(name)
-            if isinstance(metric, Counter):
-                lines.append(f"# TYPE {pname} counter")
-                lines.append(f"{pname} {metric.value}")
-            elif isinstance(metric, LatencyHistogram):
-                lines.append(f"# TYPE {pname} histogram")
+            kind = prom_type(metric)
+            lines.append(f"# TYPE {pname} {kind}")
+            if kind == "histogram":
                 cumulative = 0
                 counts = metric.bucket_counts()
                 for bound, bucket in zip(metric.bounds, counts):
@@ -433,19 +395,17 @@ class MetricsRegistry:
                 lines.append(f'{pname}_bucket{{le="+Inf"}} {cumulative}')
                 lines.append(f"{pname}_sum {_fmt(metric.sum_s)}")
                 lines.append(f"{pname}_count {cumulative}")
+            elif kind == "counter":
+                lines.append(f"{pname} {metric.value}")
             else:
-                value = (metric.value if isinstance(metric, Gauge)
-                         else float(metric()) if callable(metric)
-                         else metric)
-                lines.append(f"# TYPE {pname} gauge")
-                lines.append(f"{pname} {_fmt(float(value))}")
+                lines.append(f"{pname} {_fmt(float(self._value_of(metric)))}")
         return "\n".join(lines) + "\n"
 
 
-def register_perf_registry(registry: MetricsRegistry, perf_registry,
-                           prefix: str = "perf") -> None:
+def register_perf_registry(registry: MetricsRegistry,
+                           perf_registry) -> None:
     """Surface a :class:`repro.perf.instrument.PerfRegistry`'s per-kernel
-    call/ns counters in ``registry`` under ``<prefix>.<kernel>.calls`` /
+    call/ns counters in ``registry`` under ``perf.<kernel>.calls`` /
     ``.total_ns``. Duck-typed on ``snapshot()`` so this module never has
     to import ``repro.perf`` (kernels import the perf instrumenter at
     module load; an import edge back would be a cycle).
@@ -454,8 +414,8 @@ def register_perf_registry(registry: MetricsRegistry, perf_registry,
     def collect() -> Dict[str, Metric]:
         out: Dict[str, Metric] = {}
         for kernel, entry in perf_registry.snapshot().items():
-            out[f"{prefix}.{kernel}.calls"] = int(entry["calls"])
-            out[f"{prefix}.{kernel}.total_ns"] = float(entry["total_ns"])
+            out[f"perf.{kernel}.calls"] = int(entry["calls"])
+            out[f"perf.{kernel}.total_ns"] = float(entry["total_ns"])
         return out
 
     registry.register_collector(collect)

@@ -31,7 +31,8 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    TextIO)
 
 
 @dataclass(frozen=True)
@@ -240,12 +241,12 @@ class SpanRecorder:
     def trace(self, trace_id: str) -> List[Span]:
         return [s for s in self.spans() if s.trace_id == trace_id]
 
-    def dump_jsonl(self, path: str) -> int:
-        """Write every surviving span as one JSON object per line."""
+    def dump_jsonl(self, out: TextIO) -> int:
+        """Write every surviving span to the text stream ``out`` as one
+        JSON object per line."""
         spans = self.spans()
-        with open(path, "w", encoding="utf-8") as f:
-            for span in spans:
-                f.write(json.dumps(span.as_dict(), sort_keys=True) + "\n")
+        for span in spans:
+            out.write(json.dumps(span.as_dict(), sort_keys=True) + "\n")
         return len(spans)
 
     def clear(self) -> None:

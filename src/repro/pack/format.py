@@ -44,7 +44,7 @@ from typing import Dict, List, Optional
 from repro.core.tiles import TileId
 from repro.errors import PackError
 from repro.obs.log import get_logger
-from repro.obs.metrics import Counter, Gauge
+from repro.obs.metrics import MetricsRegistry
 
 _log = get_logger("pack.format")
 
@@ -209,11 +209,19 @@ class PackReader:
         except PackError:
             self.close()
             raise
-        # pack.* counters: how the serving layer actually uses the pack.
-        self.reads = Counter()
-        self.bytes_served = Counter()
-        self.decodes = Counter()
-        self.checksum_failures = Counter()
+        # pack.* metrics: how the serving layer actually uses the pack,
+        # plus gauges of the file's shape, which is fixed once open.
+        self.registry = MetricsRegistry()
+        self.reads = self.registry.counter("pack.reads")
+        self.bytes_served = self.registry.counter("pack.bytes_served")
+        self.decodes = self.registry.counter("pack.decodes")
+        self.checksum_failures = self.registry.counter(
+            "pack.checksum_failures")
+        for name, value in (("pack.tiles", len(self._entries)),
+                            ("pack.file_bytes", self._file_size),
+                            ("pack.garbage_bytes", self.garbage_bytes),
+                            ("pack.elements", self.total_elements)):
+            self.registry.gauge(name).set(value)
         self._warn_garbage()
 
     def _parse(self, size: int) -> None:
@@ -329,23 +337,6 @@ class PackReader:
             garbage_bytes=garbage, file_bytes=self._file_size,
             ratio=round(garbage / self._file_size, 3),
             threshold=self.GARBAGE_WARN_RATIO)
-
-    def register_into(self, registry, prefix: str = "pack") -> None:
-        """Register ``pack.*`` metrics: serving counters plus file-shape
-        gauges (``pack.tiles`` / ``pack.file_bytes`` /
-        ``pack.garbage_bytes`` / ``pack.elements``)."""
-        registry.register(f"{prefix}.reads", self.reads)
-        registry.register(f"{prefix}.bytes_served", self.bytes_served)
-        registry.register(f"{prefix}.decodes", self.decodes)
-        registry.register(f"{prefix}.checksum_failures",
-                          self.checksum_failures)
-        for name, value in ((f"{prefix}.tiles", len(self._entries)),
-                            (f"{prefix}.file_bytes", self._file_size),
-                            (f"{prefix}.garbage_bytes", self.garbage_bytes),
-                            (f"{prefix}.elements", self.total_elements)):
-            gauge = Gauge()
-            gauge.set(int(value))
-            registry.register(name, gauge)
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:

@@ -39,7 +39,7 @@ from repro.core.hdmap import HDMap
 from repro.core.tiles import TileId
 from repro.errors import HDMapError
 from repro.obs.log import get_logger
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
 from repro.serve.admission import AdmissionController
 from repro.serve.api import (
@@ -82,8 +82,7 @@ class MapService:
                  cache_shards: int = 8, tiles_per_shard: int = 16,
                  max_queue: int = 256,
                  storage_latency_s: float = 0.0,
-                 service_latency_s: float = 0.0,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+                 service_latency_s: float = 0.0) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.server = server
@@ -93,17 +92,19 @@ class MapService:
         self.service_latency_s = service_latency_s
         self.cache = ShardedTileCache(self._fetch_tile, cache_shards,
                                       tiles_per_shard)
-        self.metrics = ServiceMetrics()
-        self.metrics.attach_cache(self.cache)
+        #: every serve.* instrument, plus pack.* when pack-backed
+        self.registry = MetricsRegistry()
+        self.metrics = ServiceMetrics(self.registry, "serve")
+        self.registry.register_collector(lambda: {
+            f"serve.cache.{name}": value
+            for name, value in self.cache.as_dict().items()})
         #: tiles a SpatialQuery actually visited (present in the store);
         #: absent covered tiles are short-circuited before the cache.
-        self.spatial_tiles_scanned = Counter()
-        if registry is not None:
-            self.metrics.register_into(registry)
-            registry.register("serve.spatial.tiles_scanned",
-                              self.spatial_tiles_scanned)
-            if store.pack_backed:
-                store.pack_reader.register_into(registry)
+        self.spatial_tiles_scanned = self.registry.counter(
+            "serve.spatial.tiles_scanned")
+        if store.pack_backed:
+            self.registry.register_collector(
+                store.pack_reader.registry.collect)
         self.queue = AdmissionController(max_queue, on_shed=self._shed_item)
         self._threads: List[threading.Thread] = []
         self._started = False

@@ -207,7 +207,7 @@ def _feature_to_element(feature: Dict) -> MapElement:
 
 def map_from_dict(data: Dict) -> HDMap:
     """Deserialize a map produced by :func:`map_to_dict`."""
-    if data.get("type") != "FeatureCollection":
+    if not isinstance(data, dict) or data.get("type") != "FeatureCollection":
         raise StorageError("not a FeatureCollection document")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -227,5 +227,11 @@ def save_map(hdmap: HDMap, path: Union[str, Path]) -> int:
 
 
 def load_map(path: Union[str, Path]) -> HDMap:
+    """Read a map written by :func:`save_map`; a file that is not JSON
+    raises :class:`StorageError` naming the path."""
     with open(path) as f:
-        return map_from_dict(json.load(f))
+        try:
+            data = json.load(f)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise StorageError(f"{path}: not a JSON map ({exc})") from None
+    return map_from_dict(data)

@@ -57,19 +57,6 @@ class TileStoreStats:
         total = self.hits + self.loads
         return self.hits / total if total else 0.0
 
-    def __getstate__(self) -> Dict[str, int]:
-        """Picklable counter state (the lock is dropped and recreated on
-        load) so stats can cross a shard process boundary intact."""
-        with self._lock:
-            return {"loads": self.loads, "evictions": self.evictions,
-                    "hits": self.hits}
-
-    def __setstate__(self, state: Dict[str, int]) -> None:
-        self.loads = state["loads"]
-        self.evictions = state["evictions"]
-        self.hits = state["hits"]
-        self._lock = threading.Lock()
-
     def as_dict(self) -> Dict[str, float]:
         """Point-in-time counter values for metrics export."""
         with self._lock:

@@ -93,6 +93,29 @@ class TestCli:
         assert err == "repro validate: error: not a FeatureCollection " \
                       "document\n"
 
+    def test_not_json_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "notes.txt"
+        path.write_text("lane 1: 3.5 m\n")
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro stats: error: {path}: not a JSON map")
+        assert len(err.strip().splitlines()) == 1  # no traceback
+
+    def test_zero_tile_size_is_rejected_by_the_parser(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "city.json"
+        main(["generate", "--kind", "city", "--size", "1", "--out",
+              str(path)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stats", str(path), "--tiles", "--tile-size", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        # argparse's usage line, then one error line; no traceback
+        assert err.splitlines()[-1] == "repro stats: error: argument " \
+            "--tile-size: must be positive, got '0'"
+        assert "Traceback" not in err
+
     def test_reproducible_generation(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -189,7 +212,8 @@ class TestObsCli:
         with TRACER.start_trace("cli.local_only"):
             pass  # a trace that never left the router process
         spans = tmp_path / "cluster-spans.jsonl"
-        TRACER.recorder.dump_jsonl(str(spans))
+        with open(spans, "w", encoding="utf-8") as out:
+            TRACER.recorder.dump_jsonl(out)
         TRACER.configure(enabled=False)
 
         assert main(["obs", "trace", "--input", str(spans)]) == 0
@@ -222,6 +246,16 @@ class TestDocsConsistency:
         metric, constructor argument or CLI flag fails tier-1, not only
         the CI lint job."""
         assert _load_tool("check_docs").main() == 0  # stale refs printed
+
+    def test_metric_names_and_types_are_pinned(self):
+        """Every metric name a deployment exports, with its Prometheus
+        ``# TYPE``, equals ``tests/data/metric_names.txt``: renaming,
+        dropping or retyping a metric is a deliberate edit of that file."""
+        pinned = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "data", "metric_names.txt")
+        with open(pinned, encoding="utf-8") as fh:
+            want = dict(line.split() for line in fh if line.strip())
+        assert _load_tool("check_docs")._metric_universe() == want
 
     def test_doc_naming_a_retired_subcommand_fails(self, tmp_path):
         """The CLI check runs both ways: a doc that tells a reader to run
@@ -277,8 +311,8 @@ class TestDeadSurface:
     def test_readded_unused_clock_option_fails(self, tool):
         hits = self._hits(
             tool, "src/repro/serve/service.py",
-            "registry: Optional[MetricsRegistry] = None) -> None:",
-            "registry: Optional[MetricsRegistry] = None,\n"
+            "service_latency_s: float = 0.0) -> None:",
+            "service_latency_s: float = 0.0,\n"
             "                 clock=time.monotonic) -> None:")
         assert any("MapService(clock=)" in h for h in hits), hits
 

@@ -27,7 +27,7 @@ from repro.cluster.rpc import (
 from repro.core import MapPatch, SignType, TrafficSign
 from repro.core.tiles import TileId, consistent_hash_owner, ownership_map
 from repro.errors import ClusterError
-from repro.obs.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import LatencyHistogram
 from repro.serve.api import (
     ChangesSince,
     GetTile,
@@ -37,9 +37,8 @@ from repro.serve.api import (
     SpatialQuery,
     Status,
 )
-from repro.serve.metrics import ServiceMetrics
 from repro.storage.binary import encode_map
-from repro.storage.tilestore import TileStore, TileStoreStats
+from repro.storage.tilestore import TileStore
 
 TILE_GRID = [TileId(x, y) for x in range(16) for y in range(16)]
 
@@ -102,35 +101,17 @@ class TestPicklability:
         clone = pickle.loads(pickle.dumps(response))
         assert clone.ok and clone.payload == b"blob" and clone.version == 7
 
-    def test_tile_store_stats_round_trip(self):
-        stats = TileStoreStats()
-        stats.record_hit()
-        stats.record_load()
-        clone = pickle.loads(pickle.dumps(stats))
-        assert (clone.hits, clone.loads, clone.evictions) == (1, 1, 0)
-        clone.record_hit()  # the rebuilt lock must be usable
-        assert clone.hits == 2
-
     def test_metric_primitives_round_trip(self):
-        counter = Counter()
-        counter.add(3)
-        gauge = Gauge()
-        gauge.set(11)
+        """Latency histograms are the one metric that crosses a process
+        (the shard ``metrics`` op); they must pickle and still merge."""
         hist = LatencyHistogram()
         hist.record(0.004)
         hist.record(0.250)
-        c2, g2, h2 = pickle.loads(pickle.dumps((counter, gauge, hist)))
-        assert c2.value == 3 and g2.value == 11
+        h2 = pickle.loads(pickle.dumps(hist))
         assert h2.count == 2 and h2.snapshot() == hist.snapshot()
         merged = LatencyHistogram()
         merged.merge(h2)  # unpickled histograms feed snapshot merging
         assert merged.count == 2
-
-    def test_service_metrics_round_trip(self):
-        metrics = ServiceMetrics()
-        metrics.record_freshness(0.01)
-        clone = pickle.loads(pickle.dumps(metrics))
-        assert clone.freshness.count == 1
 
 
 class TestRouting:
@@ -740,14 +721,13 @@ class TestBootstrapImage:
             assert router.bootstrap_builds.value == 1
 
     def test_counters_reach_stats_and_registry(self, city):
-        registry = MetricsRegistry()
-        with _local_router(city, registry=registry) as router:
+        with _local_router(city) as router:
             router.bootstrap()
             router.bootstrap()
             stats = router.stats()
             assert (stats["bootstrap_builds"], stats["bootstrap_hits"]) \
                 == (1, 1)
-            snap = registry.snapshot()
+            snap = router.registry.snapshot()
             assert snap["cluster.router.bootstrap_builds"] == 1
             assert snap["cluster.router.bootstrap_hits"] == 1
 
@@ -798,6 +778,26 @@ class TestProcessTransport:
             assert set(per_shard) == {0, 1}
         finally:
             router.close()
+
+    def test_shard_histograms_cross_the_process_boundary(self, city):
+        """Each shard ships its live GetTile histogram through the
+        ``metrics`` op; the router's merge must count exactly the reads
+        the shards report as OK, and both must count every read sent."""
+        n = 12
+        router = ClusterRouter(city, n_shards=2, tile_size=120.0,
+                               transport="process")
+        try:
+            tiles = sorted(router.tiles())
+            for i in range(n):
+                assert router.request(
+                    GetTile(tile=tiles[i % len(tiles)], encoded=True)).ok
+            per_shard = router.collect_shard_metrics()
+            merged = router.registry.collect()["cluster.shard.latency.GetTile"]
+        finally:
+            router.close()
+        outcomes = sum(snap["outcomes"].get("GetTile.ok", 0)
+                       for snap in per_shard.values())
+        assert merged.count == outcomes == n
 
 
 class TestCloseReleasesFds:

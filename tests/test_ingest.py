@@ -21,6 +21,7 @@ from repro.ingest import (
 )
 from repro.ingest.metrics import IngestMetrics
 from repro.obs import EVENT_LOG
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import ChangesSince, MapService
 from repro.storage import RecordJournal, TileStore
 from repro.update.distribution import ConflictPolicy, MapDistributionServer
@@ -225,7 +226,7 @@ class TestPatchPublisher:
                 return self._inner.ingest(patch, policy=policy)
 
         flaky = FlakyServer(server, failures=10)
-        metrics = IngestMetrics()
+        metrics = IngestMetrics(MetricsRegistry())
         publisher = PatchPublisher(flaky, metrics=metrics)
         EVENT_LOG.clear()
         result = publisher.publish(

@@ -30,7 +30,6 @@ from repro.obs import (
     INFO,
     TRACER,
     WARNING,
-    Counter,
     EventLog,
     LatencyHistogram,
     MetricsRegistry,
@@ -104,7 +103,7 @@ class TestLatencyHistogramMerge:
         assert a.min_s == pytest.approx(0.05)
 
     def test_per_worker_stage_series_aggregate_in_export(self):
-        m = IngestMetrics()
+        m = IngestMetrics(MetricsRegistry())
         m.record_stage("fuse", 0.001, worker=0)
         m.record_stage("fuse", 0.002, worker=1)
         m.record_stage("fuse", 0.003, worker=1)
@@ -135,9 +134,9 @@ class TestMetricsRegistry:
 
     def test_duplicate_name_rejected(self):
         reg = MetricsRegistry()
-        reg.register("x.y", Counter())
+        reg.histogram("x.y")
         with pytest.raises(ValueError, match="already registered"):
-            reg.register("x.y", Counter())
+            reg.counter("x.y")
 
     def test_kind_conflict_rejected(self):
         reg = MetricsRegistry()
@@ -148,7 +147,7 @@ class TestMetricsRegistry:
     def test_invalid_name_rejected(self):
         reg = MetricsRegistry()
         with pytest.raises(ValueError, match="invalid metric name"):
-            reg.register("bad name", Counter())
+            reg.counter("bad name")
 
     def test_get_or_create_is_idempotent(self):
         reg = MetricsRegistry()
@@ -220,22 +219,23 @@ class TestMetricsRegistry:
                                        "mean_ns": 5.0}}
 
         reg = MetricsRegistry()
-        sm = ServiceMetrics()
-        sm.register_into(reg)
+        sm = ServiceMetrics(MetricsRegistry(), "serve")
+        reg.register_collector(sm.registry.collect)
         sm.record("GetTile", "ok", 0.004)
-        im = IngestMetrics()
-        im.register_into(reg)
+        im = IngestMetrics(MetricsRegistry())
+        reg.register_collector(im.registry.collect)
         im.record_stage("validate", 0.001, worker=0)
         im.record_freshness(0.2)
         register_perf_registry(reg, FakePerf())
-        EVENT_LOG.register_into(reg, prefix="testlog")
+        log = EventLog()
+        reg.register_collector(log.registry.collect)
         names = reg.names()
         assert "serve.latency.GetTile" in names
         assert "serve.requests.GetTile.ok" in names
         assert "ingest.stage.validate" in names
         assert "ingest.freshness" in names
         assert "perf.lidar.scan.calls" in names
-        assert "testlog.events.error" in names
+        assert "log.events.error" in names
         text = reg.to_prometheus()
         assert validate_prometheus_text(text) == []
         assert "serve_latency_GetTile_sum" in text
@@ -343,7 +343,8 @@ class TestTracer:
             with TRACER.span("b"):
                 pass
         path = tmp_path / "spans.jsonl"
-        assert TRACER.recorder.dump_jsonl(str(path)) == 3
+        with open(path, "w", encoding="utf-8") as out:
+            assert TRACER.recorder.dump_jsonl(out) == 3
         spans = load_spans_jsonl(str(path))
         assert verify_spans(spans) == []
         roots = build_tree(spans)
@@ -411,15 +412,11 @@ class TestEventLog:
         get_logger("t", log).info("hello", n=1)
         entry = json.loads(sink.read_text().strip())
         assert entry["event"] == "hello" and entry["n"] == 1
-        out = tmp_path / "dump.jsonl"
-        assert log.dump_jsonl(str(out)) == 1
 
     def test_registry_export_of_level_counters(self):
-        reg = MetricsRegistry()
         log = EventLog()
-        log.register_into(reg)
         get_logger("t", log).error("x")
-        assert reg.snapshot()["log.events.error"] == 1
+        assert log.registry.snapshot()["log.events.error"] == 1
 
     def test_ring_is_bounded(self):
         log = EventLog()

@@ -19,7 +19,6 @@ from repro.core.changes import ChangeType, MapChange
 from repro.core.ids import ElementId
 from repro.core.tiles import TileId
 from repro.errors import PackError, StorageError
-from repro.obs.metrics import MetricsRegistry
 from repro.pack import (
     PackReader,
     PackWriter,
@@ -238,11 +237,9 @@ class TestPackFormat:
             assert reader.total_elements == total
 
     def test_metrics_registration(self, pack_path):
-        registry = MetricsRegistry()
         with PackReader(pack_path) as reader:
             reader.get(reader.tiles()[0])
-            reader.register_into(registry)
-            snap = registry.snapshot()
+            snap = reader.registry.snapshot()
         assert snap["pack.reads"] == 1
         assert snap["pack.tiles"] == len(reader)
         assert snap["pack.garbage_bytes"] == 0
@@ -446,9 +443,8 @@ class TestClusterPack:
             warnings = [e for e in EVENT_LOG.events()
                         if e.get("event") == "journal_large"]
             assert len(warnings) == 1  # warned once, not per append
-            registry = MetricsRegistry()
-            router.register_into(registry)
-            assert registry.snapshot()["cluster.journal.entries"] == 3
+            assert router.registry.snapshot()[
+                "cluster.journal.entries"] == 3
 
 
 def _rng_delta(rng: np.random.Generator, n_changes: int,

@@ -669,7 +669,7 @@ class TestServeEncodedMemoization:
             tile = store.tiles()[0]
             service.request(GetTile(tile))
             service.request(GetTile(tile))
-            snap = service.metrics.snapshot()
+            snap = service.metrics.as_dict()
             assert snap["cache"]["misses"] == 1
             assert snap["cache"]["hits"] == 1
             assert snap["cache"]["resident"] == 1

@@ -132,7 +132,7 @@ class TestMetrics:
         # The p99 falls in the (0.01, 0.1] bucket, but the bucket bound is
         # clamped to the exact observed maximum.
         assert hist.percentile(99) == 0.05
-        assert hist.as_dict()["count"] == 100
+        assert hist.snapshot()["count"] == 100
 
     def test_histogram_tracks_exact_min_max(self):
         hist = LatencyHistogram(bounds=(0.001, 0.01, 0.1))
@@ -393,10 +393,7 @@ class TestMapService:
                      streaming.landmarks_in_radius(*point, 60.0)}
 
     def test_spatial_short_circuits_absent_tiles(self, city):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        service, store, _ = _world_service(city, registry=registry)
+        service, store, _ = _world_service(city)
         with service:
             # a radius around the map corner covers tiles outside the
             # built world; those must not be faulted into the cache
@@ -412,8 +409,8 @@ class TestMapService:
             assert absent, "query should cover tiles outside the world"
             assert service.spatial_tiles_scanned.value == len(present)
             assert set(service.cache.resident_tiles()).isdisjoint(absent)
-            assert registry.snapshot()["serve.spatial.tiles_scanned"] == \
-                len(present)
+            assert service.registry.snapshot()[
+                "serve.spatial.tiles_scanned"] == len(present)
 
     def test_ingest_then_changes_since(self, city):
         service, _, server = _world_service(city)

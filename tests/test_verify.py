@@ -3,7 +3,6 @@ semantics (including crash replay), pipeline/publisher enforcement, and
 the chaos-report surfaces the fifth invariant renders through."""
 
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from repro.core.validation import (
 from repro.geometry import Polyline
 from repro.ingest import ConfirmedPatch, IngestPipeline
 from repro.ingest.verify import QuarantineStore, VerifyGate
-from repro.obs import HotCounter
 from repro.update.distribution import MapDistributionServer
 from repro.world import generate_grid_city
 
@@ -294,28 +292,3 @@ class TestChaosSurfaces:
             malformed_keys=["chaos:geometry.degenerate_lane:0"])
         assert result.ok
         assert result.samples == 1
-
-
-# ----------------------------------------------------------------------
-class TestHotCounter:
-    def test_counts_and_bulk_add(self):
-        counter = HotCounter()
-        for _ in range(5):
-            counter.add()
-        counter.add(3)
-        assert counter.value == 8
-        # Reading the value must not consume the underlying count.
-        assert counter.value == 8
-
-    def test_is_a_counter_for_registry_dispatch(self):
-        from repro.obs import Counter
-        assert isinstance(HotCounter(), Counter)
-
-    def test_pickle_round_trip_preserves_value(self):
-        counter = HotCounter()
-        counter.add(4)
-        clone = pickle.loads(pickle.dumps(counter))
-        assert clone.value == 4
-        clone.add()
-        assert clone.value == 5
-        assert counter.value == 4

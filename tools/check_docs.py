@@ -32,7 +32,7 @@ import os
 import re
 import sys
 import tempfile
-from typing import List, Set
+from typing import Dict, List, Set
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
@@ -94,78 +94,65 @@ def check_cli_docs(errors: List[str], root: str = REPO) -> None:
                     f"{name}` is not a registered subcommand")
 
 
-def _metric_universe() -> Set[str]:
-    """Registered names of a real workload (dynamic names included)."""
+def _metric_universe() -> Dict[str, str]:
+    """Every metric name of a real workload -> its Prometheus type.
+
+    One registry composes the registries of the components a deployment
+    runs: the ``obs smoke`` workload (event log, ingest pipeline and
+    bus, map service, perf kernels); a one-request service, because the
+    fleet workload never issues ``GetTile``; a tiny in-process cluster,
+    whose replicated reads mint the read-path metrics, whose one write
+    mints the per-kind router metrics and whose one metrics poll mints
+    the merged per-shard names; and a pack-backed store after one
+    zero-copy read and one decode.
+    """
     import numpy as np
 
     from repro.cli import _obs_workload
-    from repro.storage import save_map
-    from repro.world import generate_grid_city
-
-    from repro.obs import MetricsRegistry
-    from repro.serve import GetTile, MapService
-    from repro.storage import TileStore
+    from repro.cluster import ClusterRouter
+    from repro.core import MapPatch, SignType, TrafficSign
+    from repro.obs.metrics import MetricsRegistry, prom_type
+    from repro.serve import GetTile, IngestPatch, MapService
+    from repro.storage import TileStore, save_map
     from repro.update.distribution import MapDistributionServer
+    from repro.world import generate_grid_city
 
     city = generate_grid_city(np.random.default_rng(7), 2, 2,
                               block_size=150.0)
+    universe = MetricsRegistry()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "city.json")
         save_map(city, path)
-        registry = _obs_workload(path, seed=7)
-    names = set(registry.snapshot())
+        universe.register_collector(_obs_workload(path, seed=7).collect)
 
-    # The fleet workload never issues GetTile; cover its dynamic
-    # per-kind names from a one-request service of its own.
-    extra = MetricsRegistry()
-    server = MapDistributionServer(city.copy())
-    store = TileStore.build(city, tile_size=250.0)
-    with MapService(server, store, n_workers=1, registry=extra) as service:
-        service.request(GetTile(store.tiles()[0]))
-    names |= set(extra.snapshot())
+        store = TileStore.build(city, tile_size=250.0)
+        with MapService(MapDistributionServer(city.copy()), store,
+                        n_workers=1) as service:
+            service.request(GetTile(store.tiles()[0]))
+        universe.register_collector(service.registry.collect)
 
-    # cluster.* names come from a tiny in-process cluster: replicated
-    # reads mint the concurrent-read-path metrics (replica hits, lag,
-    # coalescing, inflight), one write mints the per-kind router
-    # metrics, one metrics poll mints the merged per-shard names.
-    from repro.cluster import ClusterRouter
-    from repro.core import MapPatch, SignType, TrafficSign
-    from repro.serve import IngestPatch
+        with ClusterRouter(city, n_shards=2, tile_size=250.0,
+                           transport="local", replicas=1) as router:
+            for _ in range(4):  # round-robin across primary + replica
+                router.request(GetTile(router.tiles()[0]))
+            patch = MapPatch(source="docs-check", confidence=0.9)
+            patch.add(TrafficSign(id=city.new_id("docs-check-sign"),
+                                  position=np.array([10.0, 10.0]),
+                                  sign_type=SignType.DIRECTION))
+            router.request(IngestPatch(patch=patch))
+            router.collect_shard_metrics()
+        universe.register_collector(router.registry.collect)
 
-    cluster_registry = MetricsRegistry()
-    router = ClusterRouter(city, n_shards=2, tile_size=250.0,
-                           transport="local", replicas=1,
-                           registry=cluster_registry)
-    try:
-        for _ in range(4):  # round-robin across primary + replica
-            router.request(GetTile(router.tiles()[0]))
-        import numpy as np
-        patch = MapPatch(source="docs-check", confidence=0.9)
-        patch.add(TrafficSign(id=city.new_id("docs-check-sign"),
-                              position=np.array([10.0, 10.0]),
-                              sign_type=SignType.DIRECTION))
-        router.request(IngestPatch(patch=patch))
-        router.collect_shard_metrics()
-        names |= set(cluster_registry.snapshot())
-    finally:
-        router.close()
-
-    # pack.* names come from a tiny pack-backed store: one zero-copy
-    # read and one decode touch every serving counter.
-    from repro.storage.tilestore import TileStore as _TileStore
-
-    pack_registry = MetricsRegistry()
-    with tempfile.TemporaryDirectory() as tmp:
         pack_path = os.path.join(tmp, "docs-check.pack")
-        _TileStore.build(city, tile_size=250.0).to_pack(pack_path)
-        packed = _TileStore.from_pack(pack_path)
+        store.to_pack(pack_path)
+        packed = TileStore.from_pack(pack_path)
         tile = packed.tiles()[0]
         packed.encoded_view(tile)
         packed.load_tile(tile)
-        packed.pack_reader.register_into(pack_registry)
         packed.pack_reader.close()
-        names |= set(pack_registry.snapshot())
-    return names
+        universe.register_collector(packed.pack_reader.registry.collect)
+    return {name: prom_type(metric)
+            for name, metric in universe.collect().items()}
 
 
 def check_handbook_metrics(errors: List[str]) -> None:
