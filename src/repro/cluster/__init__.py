@@ -6,8 +6,11 @@ processes — each a full ``MapDistributionServer`` + ``TileStore`` +
 ``MapService`` over its tile subset — fronted by a thin
 :class:`ClusterRouter` that pins point requests to the owning shard,
 scatter-gathers the rest, journals every acked write, and restarts or
-fails over shards from that journal. See ``DESIGN.md`` ("Cluster") for
-the ownership/failover walkthrough.
+fails over shards from that journal. Every routing decision lives in
+the I/O-free :class:`~repro.cluster.protocol.RouterCore`; the router is
+the shell that runs its effects over the transports of
+:mod:`repro.cluster.transport`. See ``DESIGN.md`` ("Cluster") for the
+ownership/failover walkthrough.
 """
 
 from repro.cluster.client import (
@@ -15,13 +18,7 @@ from repro.cluster.client import (
     ClusterMapClient,
     read_throughput,
 )
-from repro.cluster.router import (
-    ClusterRouter,
-    LocalShard,
-    ProcessShard,
-    TelemetryHarvester,
-    estimate_clock_offset,
-)
+from repro.cluster.router import ClusterRouter
 from repro.cluster.rpc import (
     PipelinedConnection,
     RpcError,
@@ -29,6 +26,8 @@ from repro.cluster.rpc import (
     ShardTimeout,
 )
 from repro.cluster.shard import ShardBackend, ShardConfig, shard_main
+from repro.cluster.telemetry import TelemetryHarvester, estimate_clock_offset
+from repro.cluster.transport import LocalShard, ProcessShard
 
 __all__ = [
     "ClusterDelta",

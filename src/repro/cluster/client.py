@@ -27,9 +27,9 @@ from repro.core.changes import MapChange
 from repro.core.hdmap import HDMap
 from repro.errors import ClusterError
 from repro.serve.api import GetTile
-from repro.update.distribution import SyncDelta
+from repro.update.distribution import SyncDelta, apply_changes
 
-if TYPE_CHECKING:  # circular at runtime: router builds ClusterDelta
+if TYPE_CHECKING:  # circular at runtime: the core builds ClusterDelta
     from repro.cluster.router import ClusterRouter
 
 
@@ -107,20 +107,9 @@ class ClusterMapClient:
             shard_delta = delta.deltas[index]
             if shard_delta.version <= self.vector.get(index, -1):
                 continue
-            for change in shard_delta.changes:
-                eid = change.element_id
-                self.bytes_downloaded += self.CHANGE_RECORD_BYTES
-                element = shard_delta.elements.get(eid)
-                in_local = eid in self.local
-                if element is not None:
-                    if in_local:
-                        self.local.replace(element)
-                    else:
-                        self.local.add(element)
-                elif in_local:
-                    self.local.remove(eid)
-                applied += 1
+            applied += apply_changes(self.local, shard_delta)
             self.vector[index] = shard_delta.version
+        self.bytes_downloaded += applied * self.CHANGE_RECORD_BYTES
         return applied
 
     def is_consistent(self) -> bool:

@@ -21,9 +21,9 @@ router hands each shard a fully picklable :class:`ShardConfig` at boot:
   had acknowledged. That replay is the whole failover story: acked
   writes live in the router's journal, so no shard death can lose them.
 
-The same backend runs in two transports: in-process (``LocalShard`` in
-the router module — unit tests, doc tooling) and as a forked child
-(:func:`shard_main`) speaking the length-prefixed RPC of
+The same backend runs in two transports (:mod:`repro.cluster.transport`):
+in-process (``LocalShard`` — unit tests, doc tooling) and as a forked
+child (:func:`shard_main`) speaking the length-prefixed RPC of
 :mod:`repro.cluster.rpc` over a socketpair.
 
 The ops, all sent by the router: ``serve`` (one

@@ -192,6 +192,24 @@ class MapDistributionServer:
             return self.db.map.new_id(kind)
 
 
+def apply_changes(local: HDMap, delta: SyncDelta) -> int:
+    """Apply ``delta``'s changes to ``local`` in log order; returns how
+    many. Idempotent per element: a change carrying an element adds it,
+    or replaces the present copy; one without removes it if present."""
+    for change in delta.changes:
+        eid = change.element_id
+        element = delta.elements.get(eid)
+        in_local = eid in local
+        if element is not None:
+            if in_local:
+                local.replace(element)
+            else:
+                local.add(element)
+        elif in_local:
+            local.remove(eid)
+    return len(delta.changes)
+
+
 @dataclass
 class VehicleMapClient:
     """A vehicle's local map, kept current by incremental sync.
@@ -252,21 +270,9 @@ class VehicleMapClient:
         """
         if delta.version <= self.synced_version:
             return 0
-        applied = 0
-        for change in delta.changes:
-            eid = change.element_id
-            if count_bytes:
-                self.bytes_downloaded += self.CHANGE_RECORD_BYTES
-            element = delta.elements.get(eid)
-            in_local = eid in self.local
-            if element is not None:
-                if in_local:
-                    self.local.replace(element)
-                else:
-                    self.local.add(element)
-            elif in_local:
-                self.local.remove(eid)
-            applied += 1
+        applied = apply_changes(self.local, delta)
+        if count_bytes:
+            self.bytes_downloaded += applied * self.CHANGE_RECORD_BYTES
         self.synced_version = delta.version
         return applied
 

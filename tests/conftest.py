@@ -6,7 +6,10 @@ the suite fast; anything that mutates a map must copy it first.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,10 +29,28 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+def leaked(threads_before) -> list:
+    """Threads started since ``threads_before`` that are still alive, and
+    live child processes — after a few seconds' grace for ones already
+    on their way out."""
+    deadline = time.monotonic() + 5.0
+    while True:
+        threads = [t for t in threading.enumerate()
+                   if t not in threads_before and t.is_alive()]
+        children = multiprocessing.active_children()
+        if (not threads and not children) or time.monotonic() > deadline:
+            break
+        time.sleep(0.02)
+    return ([f"thread {t.name}" for t in threads]
+            + [f"process {p.name}" for p in children])
+
+
 @pytest.fixture
-def open_fds():
-    """``open_fds(prefix)``: the targets of this process's open file
-    descriptors that start with ``prefix`` (``pipe:``, a file path…)."""
+def leaks():
+    """``leaks(prefix)``: the targets of this process's open file
+    descriptors that start with ``prefix`` (``pipe:``, a file path…).
+    The test also fails if, once it returns, a thread it started is
+    still alive or a child process is still running."""
     if not os.path.isdir("/proc/self/fd"):
         pytest.skip("needs /proc/self/fd")
 
@@ -44,7 +65,10 @@ def open_fds():
                 out.append(target)
         return out
 
-    return targets
+    before = set(threading.enumerate())
+    yield targets
+    left = leaked(before)
+    assert not left, f"still running after the test: {left}"
 
 
 @pytest.fixture(scope="session")

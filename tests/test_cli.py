@@ -134,8 +134,12 @@ class TestObsCli:
 
     def test_obs_export_prometheus_covers_every_subsystem(self, map_file,
                                                           capsys):
-        from repro.obs import validate_prometheus_text
+        from repro.obs import EVENT_LOG, validate_prometheus_text
 
+        # The log's counters are process-wide: earlier tests' errors
+        # count too, so the export must show exactly the errors logged
+        # before this run, i.e. the run itself logged none.
+        errors_before = EVENT_LOG.counts_by_level["error"].value
         assert main(["obs", "export", str(map_file),
                      "--format", "prometheus"]) == 0
         out = capsys.readouterr().out
@@ -144,7 +148,7 @@ class TestObsCli:
         assert "serve_latency_SpatialQuery_bucket" in out
         assert "ingest_freshness_bucket" in out
         assert "perf_grid_query_box_calls" in out
-        assert "log_events_error 0" in out
+        assert f"log_events_error {errors_before}\n" in out
         assert "# TYPE serve_freshness histogram" in out
 
     def test_obs_export_json(self, map_file, capsys):

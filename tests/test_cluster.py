@@ -144,9 +144,9 @@ class TestRouting:
             assert response.ok and response.payload.accepted
             assert client.sync() == 1
             assert eid in client.local
-            home = router._element_tile[eid]
+            home = router._core.place.element_tile[eid]
             assert router.owner_of_tile(home) == \
-                router._owner_of(home, router._owner, router.n_shards)
+                router._core.place.ownership.shard(home)
 
     def test_multi_tile_patch_splits_across_shards(self, city):
         with _local_router(city, n_shards=3) as router:
@@ -167,7 +167,7 @@ class TestRouting:
             assert response.ok and response.payload.accepted
             client.sync()
             assert all(eid in client.local for eid in eids)
-            owners = {router.owner_of_tile(router._element_tile[e])
+            owners = {router.owner_of_tile(router._core.place.element_tile[e])
                       for e in eids}
             assert len(owners) > 1, "patch should have split across shards"
 
@@ -260,7 +260,7 @@ class TestFailoverAndRestart:
             client = ClusterMapClient(router)
             eid, patch = _sign_patch(city, (33.0, 44.0))
             assert router.request(IngestPatch(patch=patch)).ok
-            owner = router.owner_of_tile(router._element_tile[eid])
+            owner = router.owner_of_tile(router._core.place.element_tile[eid])
             router.kill_shard(owner)
             # next write lands on the restarted shard with history intact
             eid2, patch2 = _sign_patch(city, (35.0, 46.0))
@@ -272,17 +272,20 @@ class TestFailoverAndRestart:
 
 
     def test_concurrent_retirements_lose_no_late_discard(self, city):
-        """Handles restart under *per-handle* locks, so two can retire a
-        connection at once; the folded total must not drop an update."""
+        """Every thread that runs a shard call reaps the connections its
+        step replaced, so two can retire one at once; the folded total
+        must not drop an update."""
         import sys
         from types import SimpleNamespace
 
         n_threads, per_thread = 8, 2000
-        dying = SimpleNamespace(late_discards=1)
+        dying = SimpleNamespace(late_discards=1, kill=lambda: None)
         with _local_router(city) as router:
             def retire():
                 for _ in range(per_thread):
-                    router._retire_connection(dying)
+                    with router._cond:
+                        router._dying.append(dying)
+                    router._reap()
 
             threads = [threading.Thread(target=retire)
                        for _ in range(n_threads)]
@@ -508,12 +511,11 @@ class TestReplicaReads:
         with _local_router(city, replicas=1) as router:
             tile = next(t for t in router.tiles()
                         if router.owner_of_tile(t) == 0)
-            handle = router._handles[0]
             # pretend the router has observed a version this shard's
             # replica has not reached: every replica pick must be
             # rejected by the floor and retried on the primary
-            with handle.vlock:
-                handle.last_version += 5
+            with router._cond:
+                router._core._shards[0].last_version += 5
             for _ in range(6):
                 response = router.request(GetTile(tile=tile, encoded=True))
                 assert response.ok
@@ -524,9 +526,8 @@ class TestReplicaReads:
         with _local_router(city, replicas=1) as router:
             tile = next(t for t in router.tiles()
                         if router.owner_of_tile(t) == 0)
-            handle = router._handles[0]
-            with handle.vlock:
-                handle.last_version += 5
+            with router._cond:
+                router._core._shards[0].last_version += 5
             router.kill_shard(0)
             response = router.request(GetTile(tile=tile, encoded=True))
             assert response.ok
@@ -540,20 +541,19 @@ class TestReplicaReads:
 
     def test_failover_read_holds_no_handle_lock(self, city):
         with _local_router(city, replicas=1) as router:
-            handle = router._handles[0]
-            replica = handle.replicas[0]
+            replica = router._links[(0, 0)][1]
             inner = replica.call
             probes = []
 
             def probe():
-                got = handle.lock.acquire(blocking=False)
+                got = router._cond.acquire(blocking=False)
                 if got:
-                    handle.lock.release()
+                    router._cond.release()
                 probes.append(got)
 
             def call(op, payload=None, timeout_s=None, trace_ctx=None):
                 if op == "serve":
-                    # another thread must be able to take the handle
+                    # another thread must be able to take the router
                     # lock while the replica is serving
                     other = threading.Thread(target=probe)
                     other.start()
@@ -615,7 +615,8 @@ def _encoded_bootstrap(router):
 
 def _uncached_merge(router):
     """Encoded Snapshot-gather-merge, bypassing the bootstrap image."""
-    return encode_map(router._build_image().map)
+    image = router._run(router._core._build_image())
+    return encode_map(image.map)
 
 
 class TestBootstrapImage:
@@ -801,21 +802,24 @@ class TestProcessTransport:
 
 
 class TestCloseReleasesFds:
-    def test_process_router_close_leaves_no_pipe(self, city, open_fds):
-        before = len(open_fds("pipe:"))
+    def test_process_router_close_leaves_no_pipe(self, city, leaks):
+        before = len(leaks("pipe:"))
+        # a live harvester too: close() must stop its thread
         router = ClusterRouter(city, n_shards=2, tile_size=120.0,
-                               replicas=1, transport="process")
+                               replicas=1, transport="process",
+                               telemetry_interval_s=0.05)
         assert router.request(GetTile(tile=router.tiles()[0])).ok
         router.kill_shard(0)
         router.close()
         # ``router`` (and every ProcessShard) is still referenced here,
         # so this does not wait on garbage collection
-        assert len(open_fds("pipe:")) == before
+        assert len(leaks("pipe:")) == before
 
     def test_pack_router_exit_leaves_no_pack_fd(self, city, tmp_path,
-                                                open_fds):
+                                                leaks):
         pack = os.path.realpath(str(tmp_path / "cluster.pack"))
-        with _local_router(city, pack_path=pack) as router:
+        with _local_router(city, pack_path=pack,
+                           telemetry_interval_s=0.05) as router:
             tile = next(t for t in router.tiles()
                         if router.owner_of_tile(t) == 0)
             router.kill_shard(0)
@@ -823,5 +827,5 @@ class TestCloseReleasesFds:
             assert router.restarts.value == 1
         with open("/proc/self/maps") as fh:
             mapped = [line for line in fh if pack in line]
-        assert open_fds(pack) == []
+        assert leaks(pack) == []
         assert mapped == []

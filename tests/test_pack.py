@@ -296,7 +296,7 @@ class TestTileStorePackMode:
         store.pack_reader.close()
 
     def test_rejected_open_leaves_no_fd(self, city_store, tmp_path,
-                                        open_fds):
+                                        leaks):
         path = os.path.realpath(str(tmp_path / "n.pack"))
         tile = city_store.tiles()[0]
         write_pack(path, [(tile, city_store._blobs[tile])])  # tile_size 0
@@ -305,7 +305,7 @@ class TestTileStorePackMode:
         # the held traceback still references the reader; its file
         # descriptors must be closed all the same
         assert "tile size" in str(rejected.value)
-        assert open_fds(path) == []
+        assert leaks(path) == []
 
 
 class TestPackServing:
@@ -424,11 +424,12 @@ class TestClusterPack:
                 assert bytes(response.payload) == city_store._blobs[tile]
 
     def test_journal_gauge_and_warning(self, city, tmp_path, monkeypatch):
+        from repro.cluster.protocol import RouterCore
         from repro.cluster.router import ClusterRouter
         from repro.obs.log import EVENT_LOG
 
         EVENT_LOG.clear()
-        monkeypatch.setattr(ClusterRouter, "JOURNAL_WARN_ENTRIES", 2)
+        monkeypatch.setattr(RouterCore, "JOURNAL_WARN_ENTRIES", 2)
         with ClusterRouter(city, n_shards=1, tile_size=250.0,
                            transport="local") as router:
             working = city.copy()
