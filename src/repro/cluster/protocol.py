@@ -172,7 +172,8 @@ class RouterCore(FlowRunner):
     def start(self, op: Any, flow: Flow, now: float) -> List[Any]:
         """Operation ``op`` starts: ``flow`` is one of :meth:`serve`,
         :meth:`bootstrap_image`, :meth:`changes_since`,
-        :meth:`rebalance`, :meth:`changelog` or :meth:`metrics`."""
+        :meth:`rebalance`, :meth:`changelog`, :meth:`metrics` or
+        :meth:`call`."""
         self.now = now
         return self._start(op, flow)
 
@@ -409,6 +410,12 @@ class RouterCore(FlowRunner):
                     seen.add(element.id)
                     merged.append(element)
         return Response(Status.OK, merged)
+
+    def call(self, index: int, slot: Any, call: str,
+             payload: Any = None) -> Flow:
+        """Answers one ``call`` on slot ``(index, slot)``, or raises what
+        it raised: the telemetry drain and the injected slow fault."""
+        return (yield self._send(self._shards[index], slot, call, payload))
 
     def changelog(self, index: int) -> Flow:
         """Answers shard ``index``'s ``(version, change)`` log."""

@@ -3,25 +3,23 @@
 Every routing decision is made by the I/O-free
 :class:`~repro.cluster.protocol.RouterCore`. The shell owns what the
 core may not touch: the transports (one per live primary and replica,
-tagged with the core's spawn generation), threads and the clock, and
+tagged with the core's spawn generation), deadlines and the clock, and
 observability (a ``cluster.rpc.<op>`` span and the in-flight gauge
 around every call, per-kind latency, connection counters, telemetry).
-Each caller feeds its event to the core under one lock, then runs the
-returned sends with the lock released, each call's outcome being the
-next event; a send for another operation, or the second of a scatter,
-gets a thread of its own. ``Restart`` spawns under the lock, so no
-send reaches a slot before its transport is in place. The chaos seams
-(:meth:`ClusterRouter.kill_shard`, :meth:`ClusterRouter.slow_shard`)
-and the telemetry harvester reach a named slot's transport directly.
+It starts no thread: a transport's completion callback feeds the reply
+to the core under one lock, and each operation's caller thread issues
+its own sends, with the lock released, and enforces their deadlines.
+Only :meth:`ClusterRouter.kill_shard` reaches a transport directly.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.flows import Respond
+from repro.cluster.flows import Discard
 from repro.cluster.placement import JournalEntry
 from repro.cluster.protocol import (PRIMARY, BootstrapImage, Restart,
                                     RouterCore, Send)
@@ -34,8 +32,8 @@ from repro.core.hdmap import HDMap
 from repro.core.tiles import TileId
 from repro.errors import ClusterError
 from repro.obs.log import get_logger
-from repro.obs.metrics import Counter, LatencyHistogram, MetricsRegistry
-from repro.obs.trace import TRACER, attach_context
+from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.trace import TRACER
 from repro.serve.api import GetTile, IngestPatch, Request, Response
 from repro.serve.metrics import ServiceMetrics
 from repro.storage.tilestore import TileStore
@@ -44,13 +42,19 @@ _log = get_logger("cluster.router")
 
 
 class _Op:
-    """One caller's operation: the trace its sends run in, on whichever
-    thread, and its answer once the core responds."""
+    """One caller's operation: its wake-up, the sends it has yet to
+    issue, those in flight (``seq -> (deadline, send, span)``) and its
+    answer. ``wake`` is held while the caller has nothing to do: routing
+    to the operation releases it, and the caller waits by acquiring it
+    (a one-shot signal, cheaper than a condition on the shell's lock)."""
 
-    __slots__ = ("ctx", "done", "value", "error")
+    __slots__ = ("wake", "outbox", "calls", "done", "value", "error")
 
     def __init__(self) -> None:
-        self.ctx = TRACER.current()
+        self.wake = threading.Lock()
+        self.wake.acquire()
+        self.outbox: List[Send] = []
+        self.calls: Dict[int, Tuple[float, Send, Any]] = {}
         self.done = False
         self.value: Any = None
         self.error: Optional[BaseException] = None
@@ -112,27 +116,26 @@ class ClusterRouter:
         self.journal_gauge = core.journal_gauge
         counter = self.registry.counter
         self.rpc_inflight = self.registry.gauge("cluster.rpc.inflight")
-        self._inflight = 0
+        self._inflight = 0        # sends in flight, over every operation
         self._inflight_peak = 0
-        self._inflight_lock = threading.Lock()
+        self._late_discards = 0   # replies that landed past their deadline
         self._shard_latency: Dict[str, LatencyHistogram] = {}
         self._shard_outcomes: Dict[str, int] = {}
-        # Telemetry plane: harvested span/event/drop accounting, plus
-        # late-discard counts folded in from retired (restarted/killed)
-        # connections so the collector's sum survives restarts.
+        # Telemetry plane: harvested span/event/drop accounting.
         self.telemetry_spans = counter("cluster.telemetry.spans")
         self.telemetry_events = counter("cluster.telemetry.events")
         self.telemetry_dropped = counter("cluster.telemetry.dropped")
         self.telemetry_harvests = counter("cluster.telemetry.harvests")
-        self._late_discards_retired = Counter()
         self.registry.register_collector(self._collect_metrics)
         self.telemetry = TelemetryHarvester(
             self, interval_s=telemetry_interval_s
             if telemetry_interval_s is not None else 1.0)
 
         # Guards the core, ``_links`` ((index, slot) -> (spawn gen,
-        # transport)) and ``_dying``; callers wait on it for their answer.
-        self._cond = threading.Condition(threading.Lock())
+        # transport)), ``_dying``, every operation's outbox and sends in
+        # flight, and the in-flight and late-discard counts. An
+        # operation waits for its own wake-up with the lock released.
+        self._cond = threading.Lock()
         self._links: Dict[Tuple[int, Any], Tuple[int, Any]] = {}
         self._dying: List[Any] = []
         with self._cond:
@@ -142,121 +145,129 @@ class ClusterRouter:
 
     # -- running the core -----------------------------------------------
     def _run(self, flow, tile: Optional[TileId] = None) -> Any:
-        """Start ``flow`` as one core operation and run its effects until
-        the core responds; returns (or raises) the answer. A GetTile of
-        ``tile`` that starts with nothing to send shares another
-        caller's read: its trace shows a ``cluster.read.wait`` span with
-        ``coalesced=True`` instead of an RPC."""
+        """Start ``flow`` as one core operation and drive it from this
+        thread until the core responds; returns (or raises) the answer.
+        A GetTile of ``tile`` that starts with nothing to send shares
+        another caller's read: its trace shows a ``cluster.read.wait``
+        span with ``coalesced=True`` instead of an RPC."""
         op = _Op()
         with self._cond:
-            sends = self._route(self._core.start(op, flow, self._clock()))
-        if not (sends or op.done or tile is None):
+            self._route(self._core.start(op, flow, self._clock()))
+            coalesced = not (op.outbox or op.done or tile is None)
+        if coalesced:
             with TRACER.span("cluster.read.wait", coalesced=True,
                              tile=str(tile)):
-                self._wait(op)
-        self._drive(op, sends)  # a restart it led to is reaped by a send
-        self._wait(op)
+                with self._cond:
+                    self._await(op)
+        while True:
+            with self._cond:
+                self._await(op)
+                sends, op.outbox = op.outbox, []
+                issue = [self._register(send) for send in sends]
+            self._reap()
+            for shard, send, span in filter(None, issue):
+                shard.call_async(send.call, send.payload, span.context,
+                                 partial(self._complete, send))
+            if op.done and not issue:
+                break
         if op.error is not None:
             raise op.error
         return op.value
 
-    def _wait(self, op: _Op) -> None:
-        with self._cond:
-            while not op.done:
-                self._cond.wait()
+    def _await(self, op: _Op) -> None:
+        """Wait until ``op`` has sends to issue or its answer, feeding
+        the core a :class:`ShardTimeout` for each send whose deadline
+        passes first. Hold ``_cond`` (released while waiting)."""
+        while not (op.outbox or op.done):
+            left = -1.0  # no send in flight: wait for a gate's release
+            if op.calls:
+                deadline, send, span = min(op.calls.values())
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    error = ShardTimeout(f"no reply to {send.call!r} "
+                                         f"within {self.call_timeout_s}s")
+                    span.set("timed_out", True)
+                    self._settle(send, None, error)
+                    continue
+            self._cond.release()
+            try:
+                op.wake.acquire(True, left)
+            finally:
+                self._cond.acquire()
 
-    def _route(self, effects: List[Any]) -> List[Send]:
-        """Apply ``effects`` under the lock: answers wake their callers,
-        restarts spawn now; returns the sends. Hold ``_cond``."""
-        sends: List[Send] = []
+    def _register(self, send: Send) -> Optional[Tuple[Any, Send, Any]]:
+        """Put ``send`` in flight: ``(transport, send, span)``, or None if
+        its slot was respawned since (answered ShardDead). Hold ``_cond``."""
+        gen, shard = self._links[(send.index, send.slot)]
+        if gen != send.gen:
+            self._settle(send, None,
+                         ShardDead("shard was respawned since the send"))
+            return None
+        span = TRACER.span(f"cluster.rpc.{send.call}", **send.attrs)
+        send.op.calls[send.seq] = (time.monotonic() + self.call_timeout_s,
+                                   send, span)
+        self._inflight += 1
+        self._inflight_peak = max(self._inflight_peak, self._inflight)
+        self.rpc_inflight.set(self._inflight)
+        return shard, send, span
+
+    def _settle(self, send: Send, value: Any,
+                error: Optional[BaseException]) -> None:
+        """Feed ``send``'s outcome to the core, closing its span if it
+        was still in flight. A reply that lands after its deadline passed
+        comes back as a ``Discard``: a late discard. Hold ``_cond``."""
+        call = send.op.calls.pop(send.seq, None)
+        if call is not None:
+            self._inflight -= 1
+            self.rpc_inflight.set(self._inflight)
+            call[2].__exit__(type(error) if error else None, error, None)
+        effects = self._core.reply(send.seq, value, error, self._clock())
+        if call is None and not isinstance(error, ShardDead):
+            self._late_discards += sum(type(e) is Discard for e in effects)
+        self._route(effects)
+
+    def _complete(self, send: Send, value: Any,
+                  error: Optional[BaseException]) -> None:
+        """A transport's completion of ``send``: the reply event. Runs
+        on whichever thread completed the call, which never sends."""
+        with self._cond:
+            self._settle(send, value, error)
+
+    def _route(self, effects: List[Any]) -> None:
+        """Apply ``effects``: a restart spawns now; a send goes into its
+        operation's outbox and an answer to its operation, each waking
+        it. Hold ``_cond``."""
         for effect in effects:
             kind = type(effect)
-            if kind is Send:
-                sends.append(effect)
-            elif kind is Respond:
-                op = effect.op
-                op.value, op.error, op.done = effect.value, effect.error, True
-                self._cond.notify_all()
-            elif kind is Restart:
+            if kind is Restart:
                 key = (effect.index, effect.slot)
                 old = self._links.get(key)
                 if old is not None:
                     self._dying.append(old[1])
                 self._links[key] = (effect.gen, self._spawn(effect.config))
-            # Discard: a reply nothing awaits; nothing to do
-        return sends
+                continue
+            if kind is Discard:  # a reply nothing awaits
+                continue
+            op = effect.op
+            if kind is Send:
+                op.outbox.append(effect)
+            else:
+                op.value, op.error, op.done = effect.value, effect.error, True
+            if op.wake.locked():
+                op.wake.release()
 
     def _reap(self) -> None:
-        """Kill the transports the last steps replaced — after the lock
-        is released, since killing joins a process. Their late-discard
-        counts are folded into the running total first, so
-        ``cluster.rpc.late_discards`` survives restarts."""
+        """Kill the transports the last steps replaced — with the lock
+        released, since killing joins a process."""
         if not self._dying:
             return
         with self._cond:
             dying, self._dying = self._dying, []
         for shard in dying:
-            self._late_discards_retired.add(getattr(shard, "late_discards", 0))
             try:
                 shard.kill()
             except Exception:
                 pass
-
-    def _drive(self, op: _Op, sends: List[Send]) -> None:
-        """Run ``sends`` and everything they lead to: one of ``op``'s on
-        this thread, each other on a thread of its own — a scatter's
-        shard calls, or another operation's flow that this one resumed
-        by releasing a gate."""
-        while sends:
-            mine = None
-            for send in sends:
-                if mine is None and send.op is op:
-                    mine = send
-                else:
-                    threading.Thread(target=self._drive, daemon=True,
-                                     args=(send.op, [send])).start()
-            sends = self._execute(mine) if mine is not None else []
-
-    def _execute(self, send: Send) -> List[Send]:
-        """One shard call, its outcome fed back to the core."""
-        gen, shard = self._links[(send.index, send.slot)]
-        value = error = None
-        try:
-            if gen != send.gen:
-                raise ShardDead("shard was respawned since the send")
-            with attach_context(send.op.ctx):
-                value = self._call(shard, send)
-        except Exception as exc:  # the flow that sent it decides
-            error = exc
-        with self._cond:
-            sends = self._route(self._core.reply(
-                send.seq, value, error, self._clock()))
-        self._reap()
-        return sends
-
-    def _call(self, shard: Any, send: Send) -> Any:
-        """One shard call in the in-flight gauge and, inside a sampled
-        trace, a ``cluster.rpc.<op>`` span whose context rides to the
-        shard; a timed-out call is stamped ``timed_out``."""
-        span = TRACER.span(f"cluster.rpc.{send.call}", **send.attrs)
-        with self._inflight_lock:
-            self._inflight += 1
-            if self._inflight > self._inflight_peak:
-                self._inflight_peak = self._inflight
-            self.rpc_inflight.set(self._inflight)
-        try:
-            with span:
-                try:
-                    return shard.call(send.call, send.payload,
-                                      timeout_s=self.call_timeout_s,
-                                      trace_ctx=span.context)
-                except ShardTimeout:
-                    span.set("timed_out", True)
-                    raise
-        finally:
-            with self._inflight_lock:
-                self._inflight -= 1
-                self.rpc_inflight.set(self._inflight)
 
     def _spawn(self, config: ShardConfig):
         # Runs under ``_cond``, so forks never race: a fork that raced
@@ -303,13 +314,6 @@ class ClusterRouter:
     def tiles(self) -> List[TileId]:
         """Blob-backed tiles of the static base (the GetTile universe)."""
         return sorted(self._core.place.blobs)
-
-    def live_shards(self) -> List[Tuple[int, Any, Any]]:
-        """``(index, slot, transport)`` of every primary and replica the
-        core believes alive, each shard's primary first."""
-        with self._cond:
-            return [(index, slot, self._links[(index, slot)][1])
-                    for index, slot in self._core.live()]
 
     # -- versions -------------------------------------------------------
     @property
@@ -390,15 +394,18 @@ class ClusterRouter:
                    count: int = 1) -> None:
         """Injected slowness: the shard's next ``count`` dispatches
         sleep ``delay_s`` before answering."""
-        with self._cond:
-            _, shard = self._links[(index, PRIMARY)]
         try:
-            shard.call("slow", {"delay_s": delay_s, "count": count},
-                       timeout_s=self.call_timeout_s)
+            self._call(index, PRIMARY, "slow",
+                       {"delay_s": delay_s, "count": count})
         except (ShardDead, ShardTimeout, RpcError):
             pass
         _log.warning("shard_slowed", shard=index, delay_s=delay_s,
                      count=count, injected=True)
+
+    def _call(self, index: int, slot: Any, call: str,
+              payload: Any = None) -> Any:
+        """One ``call`` on a named slot, as an operation of its own."""
+        return self._run(self._core.call(index, slot, call, payload))
 
     # -- observability --------------------------------------------------
     def collect_shard_metrics(self) -> Dict[int, Dict[str, object]]:
@@ -431,27 +438,14 @@ class ClusterRouter:
         with self._cond:
             return list(self._core.journal)
 
-    def late_discards_total(self) -> int:
-        """Late replies dropped across all connections, ever — live
-        counts plus the totals retired with restarted connections."""
-        total = self._late_discards_retired.value
-        for _, shard in list(self._links.values()):
-            total += getattr(shard, "late_discards", 0)
-        return total
-
-    def rpc_pending_total(self) -> int:
-        """Requests sitting in reader-thread in-flight tables right now."""
-        return sum(getattr(shard, "pending", 0)
-                   for _, shard in list(self._links.values()))
-
     def _collect_metrics(self) -> Dict[str, object]:
         """Export-time ``cluster.rpc.late_discards`` / ``.pending`` and
         the ``cluster.shard.latency.<kind>`` /
         ``cluster.shard.requests.<kind>.<status>`` merge of the last
         :meth:`collect_shard_metrics`."""
         out: Dict[str, object] = {
-            "cluster.rpc.late_discards": self.late_discards_total(),
-            "cluster.rpc.pending": self.rpc_pending_total(),
+            "cluster.rpc.late_discards": self._late_discards,
+            "cluster.rpc.pending": self._inflight,
         }
         for kind, hist in self._shard_latency.items():
             out[f"cluster.shard.latency.{kind}"] = hist

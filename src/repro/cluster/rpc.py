@@ -30,11 +30,14 @@ that, one slow reply would desynchronise the connection forever.
 
 The client end is :class:`PipelinedConnection` — many requests in
 flight on one socket. Senders serialize on a send lock; a dedicated
-reader thread matches every reply to its waiting caller by the echoed
-id. A caller that times out abandons its id, so the late reply is
-dropped by the reader (``late_discards``) without desynchronising anyone
-else, and replies may legally arrive out of order (the shard side
-answers ``serve`` ops as its worker pool finishes them).
+reader thread hands every reply to the ``done`` callback its request
+registered, matched by the echoed id, so replies may legally arrive out
+of order (the shard side answers ``serve`` ops as its worker pool
+finishes them). The completion is the event: the router's callback
+feeds it to its protocol core, and its deadlines are the router's own.
+A blocking :meth:`PipelinedConnection.call` that times out abandons its
+id, so the late reply is dropped by the reader (``late_discards``)
+without desynchronising anyone else.
 
 Failure taxonomy (what the router's failover logic keys on):
 
@@ -55,7 +58,7 @@ import pickle
 import socket
 import struct
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.serve.api import Response, Status
 
@@ -121,8 +124,6 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     while remaining:
         try:
             chunk = sock.recv(remaining)
-        except socket.timeout:
-            raise ShardTimeout("recv timed out") from None
         except (ConnectionResetError, OSError) as exc:
             raise ShardDead(f"recv failed: {exc}") from None
         if not chunk:
@@ -155,35 +156,20 @@ def recv_frame(sock: socket.socket) -> Tuple[int, Any]:
     return request_id, pickle.loads(raw)
 
 
-class _Waiter:
-    """One caller's slot in the pipelined in-flight table."""
-
-    __slots__ = ("done", "body", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.body: Any = None
-        self.error: Optional[Exception] = None
-
-
 class PipelinedConnection:
     """The router's end of one shard socket: many requests in flight.
 
-    Any number of threads may :meth:`call` concurrently. Each call takes
-    a fresh request id, registers a waiter, and sends under the send
-    lock; the reader thread delivers every reply to its waiter by the
-    echoed id. The failure taxonomy:
-
-    - a call that sees no reply inside its own deadline raises
-      :class:`ShardTimeout` and *abandons* its id — when the reply
-      eventually lands, the reader finds no waiter and discards it
-      (counted in ``late_discards``), so one slow request never
-      desynchronises the stream;
-    - EOF/reset kills the reader, which fails **all** in-flight waiters
-      with :class:`ShardDead` at once — the kill-mid-pipeline case: the
-      router's failover logic runs for each of them;
-    - ``("err", …)`` replies raise :class:`RpcError` in their caller
-      only.
+    :meth:`call_async` registers its ``done`` callback under a fresh
+    request id and sends under the send lock; the reader thread runs
+    each callback with its reply, matched by the echoed id, and never
+    sends. EOF/reset kills the reader, which fails **all** pending
+    callbacks with :class:`ShardDead` — the kill-mid-pipeline case;
+    ``("err", …)`` replies fail their own callback with
+    :class:`RpcError`. Deadlines are the caller's: the blocking
+    :meth:`call` raises :class:`ShardTimeout` past ``timeout_s`` and
+    abandons its id, and a reply with no callback is dropped (counted in
+    ``late_discards``), so one slow request never desynchronises the
+    stream.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -191,7 +177,7 @@ class PipelinedConnection:
         self._sock.settimeout(None)
         self._send_lock = threading.Lock()
         self._lock = threading.Lock()
-        self._waiters: Dict[int, _Waiter] = {}
+        self._pending: Dict[int, Callable[[Any, Any], None]] = {}
         self._next_id = 1
         self._dead: Optional[Exception] = None
         self.late_discards = 0
@@ -199,66 +185,75 @@ class PipelinedConnection:
                                         name="rpc-reader", daemon=True)
         self._reader.start()
 
-    @property
-    def inflight(self) -> int:
-        """Requests currently awaiting a reply."""
+    def call_async(self, op: str, payload: Any, trace_ctx: Any,
+                   done: Callable[[Any, Any], None]) -> int:
+        """Send one request, answered ``done(value, None)`` or
+        ``done(None, error)`` exactly once; returns its id."""
         with self._lock:
-            return len(self._waiters)
-
-    def call(self, op: str, payload: Any = None,
-             timeout_s: Optional[float] = None,
-             trace_ctx: Any = None) -> Any:
-        waiter = _Waiter()
-        with self._lock:
-            if self._dead is not None:
-                raise ShardDead(str(self._dead))
+            dead = self._dead
             request_id = self._next_id
             self._next_id += 1
-            self._waiters[request_id] = waiter
+            if dead is None:
+                self._pending[request_id] = done
+        if dead is not None:
+            done(None, ShardDead(str(dead)))
+            return request_id
         body = (op, payload) if trace_ctx is None \
             else (op, payload, trace_ctx)
         try:
             with self._send_lock:
                 send_frame(self._sock, request_id, body)
-        except ShardDead:
+        except ShardDead as exc:
             with self._lock:
-                self._waiters.pop(request_id, None)
-            raise
-        if not waiter.done.wait(timeout_s):
-            # Abandon the slot; the reader drops the late reply by id.
+                pending = self._pending.pop(request_id, None)
+            if pending is not None:  # else the reader failed it already
+                pending(None, exc)
+        return request_id
+
+    def call(self, op: str, payload: Any = None,
+             timeout_s: Optional[float] = None,
+             trace_ctx: Any = None) -> Any:
+        landed = threading.Event()
+        outcome = []
+
+        def done(value: Any, error: Optional[BaseException]) -> None:
+            outcome.append((value, error))
+            landed.set()
+
+        request_id = self.call_async(op, payload, trace_ctx, done)
+        if not landed.wait(timeout_s):
+            # Abandon the id; the reader drops the late reply.
             with self._lock:
-                self._waiters.pop(request_id, None)
+                self._pending.pop(request_id, None)
             raise ShardTimeout(f"no reply to {op!r} within {timeout_s}s")
-        if waiter.error is not None:
-            raise waiter.error
-        status, result = waiter.body
-        if status == "err":
-            raise RpcError(str(result))
-        return result
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
 
     def _read_loop(self) -> None:
         while True:
             try:
-                reply_id, body = recv_frame(self._sock)
+                reply_id, (status, result) = recv_frame(self._sock)
             except Exception as exc:
                 dead = exc if isinstance(exc, ShardDead) \
                     else ShardDead(f"reader failed: {exc}")
                 with self._lock:
                     if self._dead is None:
                         self._dead = dead
-                    waiters = list(self._waiters.values())
-                    self._waiters.clear()
-                for waiter in waiters:
-                    waiter.error = ShardDead(str(dead))
-                    waiter.done.set()
+                    pending = list(self._pending.values())
+                    self._pending.clear()
+                for done in pending:
+                    done(None, ShardDead(str(dead)))
                 return
             with self._lock:
-                waiter = self._waiters.pop(reply_id, None)
-            if waiter is None:
+                done = self._pending.pop(reply_id, None)
+            if done is None:
                 self.late_discards += 1
-                continue
-            waiter.body = body
-            waiter.done.set()
+            elif status == "err":
+                done(None, RpcError(str(result)))
+            else:
+                done(result, None)
 
     def close(self) -> None:
         with self._lock:
@@ -324,7 +319,7 @@ def serve_connection(sock: socket.socket, dispatch,
     while True:
         try:
             request_id, body = recv_frame(sock)
-        except (ShardDead, ShardTimeout):
+        except ShardDead:
             return
         if len(body) == 3:
             op, payload, trace_ctx = body
@@ -339,12 +334,10 @@ def serve_connection(sock: socket.socket, dispatch,
             except ShardDead:
                 pass
             return
+        args = (op, payload) if trace_ctx is None else (op, payload, trace_ctx)
         if async_dispatch is not None:
             try:
-                if trace_ctx is not None:
-                    future = async_dispatch(op, payload, trace_ctx)
-                else:
-                    future = async_dispatch(op, payload)
+                future = async_dispatch(*args)
             except Exception as exc:
                 if not send_error(request_id, exc):
                     return
@@ -360,10 +353,7 @@ def serve_connection(sock: socket.socket, dispatch,
                 future.add_done_callback(_finish)
                 continue
         try:
-            if trace_ctx is not None:
-                result = dispatch(op, payload, trace_ctx)
-            else:
-                result = dispatch(op, payload)
+            result = dispatch(*args)
         except Exception as exc:  # ship the failure, keep serving
             if not send_error(request_id, exc):
                 return

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.cluster.rpc import RpcError, ShardDead, ShardTimeout
@@ -114,16 +115,15 @@ class TelemetryHarvester:
         """One sweep over every live primary and replica."""
         router = self._router
         totals = {"spans": 0, "events": 0, "dropped": 0}
-        for index, slot, shard in router.live_shards():
+        with router._cond:
+            slots = router._core.live()
+        for index, slot in slots:
             role = slot if slot == "primary" else f"replica{slot}"
+            call = partial(router._call, index, slot)
             try:
-                offset = estimate_clock_offset(
-                    lambda op, _s=shard: _s.call(
-                        op, timeout_s=router.call_timeout_s))
-                batch = shard.call(
-                    "telemetry",
-                    {"max_spans": self.BATCH, "max_events": self.BATCH},
-                    timeout_s=router.call_timeout_s)
+                offset = estimate_clock_offset(call)
+                batch = call("telemetry", {"max_spans": self.BATCH,
+                                           "max_events": self.BATCH})
             except (ShardDead, ShardTimeout, RpcError):
                 continue
             counts = self.merge(index, role, batch, offset)

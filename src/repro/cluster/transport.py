@@ -1,10 +1,12 @@
 """Shard transports: the same :class:`ShardBackend` behind two wire levels.
 
-Both expose ``call(op, payload, timeout_s, trace_ctx)``, ``kill()`` and
-``close()``; the router shell runs every ``Send`` effect through one.
-:class:`LocalShard` dispatches in-process (unit tests, doc tooling);
-:class:`ProcessShard` forks a child that serves a pipelined socketpair
-and also counts ``late_discards`` and ``pending`` calls.
+Both expose ``call_async(op, payload, trace_ctx, done)``, which answers
+``done(value, None)`` or ``done(None, error)`` exactly once, on
+whichever thread completes the call, plus ``kill()`` and ``close()``;
+the router shell issues every ``Send`` effect through ``call_async``
+and enforces the deadlines itself. :class:`LocalShard` dispatches
+in-process (unit tests, doc tooling); :class:`ProcessShard` forks a
+child that serves a pipelined socketpair.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import multiprocessing
 import socket
 import threading
 import time
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.cluster.rpc import (PipelinedConnection, RpcError, ShardDead,
                                ShardTimeout)
@@ -24,15 +26,32 @@ class LocalShard:
     """In-process transport: direct dispatch, no sockets, no fork.
 
     Used by unit tests and doc tooling where process isolation is not
-    the point. Concurrent calls are naturally pipelined (each caller
-    thread dispatches straight into the thread-safe backend), but
-    ``slow``-injected delays block the caller (there is no receive loop
-    to time out), so timeout-driven chaos runs on :class:`ProcessShard`.
+    the point. A ``serve`` completes from its worker-pool future, so a
+    scatter's calls overlap; other ops, and ``slow``-injected delays
+    (there is no receive loop to stall), run inline through
+    :meth:`call`, so timeout-driven chaos runs on :class:`ProcessShard`.
     """
 
     def __init__(self, config: ShardConfig) -> None:
         self._backend = ShardBackend(config).start()
         self._dead = False
+
+    def call_async(self, op: str, payload: Any, trace_ctx: Any,
+                   done: Callable[[Any, Any], None]) -> None:
+        try:
+            if op == "serve" and not self._dead:
+                def landed(future) -> None:
+                    error = future.exception()
+                    done(None if error else future.result(), error)
+
+                self._backend.dispatch_async(
+                    op, payload, trace_ctx).add_done_callback(landed)
+                return
+            value = self.call(op, payload, trace_ctx=trace_ctx)
+        except Exception as exc:
+            done(None, exc)
+            return
+        done(value, None)
 
     def call(self, op: str, payload: Any = None,
              timeout_s: Optional[float] = None,
@@ -77,21 +96,9 @@ class ProcessShard:
         # injected crash beside the restart that replaces it).
         self._proc_lock = threading.Lock()
 
-    def call(self, op: str, payload: Any = None,
-             timeout_s: Optional[float] = None,
-             trace_ctx: Any = None) -> Any:
-        return self._conn.call(op, payload, timeout_s,
-                               trace_ctx=trace_ctx)
-
-    @property
-    def late_discards(self) -> int:
-        """Replies the reader dropped because their caller timed out."""
-        return self._conn.late_discards
-
-    @property
-    def pending(self) -> int:
-        """Requests awaiting a reply in the reader's in-flight table."""
-        return self._conn.inflight
+    def call_async(self, op: str, payload: Any, trace_ctx: Any,
+                   done: Callable[[Any, Any], None]) -> None:
+        self._conn.call_async(op, payload, trace_ctx, done)
 
     def kill(self) -> None:
         """Kill and join the child, then close its ``Process`` — which

@@ -56,7 +56,6 @@ from repro.obs.trace import (
     SpanRecorder,
     TraceContext,
     Tracer,
-    attach_context,
     build_tree,
     configure_tracing,
     format_trace,
@@ -84,7 +83,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "WARNING",
-    "attach_context",
     "build_tree",
     "configure_tracing",
     "format_trace",

@@ -385,39 +385,6 @@ def configure_tracing(enabled: Optional[bool] = None,
                             reset=reset)
 
 
-class _AttachedContext:
-    """Context manager that re-activates a carried TraceContext."""
-
-    __slots__ = ("_ctx", "_token")
-
-    def __init__(self, ctx: Optional[TraceContext]) -> None:
-        self._ctx = ctx
-        self._token: Optional[contextvars.Token] = None
-
-    def __enter__(self) -> "_AttachedContext":
-        if self._ctx is not None:
-            self._token = _ACTIVE.set(self._ctx)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        if self._token is not None:
-            _ACTIVE.reset(self._token)
-            self._token = None
-        return False
-
-
-def attach_context(ctx: Optional[TraceContext]) -> _AttachedContext:
-    """Re-activate ``ctx`` in the current thread without opening a span.
-
-    New threads start with an empty contextvar, so a scatter-gather
-    worker spawned inside a traced request would silently lose the
-    trace; the spawner captures :meth:`Tracer.current` and the worker
-    runs under ``with attach_context(ctx):``. A ``None`` context is a
-    no-op.
-    """
-    return _AttachedContext(ctx)
-
-
 # -- offline span-tree tooling (CLI `obs trace`, smoke checks) ----------
 def load_spans_jsonl(path: str) -> List[Dict[str, object]]:
     """Read a span dump written by :meth:`SpanRecorder.dump_jsonl`."""

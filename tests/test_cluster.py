@@ -271,37 +271,6 @@ class TestFailoverAndRestart:
             assert client.is_consistent()
 
 
-    def test_concurrent_retirements_lose_no_late_discard(self, city):
-        """Every thread that runs a shard call reaps the connections its
-        step replaced, so two can retire one at once; the folded total
-        must not drop an update."""
-        import sys
-        from types import SimpleNamespace
-
-        n_threads, per_thread = 8, 2000
-        dying = SimpleNamespace(late_discards=1, kill=lambda: None)
-        with _local_router(city) as router:
-            def retire():
-                for _ in range(per_thread):
-                    with router._cond:
-                        router._dying.append(dying)
-                    router._reap()
-
-            threads = [threading.Thread(target=retire)
-                       for _ in range(n_threads)]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30.0)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not any(t.is_alive() for t in threads)
-            assert router.late_discards_total() == n_threads * per_thread
-
-
 class TestRebalance:
     def test_growth_moves_only_rehashed_tiles(self, city):
         with _local_router(city) as router:
@@ -411,7 +380,7 @@ class TestPipelinedConnection:
             # drain all n requests before answering any: every caller is
             # now simultaneously in flight on the one connection
             pending = [recv_frame(peer) for _ in range(n)]
-            assert conn.inflight == n
+            assert len(conn._pending) == n
             # answer newest-first: replies must match by echoed id, not
             # by arrival order
             for request_id, (op, payload) in reversed(pending):
@@ -420,7 +389,7 @@ class TestPipelinedConnection:
             for t in threads:
                 t.join()
             assert results == [slot * 10 for slot in range(n)]
-            assert conn.inflight == 0
+            assert len(conn._pending) == 0
             assert conn.late_discards == 0
         finally:
             conn.close()
@@ -462,7 +431,7 @@ class TestPipelinedConnection:
             # a correct fast result proves the stream did not desync
             assert fast_result == [8]
             assert conn.late_discards == 1
-            assert conn.inflight == 0
+            assert len(conn._pending) == 0
         finally:
             conn.close()
             peer.close()
@@ -542,7 +511,7 @@ class TestReplicaReads:
     def test_failover_read_holds_no_handle_lock(self, city):
         with _local_router(city, replicas=1) as router:
             replica = router._links[(0, 0)][1]
-            inner = replica.call
+            inner = replica.call_async
             probes = []
 
             def probe():
@@ -551,17 +520,16 @@ class TestReplicaReads:
                     router._cond.release()
                 probes.append(got)
 
-            def call(op, payload=None, timeout_s=None, trace_ctx=None):
+            def call_async(op, payload, trace_ctx, done):
                 if op == "serve":
                     # another thread must be able to take the router
                     # lock while the replica is serving
                     other = threading.Thread(target=probe)
                     other.start()
                     other.join(timeout=5.0)
-                return inner(op, payload, timeout_s=timeout_s,
-                             trace_ctx=trace_ctx)
+                return inner(op, payload, trace_ctx, done)
 
-            replica.call = call
+            replica.call_async = call_async
             router.kill_shard(0)
             assert router.request(Snapshot()).ok
             assert probes and all(probes)
@@ -829,3 +797,198 @@ class TestCloseReleasesFds:
             mapped = [line for line in fh if pack in line]
         assert leaks(pack) == []
         assert mapped == []
+
+
+class _Parked:
+    """One call a :class:`_Stepped` transport ran and holds the reply of."""
+
+    def __init__(self, index, op, payload, value, error, done):
+        self.index, self.op, self.payload = index, op, payload
+        self.value, self.error, self._done = value, error, done
+
+    def land(self):
+        self._done(self.value, self.error)
+
+
+class _Stepped:
+    """A transport that runs each call on its shard at once but parks
+    the reply until the test lands it — or lands it at once while its
+    router's ``auto`` is set."""
+
+    def __init__(self, inner, index, router):
+        self._inner, self._index, self._router = inner, index, router
+
+    def call_async(self, op, payload, trace_ctx, done):
+        try:
+            value, error = self._inner.call(op, payload), None
+        except Exception as exc:
+            value, error = None, exc
+        parked = _Parked(self._index, op, payload, value, error, done)
+        router = self._router
+        with router.arrived:
+            if not router.auto:
+                router.parked.append(parked)
+                router.arrived.notify_all()
+                return
+        parked.land()
+
+    def kill(self):
+        self._inner.kill()
+
+    def close(self):
+        self._inner.close()
+
+
+class _SteppedRouter(ClusterRouter):
+    """The real router over :class:`_Stepped` transports."""
+
+    def __init__(self, *args, **kw):
+        self.parked = []
+        self.arrived = threading.Condition()
+        self.auto = False
+        super().__init__(*args, **kw)
+
+    def _spawn(self, config):
+        return _Stepped(super()._spawn(config), config.index, self)
+
+    def close(self):
+        with self.arrived:  # the final telemetry drain must not park
+            self.auto = True
+        super().close()
+
+    def take(self, n, timeout=5.0):
+        """The first ``n`` parked replies, in send order (fewer if they
+        do not all arrive within ``timeout``)."""
+        with self.arrived:
+            self.arrived.wait_for(lambda: len(self.parked) >= n, timeout)
+            out, self.parked[:n] = self.parked[:n], []
+        return out
+
+
+def _in_thread(call):
+    """Run ``call`` on a thread of its own; returns (thread, results)."""
+    results = []
+    thread = threading.Thread(target=lambda: results.append(call()))
+    thread.start()
+    return thread, results
+
+
+class TestSteppedReplies:
+    """The real router, with the test deciding when and in what order
+    replies land."""
+
+    def _router(self, city, **kw):
+        kw.setdefault("n_shards", 2)
+        return _SteppedRouter(city, tile_size=120.0, transport="local",
+                              lease_s=600.0, **kw)
+
+    def test_scatter_replies_landing_in_reverse_order_merge_alike(
+            self, city):
+        query = SpatialQuery(x=225.0, y=150.0, radius=400.0)
+        with _local_router(city, n_shards=4) as plain:
+            want = [e.id for e in plain.request(query).payload]
+        with self._router(city, n_shards=4) as router:
+            thread, results = _in_thread(lambda: router.request(query))
+            parked = router.take(4)
+            assert sorted(p.index for p in parked) == [0, 1, 2, 3]
+            for p in reversed(parked):
+                p.land()
+            thread.join(timeout=5.0)
+            (response,) = results
+            assert response.ok, response.error
+            assert [e.id for e in response.payload] == want
+
+    def test_write_answered_by_a_respawned_slot_is_resent_not_acked(
+            self, city):
+        with self._router(city) as router:
+            eid, patch = _sign_patch(city, (33.0, 44.0))
+            writer, acks = _in_thread(
+                lambda: router.request(IngestPatch(patch=patch)))
+            (write,) = router.take(1)  # applied; its reply held back
+            index = write.index
+            router.kill_shard(index)
+            # A read there respawns the primary from the journal, which
+            # does not hold the write yet.
+            tile = next(t for t in router.tiles()
+                        if router.owner_of_tile(t) == index)
+            reader, reads = _in_thread(
+                lambda: router.request(GetTile(tile=tile, encoded=True)))
+            (read,) = router.take(1)
+            read.land()
+            reader.join(timeout=5.0)
+            assert reads[0].ok and router.restarts.value == 1
+            write.land()  # the dead spawn's ack
+            (resend,) = router.take(1)
+            assert writer.is_alive() and not acks
+            assert (resend.index, resend.op) == (index, "serve")
+            assert isinstance(resend.payload, IngestPatch)
+            resend.land()
+            writer.join(timeout=5.0)
+            assert acks[0].ok and acks[0].payload.accepted
+            router.auto = True
+            adds = [c for v, c in router.shard_changelog(index)
+                    if c.element_id == eid]
+            assert len(adds) == 1
+            client = ClusterMapClient(router)
+            assert eid in client.local and client.is_consistent()
+
+    def test_reply_past_its_deadline_is_one_timeout_and_one_late_discard(
+            self, city):
+        """Also: a late reply landing after its transport was replaced
+        and reaped still counts."""
+        store = TileStore.build(city, 120.0)
+        with self._router(city, call_timeout_s=0.2) as router:
+            tile = store.tiles()[0]
+            reader, reads = _in_thread(
+                lambda: router.request(GetTile(tile=tile, encoded=True)))
+            (first,) = router.take(1)
+            # Later calls answer at once: the caller's own deadline must
+            # fail the read over to a restarted primary.
+            with router.arrived:
+                router.auto = True
+                stray, router.parked = router.parked, []
+            for p in stray:
+                p.land()
+            reader.join(timeout=5.0)
+            timed_out = not reader.is_alive()
+            first.land()
+            reader.join(timeout=5.0)
+            assert timed_out, "no deadline fired"
+            assert reads[0].ok
+            assert reads[0].payload == store._blobs[tile]
+            stats = router.stats()
+            assert stats["timeouts"] == 1
+            assert stats["late_discards"] == 1
+            assert stats["restarts"] == 1
+            assert stats["inflight"] == stats["pending"] == 0
+
+
+class TestNoThreadPerRequest:
+    @pytest.mark.parametrize("transport", ["local", "process"])
+    def test_requests_start_no_thread(self, city, leaks, monkeypatch,
+                                      transport):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        # a corner where four tiles of four different owners meet
+        query = SpatialQuery(x=345.0, y=0.0, radius=20.0)
+        with ClusterRouter(city, n_shards=4, tile_size=120.0,
+                           transport=transport) as router:
+            scheme = router._core.place.scheme
+            assert {router.owner_of_tile(t) for t in scheme.tiles_for_bounds(
+                (325.0, -20.0, 365.0, 20.0))} == {0, 1, 2, 3}
+            tiles = router.tiles()
+            monkeypatch.setattr(threading.Thread, "start", counted)
+            for i in range(200):
+                assert router.request(query).ok
+                assert router.request(
+                    GetTile(tile=tiles[i % len(tiles)], encoded=True)).ok
+            for _ in range(20):
+                router.bootstrap()
+            monkeypatch.undo()
+            assert router.bootstrap_hits.value == 19
+        assert started == []

@@ -68,14 +68,15 @@ class _AmbiguousShard:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def call(self, op, payload=None, timeout_s=None, trace_ctx=None):
-        result = self._inner.call(op, payload, timeout_s=timeout_s,
-                                  trace_ctx=trace_ctx)
-        if (self._router.ambiguous and op == "serve"
-                and isinstance(payload, IngestPatch)):
-            self._router.ambiguous = False
-            raise ShardTimeout("write applied, reply lost")
-        return result
+    def call_async(self, op, payload, trace_ctx, done):
+        def landed(value, error):
+            if (error is None and self._router.ambiguous and op == "serve"
+                    and isinstance(payload, IngestPatch)):
+                self._router.ambiguous = False
+                value, error = None, ShardTimeout("write applied, reply lost")
+            done(value, error)
+
+        self._inner.call_async(op, payload, trace_ctx, landed)
 
 
 class _Router(ClusterRouter):
@@ -529,5 +530,60 @@ def test_write_answered_by_a_respawned_primary_is_resent():
         assert machine.answers.pop(op).value.payload.accepted
         machine.client.sync()
         assert ElementId("sched-sign", 2) in machine.client.local
+    finally:
+        machine.teardown()
+
+
+def test_bootstrap_waiter_reprobes_the_image_it_waited_for():
+    """A bootstrap that queued behind another's rebuild must probe the
+    image that rebuild made: a write acked before the waiter started
+    may have landed after the rebuild's snapshot of its shard."""
+    machine = ScheduledCoreModel()
+    machine.boot(replicas=0)
+    try:
+        core = machine.core
+
+        def land_pending():
+            """Land what is pending now, not what that leads to."""
+            landing, machine.pending = machine.pending, []
+            for send in landing:
+                machine._land(send)
+
+        def write(eid, x):
+            op = object()
+            machine._apply(core.start(op, core.serve(IngestPatch(
+                patch=_sign_patch(eid, x, 50, 0.9))), machine.now))
+            return op
+
+        machine._run(core.serve(IngestPatch(patch=_sign_patch(
+            ElementId("sched-sign", 1), 20, 50, 0.9))))  # image now stale
+        builder = object()
+        machine._apply(core.start(builder, core.bootstrap_image(),
+                                  machine.now))
+        land_pending()  # its probes find the image stale: it rebuilds
+        snapshots, machine.pending = machine.pending, []
+        eid = ElementId("sched-sign", 2)
+        op = write(eid, 200)
+        (sent,) = machine.pending
+        machine.pending.clear()
+        # The rebuild snapshots the write's shard first; the write lands.
+        first = next(s for s in snapshots if s.index == sent.index)
+        machine._land(first)
+        machine._land(sent)
+        assert machine.answers.pop(op).value.payload.accepted
+        floor = core.version_vector()
+        waiter = object()
+        machine._apply(core.start(waiter, core.bootstrap_image(),
+                                  machine.now))
+        land_pending()  # it probes the old image, then waits on the gate
+        assert waiter not in machine.answers
+        for send in snapshots:
+            if send is not first:
+                machine._land(send)
+        while waiter not in machine.answers:
+            machine._land(machine.pending.pop(0))
+        image = machine.answers.pop(waiter).value
+        assert image.vector[sent.index] >= floor[sent.index]
+        assert eid in image.map
     finally:
         machine.teardown()

@@ -1,6 +1,7 @@
 """Streaming ingest: bus semantics, failure paths, idempotency, and the
 end-to-end fleet -> ingest -> serve maintenance loop."""
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -524,3 +525,36 @@ class TestEndToEndMaintenanceLoop:
         # of accepted patches, which is bounded by true changes here.
         assert delta.payload.version == len(delta.payload.changes)
         assert delta.payload.version <= 2 * len(scenario.true_changes)
+
+
+class TestBurstBeforeStart:
+    def test_worker_count_does_not_change_what_is_published(self):
+        """With the whole burst queued before ``start()``, every batch
+        boundary is fixed by the queue, not by scheduling: one worker and
+        two publish the same versions, remove the same prior elements and
+        add as many. Started first, a pipeline cuts batches as the burst
+        arrives, and smaller batches may confirm more added signs."""
+        rng = np.random.default_rng(7)
+        city = generate_grid_city(rng, blocks_x=2, blocks_y=2,
+                                  block_size=150.0)
+        scenario = apply_changes(
+            city, ChangeSpec(remove_signs=2, add_signs=2), rng)
+        burst = []
+        FleetObservationSource(
+            scenario, n_vehicles=3, route_length_m=900.0, step_s=0.5,
+            routes_per_vehicle=2, duplicate_rate=0.15,
+            seed=7).run(burst.append)
+        prior = {e.id for e in scenario.prior.elements()}
+        outcomes = []
+        for n_workers in (1, 2):
+            server = MapDistributionServer(scenario.prior.copy())
+            pipe = IngestPipeline(server, tile_size=250.0,
+                                  n_workers=n_workers)
+            for obs in burst:
+                pipe.submit(dataclasses.replace(obs))
+            with pipe:
+                assert pipe.drain(30.0)
+            ids = set(server.element_ids())
+            outcomes.append((server.version, prior - ids, len(ids - prior)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] > 0 and outcomes[0][1]

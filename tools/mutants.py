@@ -129,6 +129,49 @@ MUTANTS = [
                "up as duplicate changes",
     ),
     dict(
+        name="image-waiter-skips-reprobe",
+        file="src/repro/cluster/protocol.py",
+        old="""\
+            if (image is not seen and image is not None
+                    and (yield from self._image_current(image))):
+""",
+        new="""\
+            if image is not seen and image is not None:
+""",
+        tests=["tests/test_cluster_model.py"
+               "::test_bootstrap_waiter_reprobes_the_image_it_waited_for"],
+        reason="a bootstrap that waited on another's rebuild answers that "
+               "image though a write was acked before it started",
+    ),
+    dict(
+        name="wait-ignores-deadlines",
+        file="src/repro/cluster/router.py",
+        old="""\
+                op.wake.acquire(True, left)
+""",
+        new="""\
+                op.wake.acquire()
+""",
+        tests=["tests/test_cluster.py::TestSteppedReplies"
+               "::test_reply_past_its_deadline_is_one_timeout_and_one_late_"
+               "discard"],
+        reason="a shard that never answers hangs its caller past "
+               "call_timeout_s instead of failing over",
+    ),
+    dict(
+        name="bus-leases-first-ready",
+        file="src/repro/ingest/bus.py",
+        old="""\
+                    _, p, part = min(ready)
+""",
+        new="""\
+                    _, p, part = ready[0]
+""",
+        tests=["tests/test_ingest_bus.py::TestBusModel"],
+        reason="a refilling partition starves its siblings on a worker "
+               "that owns several",
+    ),
+    dict(
         name="copy-keeps-stale-cells",
         file="src/repro/geometry/index.py",
         old="""\
