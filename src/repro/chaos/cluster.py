@@ -12,8 +12,8 @@ class:
   timeout, which must surface as a timeout → replica failover → lazy
   restart, never as a hung client;
 - **cluster.rebalance** — the cluster grows by one shard mid-stream,
-  moving the rendezvous-hash-bounded tile fraction onto a journal-
-  replayed newcomer.
+  moving the rendezvous-hash-bounded tile fraction onto a newcomer
+  booted from the journal.
 
 The workload is a deterministic patch stream (seeded positions, strictly
 increasing confidence so conflict resolution never depends on per-shard
@@ -29,8 +29,8 @@ freshness histogram:
    single-node server reproduces the merged cluster snapshot to
    canonical bytes, and a continuously syncing client converges to it.
    Holds because a write is acked only after it is journaled, ambiguous
-   writes are erased by restart-from-journal before the single resend,
-   and replicas apply acked patches synchronously.
+   writes are erased by a restart from the acked boot state before the
+   single resend, and replicas apply acked patches synchronously.
 2. **No duplicate changes** — the ownership-filtered cluster change
    view reports each element's history exactly once, on exactly one
    shard, and that history is legal (no double add, no remove of an
@@ -38,11 +38,11 @@ freshness histogram:
    rebalance filters the stale copy out of every merge.
 3. **Version monotonicity** — each per-shard change log is contiguous
    from
-   version 1 (journal replay preserves this across restarts) and the
+   version 1 (a restart boots the acked state, log included) and the
    router-observed cluster version never regresses (the monotone clamp).
 4. **Bounded freshness lag** — submit→ack lag stays under the bound
-   even across crash-restart cycles, because restart replays a bounded
-   journal and the write path retries exactly once.
+   even across crash-restart cycles, because a restart replays nothing
+   and the write path retries exactly once.
 5. **Zero constraint violations served** — a full constraint-engine
    scan of the merged cluster snapshot (what a bootstrapping client
    receives) finds no ERROR-severity violation. The cluster layer has

@@ -3,8 +3,9 @@
 Pure data, no I/O, held by :class:`~repro.cluster.protocol.RouterCore`:
 tile ownership (:class:`Ownership`), each element's first home tile and
 the one ownership rule over it (:meth:`Placement.home`), the base map's
-tile partition, and the one replay rule (:meth:`Placement.config`) that
-turns a shard's boot facts and the journal into its :class:`ShardConfig`.
+tile partition, and the one boot rule (:meth:`Placement.config`) that
+turns a new shard index's ownership and the journal into its
+:class:`ShardConfig`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.core.tiles import (TileId, TileScheme, consistent_hash_owner,
                               ownership_map)
 from repro.core.versioning import (AddElement, MapPatch, RemoveElement,
                                    ReplaceElement)
-from repro.storage.binary import encode_map
+from repro.update.distribution import ConflictPolicy, MapDistributionServer
 
 #: ``element_tile`` lookup default: ``None`` is a real home (non-spatial).
 _UNKNOWN = object()
@@ -54,7 +55,6 @@ class Ownership:
 class JournalEntry:
     """One acked sub-patch: the ops a shard actually applied."""
 
-    shard: int  # the shard that acked it
     source: str
     confidence: float
     ops: List[Tuple[Optional[TileId], object]]  # (home tile, PatchOp)
@@ -128,13 +128,14 @@ class Placement:
             if isinstance(op, (AddElement, ReplaceElement)):
                 self.element_tile.setdefault(op.element.id, tile)
 
-    def config(self, index: int, boot: Ownership, boot_seq: int,
+    def config(self, index: int, boot: Ownership,
                journal: List[JournalEntry]) -> ShardConfig:
-        """The replay rule: shard ``index`` boots from the base subset of
-        the tiles ``boot`` gave it, the first ``boot_seq`` journal
-        entries filtered by ``boot``, then every entry it acked. A
-        restart comes back at the exact version it had acked, even after
-        a rebalance moved tiles away."""
+        """The boot rule, run once per shard index: its state is the base
+        subset of the tiles ``boot`` gives it, then the journal filtered
+        by ``boot``, applied as the ops were acked. The router then
+        advances that state with every entry the shard acks, so each
+        spawn of the index — a restart after a rebalance moved tiles
+        away included — comes back at the exact version it had acked."""
         owned = [tile for tile in self.all_tiles
                  if boot.shard(tile) == index]
         base = HDMap(f"{self.name}-shard{index}")
@@ -144,26 +145,20 @@ class Placement:
         if index == 0:
             for element in self.nonspatial:
                 base.add(element)
-        owned_blob_tiles = [tile for tile in owned if tile in self.blobs]
-        replay: List[MapPatch] = []
-        for k, entry in enumerate(journal):
-            if k < boot_seq:
-                ops = [op for tile, op in entry.ops
-                       if boot.shard(tile) == index]
-            elif entry.shard == index:
-                ops = [op for _, op in entry.ops]
-            else:
-                continue
+        state = MapDistributionServer(base)
+        for entry in journal:
+            ops = [op for tile, op in entry.ops
+                   if boot.shard(tile) == index]
             if ops:
-                replay.append(MapPatch(ops=ops, source=entry.source,
-                                       confidence=entry.confidence))
+                state.ingest(MapPatch(ops=ops, source=entry.source,
+                                      confidence=entry.confidence),
+                             policy=ConflictPolicy.LAST_WRITER_WINS)
+        owned_blob_tiles = [tile for tile in owned if tile in self.blobs]
         packed = self.pack_path is not None
         return ShardConfig(
-            index=index, tile_size=self.scheme.tile_size,
-            base_map_bytes=encode_map(base),
+            index=index, tile_size=self.scheme.tile_size, state=state,
             blobs={} if packed else {tile: self.blobs[tile]
                                      for tile in owned_blob_tiles},
-            replay=replay, name=f"{self.name}-shard",
-            pack_path=self.pack_path,
+            name=f"{self.name}-shard", pack_path=self.pack_path,
             owned_tiles=owned_blob_tiles if packed else [],
             **self.shard_knobs)

@@ -1,11 +1,12 @@
 """RouterCore: every routing decision of the cluster, with no I/O.
 
 The core owns all routing state — placement (ownership, element homes,
-the replay rule: :mod:`repro.cluster.placement`), the journal, each
-slot's spawn generation, liveness and lease, each shard's last observed
-version (the replica floor), the bootstrap image — and no thread,
-socket, process, clock or lock. It takes events (an operation starts; a
-``Send`` returned or raised; a primary died) and returns effects
+the boot rule: :mod:`repro.cluster.placement`), the journal, each
+shard's boot state (kept current by every ack, so a restart inherits
+it), each slot's spawn generation, liveness and lease, each shard's
+last observed version (the replica floor), the bootstrap image — and no
+thread, socket, process, clock or lock. It takes events (an operation
+starts; a ``Send`` returned or raised; a primary died) and returns effects
 (:class:`Send`, :class:`Restart`, and the flow runtime's ``Respond``
 and ``Discard``); :class:`~repro.cluster.router.ClusterRouter`
 is the shell that runs them. DESIGN.md "Cluster" tabulates both.
@@ -38,7 +39,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.api import (ChangesSince, GetTile, IngestPatch, Request,
                              Response, Snapshot, SpatialQuery, Status)
 from repro.storage.binary import encode_map
-from repro.update.distribution import IngestResult, SyncDelta
+from repro.update.distribution import ConflictPolicy, IngestResult, SyncDelta
 
 _log = get_logger("cluster.router")
 
@@ -66,7 +67,8 @@ class Send(NamedTuple):
 
 class Restart(NamedTuple):
     """Replace ``(index, slot)`` with spawn ``gen`` of ``config``, before
-    any later effect runs."""
+    any later effect runs: ``config.state`` is live, and the next ack
+    advances it."""
 
     index: int
     slot: Any
@@ -75,16 +77,14 @@ class Restart(NamedTuple):
 
 
 class _Shard:
-    """One shard index: what it booted from (the ownership that picked
-    its base subset, and the journal length then — every restart reuses
-    both), and per slot ("primary", then replica numbers) the spawn
-    generation and whether it is believed alive."""
+    """One shard index: the config every spawn of it boots (its
+    ``state`` is what the shard acked), and per slot ("primary", then
+    replica numbers) the spawn generation and whether it is believed
+    alive."""
 
-    def __init__(self, index: int, boot: Ownership, boot_seq: int,
-                 replicas: int) -> None:
-        self.index = index
-        self.boot = boot
-        self.boot_seq = boot_seq
+    def __init__(self, config: ShardConfig, replicas: int) -> None:
+        self.index = config.index
+        self.config = config
         self.slots: List[Any] = [PRIMARY] + list(range(replicas))
         self.gen: Dict[Any, int] = {}
         self.alive: Dict[Any, bool] = {}
@@ -137,8 +137,9 @@ class RouterCore(FlowRunner):
                                shard_knobs)
         self._shards: List[_Shard] = []
         self.journal: List[JournalEntry] = []
-        # Every restart replays the whole journal: its depth is a gauge,
-        # and crossing the threshold logs one ``journal_large`` warning.
+        # The journal grows with every ack (a rebalance boots new shards
+        # from it): its depth is a gauge, and crossing the threshold logs
+        # one ``journal_large`` warning.
         self._journal_warned = False
         self._version_floor = 0
         self._image: Optional[BootstrapImage] = None
@@ -226,35 +227,29 @@ class RouterCore(FlowRunner):
                     shard.gen[slot], call, payload, attrs)
 
     # -- shard lifecycle ------------------------------------------------
-    def _config(self, shard: _Shard) -> ShardConfig:
-        return self.place.config(shard.index, shard.boot, shard.boot_seq,
-                                 self.journal)
-
     def _grow(self, ownership: Ownership) -> None:
         """Boot the shards ``ownership`` adds (slots share a config)."""
         for index in range(len(self._shards), ownership.n_shards):
-            shard = _Shard(index, ownership, len(self.journal),
+            shard = _Shard(self.place.config(index, ownership, self.journal),
                            self.replicas)
-            config = self._config(shard)
             for slot in shard.slots:
-                self._spawn(shard, slot, config)
+                self._spawn(shard, slot)
             self._shards.append(shard)
         self.shards_gauge.set(ownership.n_shards)
 
-    def _spawn(self, shard: _Shard, slot: Any, config: ShardConfig) -> None:
+    def _spawn(self, shard: _Shard, slot: Any) -> None:
         shard.gen[slot] = gen = next(self._spawns)
         shard.alive[slot] = True
         if slot == PRIMARY:
             shard.lease_until = self.now + self.lease_s
-        self._out.append(Restart(shard.index, slot, gen, config))
+        self._out.append(Restart(shard.index, slot, gen, shard.config))
 
     def _restart(self, shard: _Shard, slot: Any) -> None:
-        config = self._config(shard)
-        self._spawn(shard, slot, config)
+        self._spawn(shard, slot)
         self.restarts.add()
         if slot == PRIMARY:
             _log.warning("shard_restarted", shard=shard.index,
-                         replayed=len(config.replay))
+                         version=shard.config.state.version)
         else:
             _log.warning("replica_restarted", shard=shard.index,
                          replica=slot)
@@ -464,12 +459,8 @@ class RouterCore(FlowRunner):
                 result, applied = yield from self._write(index, sub,
                                                          tile_ops)
                 if result.accepted and applied:
-                    self._journal_ack(index, patch, applied)
-                    yield from self._replicate(
-                        self._shards[index],
-                        MapPatch(ops=[op for _, op in applied],
-                                 source=patch.source,
-                                 confidence=patch.confidence))
+                    acked = self._journal_ack(index, patch, applied)
+                    yield from self._replicate(self._shards[index], acked)
                     place.settle(applied)
                 results.append(result)
         finally:
@@ -487,8 +478,8 @@ class RouterCore(FlowRunner):
     def _write(self, index: int, sub: MapPatch, tile_ops) -> Flow:
         """Apply one sub-patch on its primary exactly once; returns
         ``(result, applied tile ops)``. A timeout or death mid-write is
-        ambiguous, so the primary restarts from the journal (erasing any
-        unacked effect) before the one resend."""
+        ambiguous, so the primary restarts from its boot state (erasing
+        any unacked effect) before the one resend."""
         shard = self._shards[index]
         last_exc: Optional[BaseException] = None
         for _attempt in range(2):
@@ -519,21 +510,30 @@ class RouterCore(FlowRunner):
                     self._restart(shard, PRIMARY)
         raise ClusterError(f"shard {index} failed twice on write: {last_exc}")
 
-    def _journal_ack(self, index: int, patch: MapPatch, applied) -> None:
+    def _journal_ack(self, index: int, patch: MapPatch,
+                     applied) -> MapPatch:
+        """Journal the ops shard ``index`` applied and advance its boot
+        state by them; answers them as one patch."""
         self.journal.append(JournalEntry(
-            shard=index, source=patch.source, confidence=patch.confidence,
-            ops=applied))
+            source=patch.source, confidence=patch.confidence, ops=applied))
+        acked = MapPatch(ops=[op for _, op in applied], source=patch.source,
+                         confidence=patch.confidence)
+        # LAST_WRITER_WINS drops nothing: the state applies exactly the
+        # ops the shard did, at the version it did.
+        self._shards[index].config.state.ingest(
+            acked, policy=ConflictPolicy.LAST_WRITER_WINS)
         depth = len(self.journal)
         self.journal_gauge.set(depth)
         if depth >= self.JOURNAL_WARN_ENTRIES and not self._journal_warned:
             self._journal_warned = True
             _log.warning("journal_large", entries=depth,
                          threshold=self.JOURNAL_WARN_ENTRIES)
+        return acked
 
     def _replicate(self, shard: _Shard, patch: MapPatch) -> Flow:
         """Apply an acked patch on every replica at once: all sends name
         the current spawns, so a replica respawned meanwhile (from the
-        journal, which holds the patch) never gets it twice."""
+        boot state, which holds the patch) never gets it twice."""
         yield All([self._apply(shard, slot, patch)
                     for slot in shard.slots[1:]])
 
@@ -542,7 +542,7 @@ class RouterCore(FlowRunner):
         try:
             yield send
         except (ShardDead, ShardTimeout, RpcError):
-            # Restart from the journal, which holds this patch already.
+            # Restart from the boot state, which holds this patch already.
             if shard.gen[slot] == send.gen:
                 self._restart(shard, slot)
 
@@ -597,7 +597,7 @@ class RouterCore(FlowRunner):
     def _image_current(self, image: BootstrapImage) -> Flow:
         """Whether every shard still answers at the image's version with
         no changes, under the ownership and cluster version it was
-        stamped with (a restarted shard replays to it: a hit)."""
+        stamped with (a restarted shard inherits it: a hit)."""
         if image.owner is not self.place.ownership:
             return False
         vector = image.vector

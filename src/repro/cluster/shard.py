@@ -5,21 +5,24 @@ A shard is an ordinary single-node serving stack —
 dynamic state) + :class:`~repro.storage.tilestore.TileStore` (static tile
 blobs) + :class:`~repro.serve.service.MapService` (worker pool, cache,
 admission) — scoped to the tiles rendezvous hashing assigned it. The
-router hands each shard a fully picklable :class:`ShardConfig` at boot:
+router hands each shard a :class:`ShardConfig` at boot:
 
-- ``base_map_bytes``: the encoded disjoint subset of the base map whose
-  elements' centre tiles this shard owns (the authoritative dynamic
-  partition — every element has exactly one home shard);
+- ``state``: the shard's dynamic state, ready to serve — the server the
+  router built once for the shard index (the disjoint base subset whose
+  elements' centre tiles it owns, every element having exactly one home
+  shard) and has advanced with every write the shard acked since. A
+  restart therefore comes back at the exact state — versions, change
+  log, conflict provenance — that the dead primary had acknowledged,
+  with nothing to decode or replay: acked writes live in the router, so
+  no shard death can lose them. A forked shard serves the object it
+  inherited; an in-process one serves a copy;
 - ``blobs``: the shard's owned tiles' blobs, sliced from a *full-map*
   ``TileStore.build``, so border elements are replicated exactly as on a
   single node and ``GetTile`` payloads are byte-identical regardless of
-  which shard serves them;
-- ``replay``: the journal suffix of accepted sub-patches this shard must
-  re-apply. Replay runs through the same ingest path (same conflict
-  policy, same order), so a restarted shard reconstructs the exact
-  dynamic state — versions, change log, and all — that the dead primary
-  had acknowledged. That replay is the whole failover story: acked
-  writes live in the router's journal, so no shard death can lose them.
+  which shard serves them.
+
+A config without a ``state`` boots from ``base_map_bytes``, an encoded
+base map.
 
 The same backend runs in two transports (:mod:`repro.cluster.transport`):
 in-process (``LocalShard`` — unit tests, doc tooling) and as a forked
@@ -57,13 +60,13 @@ _log = get_logger("cluster.shard")
 
 @dataclass
 class ShardConfig:
-    """Everything a shard process needs to boot, in picklable form."""
+    """Everything a shard process needs to boot."""
 
     index: int
     tile_size: float
-    base_map_bytes: bytes
+    base_map_bytes: bytes = b""  # decoded at boot when ``state`` is None
     blobs: Dict[TileId, bytes] = field(default_factory=dict)
-    replay: List[MapPatch] = field(default_factory=list)
+    state: Optional[MapDistributionServer] = None
     n_workers: int = 2
     service_latency_s: float = 0.0
     storage_latency_s: float = 0.0
@@ -81,8 +84,10 @@ class ShardBackend:
 
     def __init__(self, config: ShardConfig) -> None:
         self.config = config
-        base = decode_map(config.base_map_bytes)
-        self.server = MapDistributionServer(base)
+        self.server = config.state
+        if self.server is None:
+            self.server = MapDistributionServer(
+                decode_map(config.base_map_bytes))
         if config.pack_path is not None:
             store = TileStore.from_pack(config.pack_path, config.tile_size,
                                         tiles=config.owned_tiles)
@@ -93,13 +98,6 @@ class ShardBackend:
             n_workers=config.n_workers,
             service_latency_s=config.service_latency_s,
             storage_latency_s=config.storage_latency_s)
-        for patch in config.replay:
-            # The journal stores *effective* patches — the ops the dead
-            # primary actually applied after conflict resolution — so
-            # replay applies them verbatim (LAST_WRITER_WINS never drops)
-            # and reconstructs the exact acked state: one version per
-            # entry, same elements, same change log shape.
-            self.server.ingest(patch, policy=ConflictPolicy.LAST_WRITER_WINS)
         # Injected slowness (the cluster.slow_shard fault): the next
         # ``count`` dispatches sleep ``delay_s`` before answering.
         self._slow_lock = threading.Lock()
@@ -196,8 +194,9 @@ class ShardBackend:
         self._maybe_slow()
         if op == "apply":
             # Replica write path: apply an effective (post-conflict-
-            # resolution) patch verbatim, exactly as journal replay does,
-            # so replicas track the primary version-for-version.
+            # resolution) patch verbatim, exactly as the router advances
+            # the shard's boot state, so replicas track the primary
+            # version-for-version.
             assert isinstance(payload, MapPatch)
             return self.server.ingest(
                 payload, policy=ConflictPolicy.LAST_WRITER_WINS)

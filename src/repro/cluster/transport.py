@@ -15,6 +15,7 @@ import multiprocessing
 import socket
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Callable, Optional
 
 from repro.cluster.rpc import (PipelinedConnection, RpcError, ShardDead,
@@ -30,9 +31,13 @@ class LocalShard:
     scatter's calls overlap; other ops, and ``slow``-injected delays
     (there is no receive loop to stall), run inline through
     :meth:`call`, so timeout-driven chaos runs on :class:`ProcessShard`.
+    It boots a copy of the config's ``state``: the router, in the same
+    address space, goes on advancing the original.
     """
 
     def __init__(self, config: ShardConfig) -> None:
+        if config.state is not None:
+            config = replace(config, state=config.state.copy())
         self._backend = ShardBackend(config).start()
         self._dead = False
 
@@ -79,7 +84,8 @@ class ProcessShard:
 
     Any number of router threads may have calls in flight on the one
     socket at once; the shard answers ``serve`` ops out of order as its
-    worker pool finishes them (see :class:`PipelinedConnection`).
+    worker pool finishes them (see :class:`PipelinedConnection`). The
+    fork is the child's private copy of the config's ``state``.
     """
 
     def __init__(self, config: ShardConfig) -> None:

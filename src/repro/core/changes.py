@@ -58,7 +58,18 @@ class ChangeLog:
         self.entries.append((version, change))
 
     def changes_since(self, version: int) -> List[MapChange]:
-        return [change for v, change in self.entries if v > version]
+        # Versions are recorded in order: bisect to the first one past
+        # ``version``, so a nearly current reader touches only the tail
+        # (in a forked shard, the rest stays shared with its parent).
+        entries = self.entries
+        lo, hi = 0, len(entries)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if entries[mid][0] <= version:
+                lo = mid + 1
+            else:
+                hi = mid
+        return [change for _, change in entries[lo:]]
 
     def __len__(self) -> int:
         return len(self.entries)

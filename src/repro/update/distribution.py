@@ -169,6 +169,17 @@ class MapDistributionServer:
         with self._lock:
             return self.db.map.copy()
 
+    def copy(self) -> "MapDistributionServer":
+        """An independent server in this one's exact state: the map
+        (same name and version), its change log and the conflict
+        provenance."""
+        with self._lock:
+            clone = MapDistributionServer(
+                self.db.map.copy(name=self.db.map.name))
+            clone.db.log.entries = list(self.db.log.entries)
+            clone._touched = dict(self._touched)
+            return clone
+
     def delta_since(self, version: int) -> SyncDelta:
         """Atomically capture (version, change suffix, touched elements)."""
         with self._lock:

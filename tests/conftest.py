@@ -22,6 +22,17 @@ from repro.world import generate_factory_floor, generate_grid_city, generate_hig
 # `--hypothesis-profile=ci`: examples derive from the test alone and no
 # local example database is read, so a failure reproduces from the commit.
 settings.register_profile("ci", derandomize=True, database=None)
+# `--hypothesis-profile=ci-deep`: the same, with 100 examples; the model
+# machines (tests/test_cluster_model.py) run that many, from DEEP_SEED
+# instead of their own fixed seeds.
+settings.register_profile("ci-deep", derandomize=True, database=None,
+                          max_examples=100)
+DEEP_SEED = 20241020
+
+
+def deep_profile() -> bool:
+    """Whether this run loaded the ``ci-deep`` profile."""
+    return settings.default is settings.get_profile("ci-deep")
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import pickle
 import socket
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,8 +38,9 @@ from repro.serve.api import (
     SpatialQuery,
     Status,
 )
-from repro.storage.binary import encode_map
+from repro.storage.binary import decode_map, encode_map
 from repro.storage.tilestore import TileStore
+from repro.update.distribution import MapDistributionServer
 
 TILE_GRID = [TileId(x, y) for x in range(16) for y in range(16)]
 
@@ -271,6 +273,95 @@ class TestFailoverAndRestart:
             assert client.is_consistent()
 
 
+def _count_calls(monkeypatch, calls, name, owners):
+    """Count calls to ``name`` on each of ``owners`` into ``calls``."""
+    for owner in owners:
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls[name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+def _binds(name, value):
+    """Every loaded ``repro`` module that binds ``name`` to ``value``."""
+    return [module for key, module in list(sys.modules.items())
+            if key.startswith("repro") and getattr(module, name, None)
+            is value]
+
+
+def _shard_deltas(router):
+    """``{shard: (version, changes, pickled elements by id)}`` of a
+    ``ChangesSince(0)`` on every shard."""
+    delta = router.changes_since(dict.fromkeys(range(router.n_shards), 0))
+    return {index: (d.version, d.changes,
+                    {str(eid): pickle.dumps(element)
+                     for eid, element in d.elements.items()})
+            for index, d in delta.deltas.items()}
+
+
+class TestRestartInheritsState:
+    """A restarted shard boots the state the router keeps for it: what
+    it acked, with nothing encoded, decoded or replayed on the way."""
+
+    def test_process_successor_answers_like_its_predecessor(self, city):
+        with ClusterRouter(city, n_shards=2, tile_size=120.0,
+                           transport="process") as router:
+            for x in (33.0, 150.0, 290.0, 400.0):
+                _, patch = _sign_patch(city, (x, 44.0))
+                assert router.request(
+                    IngestPatch(patch=patch)).payload.accepted
+            before = _shard_deltas(router)
+            assert sum(len(changes) for _, changes, _ in before.values()) \
+                == 4
+            router.kill_shard(0)
+            router.kill_shard(1)
+            assert _shard_deltas(router) == before
+            assert router.restarts.value == 2
+
+    def test_acked_writes_survive_restarts_and_nothing_is_replayed(
+            self, city, monkeypatch):
+        calls = Counter()
+        with _local_router(city) as router:
+            signs = []
+            for x in (33.0, 150.0, 290.0, 400.0, 35.0):
+                eid, patch = _sign_patch(city, (x, 44.0))
+                assert router.request(
+                    IngestPatch(patch=patch)).payload.accepted
+                signs.append(eid)
+            tile = router.tiles()[0]
+            owner = router.owner_of_tile(tile)
+            _count_calls(monkeypatch, calls, "encode_map",
+                         _binds("encode_map", encode_map))
+            _count_calls(monkeypatch, calls, "decode_map",
+                         _binds("decode_map", decode_map))
+            _count_calls(monkeypatch, calls, "ingest",
+                         [MapDistributionServer])
+            for _ in range(20):
+                router.kill_shard(owner)
+                assert router.request(GetTile(tile=tile,
+                                              encoded=True)).ok
+            monkeypatch.undo()
+            assert router.restarts.value == 20
+            assert calls == Counter()
+            local = ClusterMapClient(router).local
+            assert all(eid in local for eid in signs)
+
+    def test_local_shard_write_leaves_the_router_state_alone(self, city):
+        with _local_router(city) as router:
+            state = router._core._shards[0].config.state
+            before = (state.version, state.element_ids(),
+                      list(state.db.log.entries))
+            _, shard = router._links[(0, "primary")]
+            eid, patch = _sign_patch(city, (33.0, 44.0))
+            assert shard.call("apply", patch).accepted
+            assert eid in shard._backend.server.element_ids()
+            assert (state.version, state.element_ids(),
+                    state.db.log.entries) == before
+
+
 class TestRebalance:
     def test_growth_moves_only_rehashed_tiles(self, city):
         with _local_router(city) as router:
@@ -312,10 +403,11 @@ class TestRebalance:
                 return ((tile.tx + 0.5) * 120.0, (tile.ty + 0.5) * 120.0)
 
             client = ClusterMapClient(router)
-            _, patch = _sign_patch(city, centre(moves))
+            moved, patch = _sign_patch(city, centre(moves))
             assert router.request(IngestPatch(patch=patch)).ok
             router.rebalance(3)
             client.sync()
+            assert moved in client.local  # the new owner booted with it
             acked = router.version_vector()[0]
             router.kill_shard(0)
             eid, patch = _sign_patch(city, centre(stays))

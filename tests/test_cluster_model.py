@@ -15,6 +15,10 @@ bootstrap image included:
   next, with a lost reply after the shard applied it, a shard death
   between apply and ack, a late duplicate reply, or a reply held back
   past its spawn's crash (and maybe respawn) injected on the way.
+
+Both also check, after every step, that each shard whose primary is live
+and has no write in flight serves exactly the boot state the core keeps
+for it: a restart boots that state, so it must be what the shard acked.
 """
 
 import itertools
@@ -22,7 +26,7 @@ import threading
 from collections import Counter
 
 import numpy as np
-from hypothesis import Phase, settings
+from hypothesis import Phase, seed, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -39,12 +43,12 @@ from repro.cluster.rpc import ShardDead, ShardTimeout
 from repro.core import MapPatch, SignType, TrafficSign
 from repro.core.ids import ElementId
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.api import ChangesSince, GetTile, IngestPatch
+from repro.serve.api import ChangesSince, GetTile, IngestPatch, Snapshot
 from repro.storage.binary import BodyWriter, encode_element, referenced_ids
 from repro.storage.tilestore import TileStore
 from repro.update.distribution import MapDistributionServer
 from repro.world import generate_grid_city
-from tests.conftest import leaked
+from tests.conftest import DEEP_SEED, deep_profile, leaked
 
 CITY = generate_grid_city(np.random.default_rng(202), blocks_x=2,
                           blocks_y=1, block_size=150.0)
@@ -103,6 +107,38 @@ def _remove_patch(eid, confidence):
 
 def _change_counts(changes):
     return Counter((c.element_id, c.change_type) for c in changes)
+
+
+def _budget(machine, max_examples, **kw):
+    """Run ``machine`` for ``max_examples`` examples — under the
+    ``ci-deep`` profile, for the profile's count, drawn from another
+    seed."""
+    if deep_profile():
+        max_examples = settings.default.max_examples
+        seed(DEEP_SEED)(machine)
+    machine.TestCase.settings = settings(
+        machine.TestCase.settings, max_examples=max_examples,
+        deadline=None, **kw)
+
+
+def _assert_state_is_the_shard(core, primary, busy=()):
+    """Each shard whose primary is believed alive and is not in ``busy``
+    (a write in flight) serves the core's boot state for it: the same
+    version, element ids and change log. ``primary(index)`` is the
+    primary's server, or None if its spawn is dead."""
+    for shard in core._shards:
+        server = primary(shard.index) if shard.alive["primary"] else None
+        if server is None or shard.index in busy:
+            continue
+        state = shard.config.state
+        assert state.version == server.version, shard.index
+        assert state.element_ids() == server.element_ids(), shard.index
+        assert state.db.log.entries == server.db.log.entries, shard.index
+
+
+def _server(shard):
+    """A live in-process shard's server, or None once it was killed."""
+    return None if shard._dead else shard._backend.server
 
 
 def _encoded_elements(hdmap, skip=frozenset()):
@@ -228,10 +264,15 @@ class ClusterModel(RuleBasedStateMachine):
             _encoded_elements(self.reference.snapshot())
         assert vector == self.router.version_vector()
 
+    @invariant()
+    def state_is_the_shard(self):
+        links = self.router._links
+        _assert_state_is_the_shard(
+            self.router._core,
+            lambda index: _server(links[(index, "primary")][1]._inner))
 
-ClusterModel.TestCase.settings = settings(
-    ClusterModel.TestCase.settings, max_examples=25,
-    stateful_step_count=12, deadline=None)
+
+_budget(ClusterModel, 25, stateful_step_count=12)
 TestClusterModel = ClusterModel.TestCase
 
 
@@ -463,7 +504,59 @@ class ScheduledCoreModel(RuleBasedStateMachine):
                 self._apply(effects)
             for op in [op for op in ops if op in self.answers]:
                 self._check(op, ops.pop(op))
+            self.state_is_the_shard()
         assert not ops, "operations stuck with nothing in flight"
+
+    def _land_all(self, ops, hold=lambda send: False):
+        """Land every pending send in order, and what those lead to,
+        but those ``hold`` picks: they are left pending."""
+        held = []
+        while self.pending:
+            send = self.pending.pop(0)
+            if hold(send):
+                held.append(send)
+                continue
+            self._land(send)
+            for op in [op for op in ops if op in self.answers]:
+                self._check(op, ops.pop(op))
+            self.state_is_the_shard()
+        self.pending = held
+
+    @rule(data=st.data())
+    def bootstrap_behind_rebuild(self, data):
+        """A bootstrap parks behind another's image rebuild, and between
+        the rebuild's snapshot of a shard and its merge a write to that
+        shard is acked: the waiter must probe the rebuilt image again,
+        and its version check catches an image without the write."""
+        ops = {}
+        self._start("add", data, ops)  # the current image goes stale
+        self._land_all(ops)
+        self._start("bootstrap", data, ops)
+        self._land_all(ops, hold=lambda send: isinstance(send.payload,
+                                                         Snapshot))
+        snapshots, self.pending = self.pending, []  # it is rebuilding
+        self._start("add", data, ops)
+        for send in [s for s in self.pending
+                     if isinstance(s.payload, IngestPatch)]:
+            for snapshot in [s for s in snapshots if s.index == send.index]:
+                snapshots.remove(snapshot)
+                self._land(snapshot)
+        self._land_all(ops)  # the write is acked
+        self._start("bootstrap", data, ops)
+        self._land_all(ops)  # its probe finds the old image stale: it waits
+        self.pending.extend(snapshots)
+        self._land_all(ops)
+        assert not ops, "operations stuck with nothing in flight"
+
+    @invariant()
+    def state_is_the_shard(self):
+        busy = {send.index for send in self.pending
+                if send.slot == "primary" and (
+                    send.call == "changelog"
+                    or isinstance(send.payload, IngestPatch))}
+        _assert_state_is_the_shard(
+            self.core,
+            lambda index: _server(self.links[(index, "primary")][1]), busy)
 
     @invariant()
     def observably_single_node(self):
@@ -488,10 +581,8 @@ class ScheduledCoreModel(RuleBasedStateMachine):
 # No shrinking: a failing schedule is reported as drawn. Shrinking one
 # of these schedules takes minutes, and tools/mutants.py runs this
 # machine once per protocol mutant.
-ScheduledCoreModel.TestCase.settings = settings(
-    ScheduledCoreModel.TestCase.settings, max_examples=20,
-    stateful_step_count=10, deadline=None,
-    phases=[Phase.explicit, Phase.reuse, Phase.generate])
+_budget(ScheduledCoreModel, 20, stateful_step_count=10,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate])
 TestScheduledCoreModel = ScheduledCoreModel.TestCase
 
 

@@ -29,6 +29,7 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCHEDULED = "tests/test_cluster_model.py::TestScheduledCoreModel"
+RESTART_INHERITS = "tests/test_cluster.py::TestRestartInheritsState"
 COPY_PROPERTY = ("tests/test_properties_core.py::TestCopyMatchesReinsert"
                  "::test_copy_matches_reinsert_copy")
 
@@ -82,38 +83,46 @@ MUTANTS = [
                 result, applied = yield from self._write(index, sub,
                                                          tile_ops)
                 if result.accepted and applied:
-                    self._journal_ack(index, patch, applied)
+                    acked = self._journal_ack(index, patch, applied)
 """,
         new="""\
-                self._journal_ack(index, patch, tile_ops)
+                acked = self._journal_ack(index, patch, tile_ops)
                 result, applied = yield from self._write(index, sub,
                                                          tile_ops)
                 if result.accepted and applied:
 """,
         tests=[SCHEDULED],
-        reason="a write the shard never acked (or refused) is replayed "
-               "into every restart",
+        reason="a write the shard never acked (or refused) advances the "
+               "boot state every restart inherits",
+    ),
+    dict(
+        name="state-not-advanced-on-ack",
+        file="src/repro/cluster/protocol.py",
+        old="""\
+        self._shards[index].config.state.ingest(
+            acked, policy=ConflictPolicy.LAST_WRITER_WINS)
+""",
+        new="",
+        tests=[SCHEDULED, RESTART_INHERITS + "::test_acked_writes_survive_"
+               "restarts_and_nothing_is_replayed"],
+        reason="a restarted shard comes back without the writes it acked",
     ),
     dict(
         name="replay-by-current-ownership",
         file="src/repro/cluster/placement.py",
         old="""\
-            if k < boot_seq:
-                ops = [op for tile, op in entry.ops
-                       if boot.shard(tile) == index]
-            elif entry.shard == index:
+            ops = [op for tile, op in entry.ops
+                   if boot.shard(tile) == index]
 """,
         new="""\
-            if True:
-                ops = [op for tile, op in entry.ops
-                       if self.ownership.shard(tile) == index]
-            elif entry.shard == index:
+            ops = [op for tile, op in entry.ops
+                   if self.ownership.shard(tile) == index]
 """,
         tests=[SCHEDULED,
                "tests/test_cluster.py::TestRebalance"
                "::test_restart_after_growth_keeps_shard_versions"],
-        reason="a shard restarted after a rebalance rewinds its version "
-               "and a synced client skips its next change",
+        reason="a shard booted by a rebalance misses the history of the "
+               "tiles it takes over, so no client ever sees it",
     ),
     dict(
         name="changes-since-unfiltered",
@@ -138,10 +147,23 @@ MUTANTS = [
         new="""\
             if image is not seen and image is not None:
 """,
-        tests=["tests/test_cluster_model.py"
+        tests=[SCHEDULED, "tests/test_cluster_model.py"
                "::test_bootstrap_waiter_reprobes_the_image_it_waited_for"],
         reason="a bootstrap that waited on another's rebuild answers that "
                "image though a write was acked before it started",
+    ),
+    dict(
+        name="local-shard-shares-state",
+        file="src/repro/cluster/transport.py",
+        old="""\
+        if config.state is not None:
+            config = replace(config, state=config.state.copy())
+""",
+        new="",
+        tests=[RESTART_INHERITS + "::test_local_shard_write_leaves_the_"
+               "router_state_alone"],
+        reason="an in-process shard's writes land in the router's boot "
+               "state too, so the ack applies them twice",
     ),
     dict(
         name="wait-ignores-deadlines",
